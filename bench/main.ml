@@ -643,7 +643,7 @@ module Sched = Xqb_service.Scheduler
 
 let e15 () =
   print_header
-    "E15: query service — plan-cache reuse and purity-gated parallelism";
+    "E15: query service — plan-cache reuse and footprint-gated parallelism";
   let cores = Domain.recommended_domain_count () in
   Printf.printf "host cores available: %d\n" cores;
   let expect_ok = function
@@ -720,13 +720,13 @@ let e15 () =
           let futs = List.map (fun q -> Svc.submit svc sid q) job_list in
           List.map Sched.await_exn futs)
     in
-    let inflight = Xqb_service.Metrics.max_inflight (Svc.metrics svc) in
+    let peak = Xqb_service.Rwlock.peak (Sched.gate (Svc.scheduler svc)) in
     Svc.shutdown svc;
-    (List.map expect_ok results, ms, inflight)
+    (List.map expect_ok results, ms, peak)
   in
   let seq_res, seq_ms, _ = run 0 in
   let one_res, one_ms, _ = run 1 in
-  let par_res, par_ms, (par_peak, _) = run 4 in
+  let par_res, par_ms, par_peak = run 4 in
   record ~name:"e15-pure-32-scheduler-off" ~n:32 (seq_ms *. 1e6);
   record ~name:"e15-pure-32-scheduler-1dom" ~n:32 (one_ms *. 1e6);
   record ~name:"e15-pure-32-scheduler-4dom" ~n:32 (par_ms *. 1e6);
@@ -735,11 +735,11 @@ let e15 () =
     [
       [ "off (domains=0, serialized)"; f1 seq_ms; "1.00x" ];
       [ "on (1 domain: pool overhead)"; f1 one_ms; f2 (seq_ms /. one_ms) ^ "x" ];
-      [ "on (4 domains, read side)"; f1 par_ms; f2 (seq_ms /. par_ms) ^ "x" ];
+      [ "on (4 domains, fork route)"; f1 par_ms; f2 (seq_ms /. par_ms) ^ "x" ];
     ];
   Printf.printf
     "results identical to sequential execution: %b\n\
-     peak concurrent pure queries inside the read gate: %d (the purity gate admits 4-way overlap)\n"
+     peak concurrent pure queries inside the footprint gate: %d (reads admit 4-way overlap)\n"
     (seq_res = par_res && seq_res = one_res)
     par_peak;
   if cores < 4 then
@@ -749,8 +749,9 @@ let e15 () =
       cores;
 
   (* C. mixed read/write gating: 2 sessions, 40 queries, every 5th an
-     update. Writers must serialize (peak exclusive = 1) and every
-     insert must land, regardless of interleaving. *)
+     update on the one log document. Writers conflict with each other
+     (writer peak = 1) and every insert must land, regardless of
+     interleaving. *)
   let svc = Svc.create ~domains:4 () in
   let s1 = Svc.open_session svc in
   let s2 = Svc.open_session svc in
@@ -770,13 +771,14 @@ let e15 () =
   let queries, par, excl, errs =
     Xqb_service.Metrics.counts (Svc.metrics svc)
   in
-  let peak_par, peak_excl = Xqb_service.Metrics.max_inflight (Svc.metrics svc) in
+  let gate = Sched.gate (Svc.scheduler svc) in
+  let peak, writer_peak = Xqb_service.Rwlock.(peak gate, writer_peak gate) in
   let hits = expect_ok (Svc.query svc s1 {|count(doc("log")/log/hit)|}) in
   Svc.shutdown svc;
   Printf.printf
     "mixed workload: %d queries = %d parallel + %d exclusive (%d errors)\n\
-     peak in-flight: %d readers / %d writer(s); all 8 inserts applied: %s hits\n"
-    queries par excl errs peak_par peak_excl hits
+     peak admitted: %d jobs / %d writer(s); all 8 inserts applied: %s hits\n"
+    queries par excl errs peak writer_peak hits
 
 (* ------------------------------------------------------------------ *)
 (* E16 — resource governance: tail latency of well-behaved queries    *)
@@ -1366,7 +1368,7 @@ let e20 () =
 
 (* ------------------------------------------------------------------ *)
 (* E21 — footprint scheduling: concurrent writers over disjoint       *)
-(* documents vs the single-writer purity gate, same durable store.    *)
+(* documents on one durable store, with digest and recovery checks.   *)
 (* ------------------------------------------------------------------ *)
 
 let e21 () =
@@ -1412,13 +1414,10 @@ let e21 () =
      one update and one read per round, synchronously — so per-document
      apply order (and therefore the final state) is identical whichever
      way the scheduler interleaves clients. *)
-  let run_mode footprints =
+  let run () =
     let dir = fresh_dir () in
     let cfg = { (Durable.default_config ~dir) with Durable.fsync = Wal.Always } in
-    let svc =
-      Svc.create ~domains:clients ~durability:cfg
-        ~footprint_scheduling:footprints ()
-    in
+    let svc = Svc.create ~domains:clients ~durability:cfg () in
     let sessions =
       Array.init clients (fun k ->
           let s = Svc.open_session svc in
@@ -1445,9 +1444,7 @@ let e21 () =
     let wall_s = Unix.gettimeofday () -. t0 in
     (match !fail with
     | Some e ->
-      Printf.printf "E21 FAIL (%s): query rejected: %s\n"
-        (if footprints then "footprint" else "baseline")
-        e;
+      Printf.printf "E21 FAIL: query rejected: %s\n" e;
       exit_code := 1
     | None -> ());
     let docs =
@@ -1466,58 +1463,32 @@ let e21 () =
     Svc.shutdown svc';
     rm_rf dir;
     if recovered <> digest then begin
-      Printf.printf "E21 FAIL (%s): recovered digest diverged\n"
-        (if footprints then "footprint" else "baseline");
+      print_endline "E21 FAIL: recovered digest diverged";
       exit_code := 1
     end;
     let jobs = clients * rounds * 5 in
     (float_of_int jobs /. wall_s, docs, concurrency)
   in
   (* disk-latency noise dominates single runs: take the median of
-     three full passes per mode (the workload is deterministic, so
-     every pass must also produce identical documents) *)
-  let median3 runs =
-    let ts = List.sort compare (List.map (fun (t, _, _) -> t) runs) in
-    List.nth ts 1
-  in
-  let base_runs = List.init 3 (fun _ -> run_mode false) in
-  let fp_runs = List.init 3 (fun _ -> run_mode true) in
-  let base_tput = median3 base_runs in
-  let fp_tput = median3 fp_runs in
-  let _, base_docs, _ = List.hd base_runs in
-  let _, _, fp_conc = List.hd fp_runs in
-  let fp_docs =
-    match
-      List.find_opt (fun (_, docs, _) -> docs <> base_docs) (base_runs @ fp_runs)
-    with
-    | Some (_, docs, _) -> docs
-    | None -> base_docs
-  in
-  let ratio = fp_tput /. base_tput in
-  if base_docs <> fp_docs then begin
-    print_endline
-      "E21 FAIL: footprint-scheduled store diverged from the single-writer store";
+     three full passes (the workload is deterministic, so every pass
+     must also produce identical documents) *)
+  let runs = List.init 3 (fun _ -> run ()) in
+  let tput = List.nth (List.sort compare (List.map (fun (t, _, _) -> t) runs)) 1 in
+  let _, docs, conc = List.hd runs in
+  let converged = List.for_all (fun (_, d, _) -> d = docs) runs in
+  if not converged then begin
+    print_endline "E21 FAIL: passes over the same workload produced different stores";
     exit_code := 1
   end;
-  if ratio < 1.0 then begin
-    Printf.printf
-      "E21 FAIL: footprint scheduling slower than the single-writer gate (%.2fx)\n"
-      ratio;
-    exit_code := 1
-  end;
-  record ~name:"e21-tput-single-writer" ~n:(clients * rounds * 5)
-    (base_tput *. 1e3);
-  record ~name:"e21-tput-footprint" ~n:(clients * rounds * 5) (fp_tput *. 1e3);
-  record ~name:"e21-speedup-x1000" ~n:1 (ratio *. 1e3);
+  record ~name:"e21-tput-footprint" ~n:(clients * rounds * 5) (tput *. 1e3);
   print_table
-    [ "mode"; "jobs/s"; "speedup"; "digests" ]
-    [ [ "single-writer gate"; f1 base_tput; "1.0x"; "converged" ];
-      [ "footprint scheduler"; f1 fp_tput; f2 ratio ^ "x";
-        (if base_docs = fp_docs then "converged" else "DIVERGED") ] ];
+    [ "mode"; "jobs/s"; "digests" ]
+    [ [ "footprint scheduler"; f1 tput;
+        (if converged then "converged" else "DIVERGED") ] ];
   Printf.printf
     "%d clients x %d rounds (4 inserts + 1 scan) over %d disjoint XMark \
-     documents, fsync=always\nfootprint-mode gate gauges: %s\n"
-    clients rounds clients fp_conc
+     documents, fsync=always\ngate gauges: %s\n"
+    clients rounds clients conc
 
 (* ------------------------------------------------------------------ *)
 (* E22 — health telemetry overhead: the E21 mixed load with the event  *)
@@ -1645,13 +1616,13 @@ let e22 () =
     clients rounds
 
 (* E23 — the service edge at scale: the effects-based fiber event    *)
-(* loop vs the legacy thread-per-connection loop, N concurrent       *)
-(* pipelined connections (connect storm + steady state).             *)
+(* loop under N concurrent pipelined connections (connect storm +    *)
+(* steady state).                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let e23 () =
   print_header
-    "E23: service edge at scale — fiber event loop vs thread-per-connection";
+    "E23: service edge at scale — fiber event loop, pipelined connections";
   let module Svc = Xqb_service.Service in
   let module Edge = Xqb_service.Edge in
   let nconns, rounds, pipeline = if !smoke then (200, 3, 8) else (1000, 10, 8) in
@@ -1663,12 +1634,9 @@ let e23 () =
     if n = 0 then 0.
     else sorted.(min (n - 1) (int_of_float (ceil (p /. 100. *. float n)) - 1))
   in
-  let run_mode mode =
+  let run () =
     let svc = Svc.create ~domains:2 () in
-    let edge =
-      Edge.start svc
-        { Edge.default_config with Edge.mode; backlog = 512 }
-    in
+    let edge = Edge.start svc { Edge.default_config with Edge.backlog = 512 } in
     let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Edge.port edge) in
     let fail = ref None in
     let failing e = if !fail = None then fail := Some e in
@@ -1736,7 +1704,7 @@ let e23 () =
     Svc.shutdown svc;
     (match !fail with
     | Some e ->
-      Printf.printf "E23 FAIL (%s edge): %s\n" (Edge.mode_to_string mode) e;
+      Printf.printf "E23 FAIL: %s\n" e;
       exit_code := 1
     | None -> ());
     let all = Array.of_list (List.concat (Array.to_list lats)) in
@@ -1744,34 +1712,21 @@ let e23 () =
     let tput = float_of_int (nconns * rounds * pipeline) /. steady_s in
     (storm_s, tput, percentile all 50., percentile all 99., peak)
   in
-  let fs, ft, fp50, fp99, fpeak = run_mode Edge.Fiber in
-  let ts, tt, tp50, tp99, tpeak = run_mode Edge.Threads in
+  let fs, ft, fp50, fp99, fpeak = run () in
   if (not !smoke) && fpeak < nconns then begin
     Printf.printf "E23 FAIL: fiber edge held %d concurrent connections (< %d)\n"
       fpeak nconns;
     exit_code := 1
   end;
-  if ft < tt then begin
-    Printf.printf
-      "E23 FAIL: fiber edge slower than thread edge (%.0f vs %.0f req/s)\n" ft
-      tt;
-    exit_code := 1
-  end;
   record ~name:"e23-fiber-tput" ~n:(nconns * rounds * pipeline) (ft *. 1e3);
-  record ~name:"e23-threads-tput" ~n:(nconns * rounds * pipeline) (tt *. 1e3);
   record ~name:"e23-fiber-p50-us" ~n:1 (fp50 *. 1e3);
   record ~name:"e23-fiber-p99-us" ~n:1 (fp99 *. 1e3);
-  record ~name:"e23-threads-p50-us" ~n:1 (tp50 *. 1e3);
-  record ~name:"e23-threads-p99-us" ~n:1 (tp99 *. 1e3);
   record ~name:"e23-fiber-storm-ms" ~n:nconns (fs *. 1e6);
-  record ~name:"e23-threads-storm-ms" ~n:nconns (ts *. 1e6);
   print_table
     [ "edge"; "conns"; "storm ms"; "req/s"; "batch p50 us"; "batch p99 us";
       "peak open" ]
     [ [ "fiber"; string_of_int nconns; f1 (fs *. 1e3); f1 ft; f1 fp50;
-        f1 fp99; string_of_int fpeak ];
-      [ "threads"; string_of_int nconns; f1 (ts *. 1e3); f1 tt; f1 tp50;
-        f1 tp99; string_of_int tpeak ] ];
+        f1 fp99; string_of_int fpeak ] ];
   Printf.printf
     "%d connections x %d rounds x %d pipelined QUERYs, %d client threads, \
      backlog 512; latency = per-batch round trip\n"

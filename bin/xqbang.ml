@@ -390,7 +390,7 @@ let repl_cmd =
     Term.(ret (const repl $ docs_arg $ vars_arg $ mode_arg $ seed_arg $ trace_arg))
 
 (* The query service (docs/SERVICE.md): sessions over a shared
-   document catalog, a prepared-plan cache and the purity-gated
+   document catalog, a prepared-plan cache and the footprint-gated
    parallel scheduler, speaking the newline-delimited protocol of
    [Xqb_service.Protocol] on stdin or a TCP socket. *)
 let serve_cmd =
@@ -398,7 +398,7 @@ let serve_cmd =
   let module Edge = Xqb_service.Edge in
   let serve domains cache_capacity port deadline_ms fuel max_delta max_queue
       tracing slow_apply_ms data_dir fsync checkpoint_bytes checkpoint_secs
-      replica_of slo_p99_ms slo_err_pct trace_ring telemetry edge_mode backlog
+      replica_of slo_p99_ms slo_err_pct trace_ring telemetry backlog
       max_conns idle_timeout_ms profile_hz gc_pause_warn_ms =
     report_errors (fun () ->
         (* a bad --data-dir or a failed bind must exit non-zero with
@@ -438,11 +438,6 @@ let serve_cmd =
             failwith
               (Printf.sprintf "--trace-ring expects a positive integer, got %S"
                  trace_ring)
-        in
-        let edge_mode =
-          match Edge.mode_of_string edge_mode with
-          | Ok m -> m
-          | Error e -> failwith ("--edge: " ^ e)
         in
         let backlog =
           match int_of_string_opt backlog with
@@ -518,13 +513,10 @@ let serve_cmd =
           Edge.session_loop svc stdin stdout
         | Some port ->
           let edge =
-            Edge.start svc
-              { Edge.port; backlog; max_conns; idle_timeout_ms;
-                mode = edge_mode }
+            Edge.start svc { Edge.port; backlog; max_conns; idle_timeout_ms }
           in
-          Printf.eprintf "xqbang serve: listening on 127.0.0.1:%d (%s edge)\n%!"
-            (Edge.port edge)
-            (Edge.mode_to_string edge_mode);
+          Printf.eprintf "xqbang serve: listening on 127.0.0.1:%d\n%!"
+            (Edge.port edge);
           Edge.join edge);
         Svc.shutdown svc;
         `Ok ())
@@ -593,10 +585,6 @@ let serve_cmd =
     Arg.(value & opt bool true & info [ "telemetry" ] ~docv:"BOOL"
            ~doc:"Health telemetry: the structured event log (EVENTS), rolling-window SLO metrics, stall watchdog and flight recorder. Pass false to run bare (bench E22's baseline).")
   in
-  let edge_arg =
-    Arg.(value & opt string "fiber" & info [ "edge" ] ~docv:"MODE"
-           ~doc:"TCP edge implementation: 'fiber' (one event-loop thread multiplexes all connections as fibers over non-blocking sockets, with request pipelining and read-side backpressure) or 'threads' (legacy thread-per-connection, kept for A/B comparison).")
-  in
   let backlog_arg =
     Arg.(value & opt string "64" & info [ "backlog" ] ~docv:"N"
            ~doc:"listen(2) backlog for the TCP edge: pending connections the kernel queues before refusing, absorbed during connect storms.")
@@ -607,7 +595,7 @@ let serve_cmd =
   in
   let idle_timeout_arg =
     Arg.(value & opt string "0" & info [ "idle-timeout-ms" ] ~docv:"MS"
-           ~doc:"Disconnect a connection with no traffic and no in-flight requests after MS milliseconds; 0 = never (fiber edge only).")
+           ~doc:"Disconnect a connection with no traffic and no in-flight requests after MS milliseconds; 0 = never.")
   in
   let profile_hz_arg =
     Arg.(value & opt string "97" & info [ "profile-hz" ] ~docv:"HZ"
@@ -624,7 +612,7 @@ let serve_cmd =
                $ fuel_arg $ max_delta_arg $ max_queue_arg $ tracing_arg
                $ slow_apply_arg $ data_dir_arg $ fsync_arg $ checkpoint_bytes_arg
                $ checkpoint_secs_arg $ replica_of_arg $ slo_p99_arg $ slo_err_arg
-               $ trace_ring_arg $ telemetry_arg $ edge_arg $ backlog_arg
+               $ trace_ring_arg $ telemetry_arg $ backlog_arg
                $ max_conns_arg $ idle_timeout_arg $ profile_hz_arg
                $ gc_pause_warn_arg))
 

@@ -51,7 +51,7 @@ let run_with ?(mode = C.Snap_ordered) ~profile engine source : run_result =
     stats;
     profile = prof;
     ddo_elided = ctx.Core.Context.ddo_elided - elided_before;
-    footprint = Core.Static.Footprint.of_prog compiled.Engine.prog;
+    footprint = compiled.Engine.footprint;
   }
 
 let run ?mode engine source = run_with ?mode ~profile:false engine source
@@ -82,5 +82,4 @@ let explain ?mode engine source =
   let compiled, cres = plan_of ?mode engine source in
   Printf.sprintf "%s\n-- footprint: %s"
     (Plan.explain cres.Compile.plan)
-    (Core.Static.Footprint.to_string
-       (Core.Static.Footprint.of_prog compiled.Engine.prog))
+    (Core.Static.Footprint.to_string compiled.Engine.footprint)

@@ -38,10 +38,11 @@ type t = {
           applies it *)
   mutable apply_wrap : ((unit -> unit) -> unit) option;
       (** concurrency hook: when set, each snap's apply phase runs
-          inside this wrapper. The service's footprint scheduler
-          points it at the global apply mutex (plus WAL group commit)
-          so footprint-disjoint writers evaluate concurrently while ∆
-          application stays serial. [None] = apply inline. Cleared by
+          inside this wrapper. The service points it at the global
+          apply mutex (plus WAL group commit) for jobs on the
+          concurrent-writer route, so footprint-disjoint writers
+          evaluate concurrently while ∆ application stays serial.
+          [None] = apply inline (the exclusive route). Cleared by
           {!fork_read}. *)
   mutable steps_evaluated : int;  (** instrumentation *)
   mutable ddo_elided : int;
@@ -74,8 +75,8 @@ val create : ?seed:int -> ?store:Xqb_store.Store.t -> unit -> t
     snapshots all other mutable state (function/document tables are
     copied, snap stack and RNG are fresh, [doc_resolver] is dropped so
     a fork can never load new XML into the shared store). Evaluating
-    a {!Static.prog_parallel_safe} program in a fork touches no state
-    another fork can observe. *)
+    a program whose footprint writes nothing ({!Engine.parallel_safe})
+    in a fork touches no state another fork can observe. *)
 val fork_read : t -> t
 
 val declare_function : t -> Xqb_xml.Qname.t -> int -> func -> unit

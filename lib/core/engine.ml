@@ -47,6 +47,7 @@ type compiled = {
   source : string;
   rewrites : (string * int) list;  (* simplifier rules fired (§4.2) *)
   type_warnings : string list;  (* static-typing warnings (advisory) *)
+  footprint : Static.Footprint.t;  (* the concurrency judgement, judged once *)
 }
 
 let parse_error_message = function
@@ -96,8 +97,9 @@ let install_functions t (c : compiled) =
 (* Parse, normalize, statically check and simplify a program (§4.2's
    "phase of syntactic rewriting", with purity guards). Function
    declarations are installed into the engine so later [compile]d
-   queries can call them too. *)
-let compile ?(simplify = true) ?(elide_ddo = true) t source : compiled =
+   queries can call them too. The effects footprint is inferred here,
+   once, against [var_docs] (see {!footprint}). *)
+let compile ?(simplify = true) ?(elide_ddo = true) ?var_docs t source : compiled =
   Xqb_obs.Profile.with_phase "compile" @@ fun () ->
   Context.span ~cat:"compile" t.ctx "compile" @@ fun () ->
   let extra_fns =
@@ -179,7 +181,8 @@ let compile ?(simplify = true) ?(elide_ddo = true) t source : compiled =
   let type_warnings =
     Context.span ~cat:"compile" t.ctx "typing" (fun () -> Typing.check_prog prog)
   in
-  let c = { prog; source; rewrites = !rewrites; type_warnings } in
+  let footprint = Static.Footprint.of_prog ?var_docs prog in
+  let c = { prog; source; rewrites = !rewrites; type_warnings; footprint } in
   install_functions t c;
   c
 
@@ -266,22 +269,22 @@ let body_purity (c : compiled) =
   | None -> Static.Pure
   | Some body -> Static.purity_in_prog c.prog body
 
-(* May this compiled program run concurrently with other such programs
-   against the shared store? See {!Static.prog_parallel_safe}. *)
-let parallel_safe (c : compiled) = Static.prog_parallel_safe c.prog
+(* May this compiled program run against the shared store in a
+   read-only fork? Exactly when its footprint writes nothing — no
+   updates, no snap, no node allocation. *)
+let parallel_safe (c : compiled) = Static.Footprint.writes_nothing c.footprint
 
 (* Static effects footprint of a compiled program — the (document,
-   path-prefix) regions it may read or write. The service's footprint
-   scheduler admits jobs with provably disjoint footprints
-   concurrently; [var_docs] lets the caller name host-bound variables
-   that hold catalog document roots (the service binds each loaded
-   document to [$uri]). *)
+   path-prefix) regions it may read or write — re-inferred against
+   [var_docs], which names host-bound variables that hold catalog
+   document roots (the service binds each loaded document to [$uri]).
+   [compile ?var_docs] caches the same judgement in [c.footprint]. *)
 let footprint ?var_docs (c : compiled) = Static.Footprint.of_prog ?var_docs c.prog
 
 (* Run a parallel-safe compiled program without touching any of the
    session's mutable state: evaluation happens in a [Context.fork_read]
-   of the session context, and — because the program is Pure — the
-   implicit top-level snap is skipped entirely (it could only ever
+   of the session context, and — because the program writes nothing —
+   the implicit top-level snap is skipped entirely (it could only ever
    apply an empty ∆, but pushing the frame and applying would mutate
    the snap stack and the store's journal flags).
 

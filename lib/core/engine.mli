@@ -44,6 +44,10 @@ type compiled = {
       (** §4.2 simplifier rules that fired during compilation *)
   type_warnings : string list;
       (** advisory static-typing warnings ({!Typing.check_prog}) *)
+  footprint : Static.Footprint.t;
+      (** the static effects footprint, inferred once at compile time:
+          the judgement that routes the program
+          ({!Static.Footprint.route}) and gates its admission *)
 }
 
 (** Parse, normalize, statically check and (unless [simplify:false])
@@ -52,9 +56,16 @@ type compiled = {
     [elide_ddo] (default true) additionally runs the document-order
     analysis that rewrites provably redundant ddo sorts to the
     counted identity ["%ddo-elided"] ({!Static.elide_ddo}); its site
-    count appears in [rewrites] under ["ddo-elide"].
+    count appears in [rewrites] under ["ddo-elide"]. [var_docs] is
+    passed to the footprint inference (see {!footprint}).
     @raise Compile_error. *)
-val compile : ?simplify:bool -> ?elide_ddo:bool -> t -> string -> compiled
+val compile :
+  ?simplify:bool ->
+  ?elide_ddo:bool ->
+  ?var_docs:(string -> string option) ->
+  t ->
+  string ->
+  compiled
 
 (** Install a compiled program's function declarations into the
     engine. [compile] does this itself; the service layer's plan
@@ -98,25 +109,26 @@ val with_tracer : t -> Xqb_obs.Trace.t option -> (unit -> 'a) -> 'a
 (** §5 classification of a compiled body (E7 instrumentation). *)
 val body_purity : compiled -> Static.purity
 
-(** May this program run concurrently with other parallel-safe
-    programs against the shared store ({!Static.prog_parallel_safe}:
-    Pure and allocation-free)? *)
+(** May this program run in a read-only fork against the shared store?
+    True iff its cached footprint writes nothing: no updates, no snap,
+    no node allocation. *)
 val parallel_safe : compiled -> bool
 
 (** Static effects footprint ({!Static.Footprint.of_prog}) of a
-    compiled program: the (document, path-prefix) regions it may read
-    or write. [var_docs] maps host-bound free variables to the URI of
-    the catalog document they name (the service binds each loaded
-    document to [$uri]); unknown bindings widen to "any document". *)
+    compiled program, re-inferred: the (document, path-prefix) regions
+    it may read or write. [var_docs] maps host-bound free variables to
+    the URI of the catalog document they name (the service binds each
+    loaded document to [$uri]); unknown bindings widen to "any
+    document". *)
 val footprint :
   ?var_docs:(string -> string option) -> compiled -> Static.Footprint.t
 
 (** Run a {!parallel_safe} program without touching any session
     state: evaluation happens in a {!Context.fork_read} of the
     session context and the implicit top-level snap is skipped (a
-    Pure program's ∆ is necessarily empty). Safe to call from
+    program that writes nothing has an empty ∆). Safe to call from
     multiple domains concurrently, provided no writer is mutating the
-    store (the service scheduler's readers–writer lock enforces
+    regions it reads (the service scheduler's footprint gate enforces
     this).
     @raise Invalid_argument when the program is not parallel-safe. *)
 val run_readonly : t -> compiled -> Xqb_xdm.Value.t

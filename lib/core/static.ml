@@ -108,8 +108,8 @@ let purity_in_prog (prog : Normalize.prog) (e : C.expr) : purity =
    [Pure] means "emits no update requests and contains no snap" — but
    a pure expression may still *allocate* fresh nodes in the store
    (constructors, [Copy]). Allocation mutates the shared node table,
-   so the service scheduler needs the stronger judgement below before
-   it runs two queries concurrently against one store. *)
+   so the footprint below records it as a write to the fresh-node
+   region; for user functions it needs the fixpoint judgement here. *)
 
 (* Does the expression allocate store nodes, given a judgement for
    user functions? Builtins never allocate: fn:doc only loads via the
@@ -160,23 +160,6 @@ let classify_alloc_functions (funcs : Normalize.func list) :
         n,
         Hashtbl.find tbl (Qname.to_string f.Normalize.fname, n) ))
     funcs
-
-(* Can the whole program run concurrently with other such programs
-   against a shared store? Required: every global initializer and the
-   body are [Pure] *and* allocation-free. This is the gate the
-   service scheduler's read side checks. *)
-let prog_parallel_safe (prog : Normalize.prog) : bool =
-  let purity = purity_oracle prog in
-  let alloc_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (f, n, a) -> Hashtbl.replace alloc_tbl (Qname.to_string f, n) a)
-    (classify_alloc_functions prog.Normalize.functions);
-  let alloc_lookup f n =
-    Option.value ~default:false (Hashtbl.find_opt alloc_tbl (Qname.to_string f, n))
-  in
-  let safe e = purity e = Pure && not (allocates_with alloc_lookup e) in
-  List.for_all (fun (_, _, e) -> safe e) prog.Normalize.global_vars
-  && (match prog.Normalize.body with None -> true | Some b -> safe b)
 
 (* -- Variable scoping ------------------------------------------------ *)
 
@@ -559,10 +542,20 @@ let elide_ddo ~purity (e : C.expr) : C.expr * int =
    "whole document" on upward axes and to "any document" on dynamic
    fn:doc URIs, unknown host bindings and user function calls — the
    runtime R1-R7 conflict check (§4.1) remains the safety net for
-   anything the lattice widens. *)
+   anything the lattice widens.
+
+   The footprint is the service's only concurrency judgement. Node
+   allocation (constructors, [Copy], calls to allocating functions)
+   is a write to the job's own fresh-node region, so the write set
+   alone routes a job: empty = a read that can run on a fork, any
+   document = exclusive (whole-job rollback), anything else = a
+   concurrent writer. *)
 
 module Footprint = struct
-  type doc = Named of string | Any_doc
+  (* [Fresh] is the job's own freshly allocated nodes: unreachable
+     from every document until a snap copies them in, so it overlaps
+     no document region and no other job's fresh region. *)
+  type doc = Named of string | Any_doc | Fresh
 
   (* [rpath] is a chain of child labels from the document root ("*"
      for a step whose name is statically unknown, "@n" for attributes,
@@ -577,12 +570,14 @@ module Footprint = struct
   type t = { reads : region list; writes : region list }
 
   let any_region = { rdoc = Any_doc; rpath = []; ranchored = false }
+  let fresh_region = { rdoc = Fresh; rpath = []; ranchored = false }
   let empty = { reads = []; writes = [] }
   let top = { reads = [ any_region ]; writes = [ any_region ] }
   let read_all = { reads = [ any_region ]; writes = [] }
 
   let docs_may_equal a b =
     match a, b with
+    | Fresh, _ | _, Fresh -> false
     | Any_doc, _ | _, Any_doc -> true
     | Named u, Named v -> String.equal u v
 
@@ -610,14 +605,23 @@ module Footprint = struct
 
   let writes_nothing fp = fp.writes = []
 
+  let is_any r = r.rdoc = Any_doc
+
   (* Did the analysis stay conclusive, or did some part widen to
      "any document"? (The scheduler doesn't need this — ⊤ regions
      conflict with everything on their own — but EXPLAIN shows it.) *)
-  let conclusive fp =
-    not (List.exists (fun r -> r.rdoc = Any_doc) (fp.reads @ fp.writes))
+  let conclusive fp = not (List.exists is_any (fp.reads @ fp.writes))
+
+  (* The execution route the write set selects. *)
+  type route = Fork | Concurrent | Exclusive
+
+  let route fp =
+    if fp.writes = [] then Fork
+    else if List.exists is_any fp.writes then Exclusive
+    else Concurrent
 
   let region_to_string r =
-    let d = match r.rdoc with Named u -> u | Any_doc -> "*" in
+    let d = match r.rdoc with Named u -> u | Any_doc -> "*" | Fresh -> "#fresh" in
     match r.rpath with
     | [] -> d
     | p ->
@@ -648,9 +652,9 @@ module Footprint = struct
   (* Does subtree [w] definitely contain subtree [r]? *)
   let covers w r =
     (match w.rdoc, r.rdoc with
-    | Any_doc, _ -> true
+    | Any_doc, _ | Fresh, Fresh -> true
     | Named u, Named v -> String.equal u v
-    | Named _, Any_doc -> false)
+    | _ -> false)
     &&
     let rec pref p q =
       match p, q with
@@ -686,9 +690,20 @@ module Footprint = struct
      under its URI). *)
   let of_prog ?(var_docs = fun _ -> None) (prog : Normalize.prog) : t =
     let purity = purity_oracle prog in
+    let alloc_tbl = Hashtbl.create 16 in
+    List.iter
+      (fun (f, n, a) -> Hashtbl.replace alloc_tbl (Qname.to_string f, n) a)
+      (classify_alloc_functions prog.Normalize.functions);
+    let allocates f n =
+      Option.value ~default:false (Hashtbl.find_opt alloc_tbl (Qname.to_string f, n))
+    in
     let rd = ref [] and wr = ref [] in
     let add_rd rs = rd := rs @ !rd in
     let add_wr rs = wr := rs @ !wr in
+    let allocate () = add_wr [ fresh_region ] in
+    (* an update target with no document region can only be a node
+       this job allocated (an atomic target is a dynamic error) *)
+    let write_targets rs = if rs = [] then allocate () else add_wr rs in
     let widen_doc r = { r with rpath = []; ranchored = false } in
     let parent_region r =
       match r.rpath with
@@ -840,7 +855,9 @@ module Footprint = struct
           (* dynamic URI: any document, and reading it *)
           add_rd [ any_region ];
           [ any_region ])
-      | C.Call_builtin (("%ddo" | "%ddo-elided" | "trace"), [ a ]) ->
+      | C.Call_builtin (("%ddo" | "%ddo-elided"), [ a ]) -> infer env focus a
+      | C.Call_builtin ("trace", a :: label) ->
+        List.iter consume label;
         infer env focus a
       | C.Call_builtin
           (("exactly-one" | "zero-or-one" | "one-or-more"), args) ->
@@ -868,58 +885,58 @@ module Footprint = struct
         (* value builtins: atomize their node arguments *)
         List.iter consume args;
         []
-      | C.Call_user (_, args) ->
+      | C.Call_user (f, args) ->
         List.iter consume args;
         (* unknown function body: reads anywhere; writes too unless
-           provably pure *)
+           provably pure, and allocates if its body does *)
         add_rd [ any_region ];
         if purity e <> Pure then add_wr [ any_region ];
+        if allocates f (List.length args) then allocate ();
         [ any_region ]
       | C.Elem (ns, c) | C.Attr (ns, c) | C.Pi_node (ns, c) ->
         (match ns with C.Dynamic n -> consume n | C.Static _ -> ());
         (* construction deep-copies its content *)
         consume c;
+        allocate ();
         []
-      | C.Text_node a | C.Comment_node a | C.Doc_node a ->
+      | C.Text_node a | C.Comment_node a | C.Doc_node a | C.Copy a ->
         consume a;
-        []
-      | C.Copy a ->
-        consume a;
+        allocate ();
         []
       | C.Insert (tgt, payload, dest, _) ->
         consume payload;
         let rdst = infer env focus dest in
         add_rd rdst;
         (match tgt with
-        | C.T_first | C.T_last -> add_wr rdst
-        | C.T_before | C.T_after -> add_wr (List.map parent_region rdst));
+        | C.T_first | C.T_last -> write_targets rdst
+        | C.T_before | C.T_after -> write_targets (List.map parent_region rdst));
         []
       | C.Delete (a, _) ->
         let ra = infer env focus a in
         add_rd ra;
-        add_wr (List.map parent_region ra);
+        write_targets (List.map parent_region ra);
         []
       | C.Replace (a, b, _) ->
         consume b;
         let ra = infer env focus a in
         add_rd ra;
-        add_wr (List.map parent_region ra);
+        write_targets (List.map parent_region ra);
         []
       | C.Replace_value (a, b, _) ->
         consume b;
         let ra = infer env focus a in
         add_rd ra;
-        add_wr ra;
+        write_targets ra;
         []
       | C.Rename (a, b, _) ->
         consume b;
         let ra = infer env focus a in
         add_rd ra;
-        add_wr (List.map parent_region ra);
+        write_targets (List.map parent_region ra);
         []
       | C.Snap (_, a) ->
-        (* shouldn't reach a footprint-scheduled plan (Snap is
-           Effecting) — be safe anyway *)
+        (* updates apply mid-evaluation: nested snap semantics need
+           the whole store, hence ⊤ and the exclusive route *)
         add_rd [ any_region ];
         add_wr [ any_region ];
         ignore (infer env focus a);

@@ -35,21 +35,12 @@ val purity_oracle : Normalize.prog -> Core_ast.expr -> purity
     oracle in loops). *)
 val purity_in_prog : Normalize.prog -> Core_ast.expr -> purity
 
-(** Does the expression allocate fresh store nodes (constructors,
-    [Copy], update payloads), given a judgement for user functions?
-    [Pure] expressions can still allocate — this is the extra check
-    concurrent execution against a shared store needs. *)
-val allocates_with : (Xqb_xml.Qname.t -> int -> bool) -> Core_ast.expr -> bool
-
 (** Fixpoint allocation classification of a program's functions ("a
-    function that calls an allocating function allocates"). *)
+    function that calls an allocating function allocates"): does the
+    body allocate fresh store nodes (constructors, [Copy], update
+    payloads)? [Pure] functions can still allocate. *)
 val classify_alloc_functions :
   Normalize.func list -> (Xqb_xml.Qname.t * int * bool) list
-
-(** [true] iff every global initializer and the body are [Pure] and
-    allocation-free — the gate for the service scheduler's parallel
-    read side. *)
-val prog_parallel_safe : Normalize.prog -> bool
 
 module SSet : Set.S with type elt = string
 
@@ -99,10 +90,17 @@ val elide_ddo :
     program may read and may write. Two jobs whose footprints are
     {!Footprint.independent} can run concurrently against the shared
     store; anything the analysis can't pin down widens to a whole
-    document or to "any document", which conflicts with everything
-    and degrades to the old exclusive behaviour. *)
+    document or to "any document", which conflicts with everything.
+
+    It is also the one judgement that routes a job ({!route}): node
+    allocation (constructors, [Copy], calls to allocating functions)
+    counts as a write to the job's own {!Fresh} region, so an empty
+    write set means the program touches no store state at all. *)
 module Footprint : sig
-  type doc = Named of string | Any_doc
+  (** [Fresh]: the nodes the job itself allocates. Unreachable from
+      any document until a snap copies them in, so a fresh region
+      overlaps no document region and no other job's fresh region. *)
+  type doc = Named of string | Any_doc | Fresh
 
   (** A subtree region: the nodes at (or, when [ranchored] is false,
       somewhere below) the root-to-node label chain [rpath] of
@@ -132,6 +130,16 @@ module Footprint : sig
 
   (** False iff some region widened to "any document". *)
   val conclusive : t -> bool
+
+  (** How the service runs a job, decided by its write set alone:
+      [Fork] — writes nothing, evaluates in a read-only fork;
+      [Exclusive] — may write any document (nested snaps, dynamic
+      [fn:doc] URIs, updating function calls), runs under whole-job
+      rollback; [Concurrent] — everything else, each top-level snap
+      committing under the global apply mutex. *)
+  type route = Fork | Concurrent | Exclusive
+
+  val route : t -> route
 
   val region_to_string : region -> string
   val to_string : t -> string

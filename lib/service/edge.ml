@@ -1,7 +1,7 @@
 (* The TCP edge. See edge.mli for the contract; the shape here:
 
-   Fiber mode — one event-loop thread runs an accept fiber plus one
-   fiber per connection. A connection fiber's life is a single loop:
+   One event-loop thread runs an accept fiber plus one fiber per
+   connection. A connection fiber's life is a single loop:
    flush every completed head-of-line response, then wait on (socket
    readable unless suspended/closing) + (its waker) + (an idle or
    recheck deadline). Readable bytes land in a growable buffer; every
@@ -19,35 +19,23 @@
    socket buffer pushes back on the client — and resumes on a
    completion wake or a 50 ms recheck tick.
 
-   Threads mode — the legacy thread-per-connection blocking loop over
-   channels, kept for A/B benchmarking (bench E23). Both modes share
-   [dispatch], the accept-resilience policy, TCP_NODELAY, the
-   connection cap and the gauge counters. *)
+   [dispatch] is shared with the blocking stdin loop of
+   [xqbang serve] without [--port]. *)
 
 module Fiber = Xqb_fiber.Fiber
 module Events = Xqb_obs.Events
 module Clock = Xqb_obs.Clock
 module P = Protocol
 
-type mode = Fiber | Threads
-
-let mode_of_string = function
-  | "fiber" -> Ok Fiber
-  | "threads" -> Ok Threads
-  | s -> Error (Printf.sprintf "unknown edge mode %S (fiber|threads)" s)
-
-let mode_to_string = function Fiber -> "fiber" | Threads -> "threads"
-
 type config = {
   port : int;
   backlog : int;
   max_conns : int;
   idle_timeout_ms : int;
-  mode : mode;
 }
 
 let default_config =
-  { port = 0; backlog = 64; max_conns = 0; idle_timeout_ms = 0; mode = Fiber }
+  { port = 0; backlog = 64; max_conns = 0; idle_timeout_ms = 0 }
 
 (* A request line may carry a whole escaped document (LOAD), but a
    line that never ends is a memory attack, not a request. *)
@@ -100,11 +88,8 @@ type t = {
   sock : Unix.file_descr;
   eport : int;
   c : counters;
-  loop : Fiber.t option;  (* fiber mode *)
+  loop : Fiber.t;
   stop_requested : bool Atomic.t;
-  (* threads mode: open connection fds, so stop can cut them loose *)
-  conns : (Unix.file_descr, unit) Hashtbl.t;
-  cmutex : Mutex.t;
   mutable thread : Thread.t option;
 }
 
@@ -112,8 +97,7 @@ let port t = t.eport
 
 let gauges t : Service.edge_gauges =
   {
-    Service.eg_mode = mode_to_string t.cfg.mode;
-    eg_open = Atomic.get t.c.c_open;
+    Service.eg_open = Atomic.get t.c.c_open;
     eg_peak = Atomic.get t.c.c_peak;
     eg_accepted = Atomic.get t.c.c_accepted;
     eg_conn_rejects = Atomic.get t.c.c_conn_rejects;
@@ -125,7 +109,7 @@ let gauges t : Service.edge_gauges =
     eg_max_conns = t.cfg.max_conns;
   }
 
-(* -- request dispatch (shared by both modes) ------------------------ *)
+(* -- request dispatch (shared with the stdin loop) ------------------ *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -134,7 +118,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Answer a request either inline ([`Reply]) or as a scheduler future
-   ([`Job]) the caller completes in its own style: the thread edge
+   ([`Job]) the caller completes in its own style: the stdin loop
    blocks in [Service.await], the fiber edge hangs an [on_complete]
    wake on it. [quit] is the per-session QUIT latch. *)
 let dispatch svc ~quit (req : P.request) :
@@ -214,17 +198,14 @@ let is_overload_reply line =
   String.length line >= String.length pre
   && String.sub line 0 (String.length pre) = pre
 
-(* -- the blocking session loop (threads mode + stdin) --------------- *)
+(* -- the blocking session loop (stdin) ------------------------------- *)
 
-let session_loop_counted ?counters svc ic oc =
+let session_loop svc ic oc =
   let stopped = ref false in
   let quit () = stopped := true in
   let rec loop () =
     match input_line ic with
     | line ->
-      (match counters with
-      | Some c -> Atomic.incr c.c_requests
-      | None -> ());
       let reply =
         match P.parse line with
         | Error e -> P.err e
@@ -233,9 +214,6 @@ let session_loop_counted ?counters svc ic oc =
           | `Reply s -> s
           | `Job fut -> render_result (Service.await fut))
       in
-      (match counters with
-      | Some c -> if is_overload_reply reply then Atomic.incr c.c_overload_rejects
-      | None -> ());
       output_string oc (reply ^ "\n");
       flush oc;
       if not !stopped then loop ()
@@ -243,9 +221,7 @@ let session_loop_counted ?counters svc ic oc =
   in
   loop ()
 
-let session_loop svc ic oc = session_loop_counted svc ic oc
-
-(* -- accept resilience (shared policy) ------------------------------
+(* -- accept resilience ----------------------------------------------
 
    A transient accept(2) failure must never kill the listener:
    ECONNABORTED (peer gone before we got it) and EINTR retry
@@ -464,7 +440,7 @@ let conn_fiber t fd () =
   let conn =
     {
       fd;
-      wkr = Fiber.waker (Option.get t.loop);
+      wkr = Fiber.waker t.loop;
       pending = Queue.create ();
       inbuf = Bytes.create 4096;
       in_len = 0;
@@ -526,7 +502,6 @@ let conn_fiber t fd () =
   | Unix.Unix_error _ -> ()
 
 let accept_fiber t () =
-  let loop_t = Option.get t.loop in
   Fun.protect
     ~finally:(fun () -> try Unix.close t.sock with Unix.Unix_error _ -> ())
   @@ fun () ->
@@ -542,7 +517,7 @@ let accept_fiber t () =
          with Unix.Unix_error _ -> ());
         Atomic.incr t.c.c_open;
         bump_peak t.c;
-        Fiber.spawn loop_t (conn_fiber t fd)
+        Fiber.spawn t.loop (conn_fiber t fd)
       end;
       loop ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -555,63 +530,6 @@ let accept_fiber t () =
         Fiber.sleep_ns accept_backoff_ns;
         loop ()
       | Fatal ->
-        if not (Atomic.get t.stop_requested) then
-          Events.error (Service.events t.svc) ~kind:"edge.accept-fatal"
-            [ ("error", Events.S (Unix.error_message e)) ])
-  in
-  loop ()
-
-(* -- the thread edge ------------------------------------------------ *)
-
-let track_conn t fd =
-  Mutex.lock t.cmutex;
-  Hashtbl.replace t.conns fd ();
-  Mutex.unlock t.cmutex
-
-(* Exactly-once close under the tracking mutex: whoever removes the
-   fd from the table (the finishing session thread, or [stop]'s
-   teardown sweep) owns the close — never both, so a reused
-   descriptor can't be closed out from under someone else. *)
-let untrack_and_close t fd =
-  Mutex.lock t.cmutex;
-  let mine = Hashtbl.mem t.conns fd in
-  if mine then Hashtbl.remove t.conns fd;
-  Mutex.unlock t.cmutex;
-  if mine then try Unix.close fd with Unix.Unix_error _ -> ()
-
-let thread_conn t fd () =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  (try session_loop_counted ~counters:t.c t.svc ic oc with _ -> ());
-  untrack_and_close t fd;
-  Atomic.decr t.c.c_open
-
-let thread_accept_loop t () =
-  let rec loop () =
-    match Unix.accept ~cloexec:true t.sock with
-    | fd, _ ->
-      Atomic.incr t.c.c_accepted;
-      if t.cfg.max_conns > 0 && Atomic.get t.c.c_open >= t.cfg.max_conns then
-        refuse_conn t fd
-      else begin
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true
-         with Unix.Unix_error _ -> ());
-        Atomic.incr t.c.c_open;
-        bump_peak t.c;
-        track_conn t fd;
-        ignore (Thread.create (thread_conn t fd) ())
-      end;
-      loop ()
-    | exception Unix.Unix_error (e, _, _) -> (
-      match classify_accept_error t e with
-      | Retry -> loop ()
-      | Backoff ->
-        Thread.delay (float_of_int accept_backoff_ns /. 1e9);
-        loop ()
-      | Fatal ->
-        (* the loop owns the listener's close — [stop] only shuts it
-           down, which is what wakes a blocked accept(2) *)
-        (try Unix.close t.sock with Unix.Unix_error _ -> ());
         if not (Atomic.get t.stop_requested) then
           Events.error (Service.events t.svc) ~kind:"edge.accept-fatal"
             [ ("error", Events.S (Unix.error_message e)) ])
@@ -636,13 +554,7 @@ let start svc cfg =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> cfg.port
   in
-  let loop =
-    match cfg.mode with
-    | Fiber ->
-      Unix.set_nonblock sock;
-      Some (Fiber.create ~on_error:(fun _ -> ()) ())
-    | Threads -> None
-  in
+  Unix.set_nonblock sock;
   let t =
     {
       svc;
@@ -650,10 +562,8 @@ let start svc cfg =
       sock;
       eport;
       c = new_counters ();
-      loop;
+      loop = Fiber.create ~on_error:(fun _ -> ()) ();
       stop_requested = Atomic.make false;
-      conns = Hashtbl.create 64;
-      cmutex = Mutex.create ();
       thread = None;
     }
   in
@@ -661,52 +571,18 @@ let start svc cfg =
   Events.info (Service.events svc) ~kind:"edge.listen"
     [
       ("port", Events.I eport);
-      ("mode", Events.S (mode_to_string cfg.mode));
       ("backlog", Events.I cfg.backlog);
       ("max_conns", Events.I cfg.max_conns);
     ];
-  let thread =
-    match cfg.mode with
-    | Fiber ->
-      Thread.create
-        (fun () -> Fiber.run (Option.get t.loop) (accept_fiber t))
-        ()
-    | Threads -> Thread.create (thread_accept_loop t) ()
-  in
-  t.thread <- Some thread;
+  t.thread <- Some (Thread.create (fun () -> Fiber.run t.loop (accept_fiber t)) ());
   t
 
 let join t = match t.thread with Some th -> Thread.join th | None -> ()
 
 let stop t =
   if not (Atomic.exchange t.stop_requested true) then begin
-    (match t.cfg.mode with
-    | Fiber ->
-      (* cancelling the fibers closes every fd, the listener included *)
-      Option.iter Fiber.stop t.loop
-    | Threads ->
-      (* shutdown(2), not close(2): closing an fd another thread is
-         blocked on in accept/read does NOT wake it on Linux, so the
-         join below would hang. Shutdown forces those syscalls to
-         return (EINVAL for accept, EOF for reads); each thread then
-         closes the fd it owns on its way out. *)
-      (try Unix.shutdown t.sock Unix.SHUTDOWN_ALL
-       with Unix.Unix_error _ -> ());
-      let fds =
-        Mutex.lock t.cmutex;
-        let fds = Hashtbl.fold (fun fd () acc -> fd :: acc) t.conns [] in
-        Mutex.unlock t.cmutex;
-        fds
-      in
-      List.iter
-        (fun fd ->
-          (* under the mutex so we never touch a descriptor whose
-             session thread already untracked and closed it *)
-          Mutex.lock t.cmutex;
-          if Hashtbl.mem t.conns fd then (
-            try Unix.shutdown fd Unix.SHUTDOWN_ALL
-            with Unix.Unix_error _ -> ());
-          Mutex.unlock t.cmutex)
-        fds);
+    (* cancelling the fibers closes every fd, the listener included *)
+    Fiber.stop t.loop;
     join t
   end
+

@@ -1,8 +1,7 @@
 (** The TCP wire edge of [xqbang serve]: accepts connections on
-    127.0.0.1 and speaks the newline-delimited {!Protocol}, in one of
-    two interchangeable modes.
+    127.0.0.1 and speaks the newline-delimited {!Protocol}.
 
-    {b Fiber} (default): a single event-loop thread
+    A single event-loop thread
     ({!Xqb_fiber.Fiber}) multiplexes every connection as a fiber over
     non-blocking sockets. Each connection parses requests
     incrementally from a growable buffer — no [in_channel] — and
@@ -18,17 +17,10 @@
     {e hard} watermark ([max_queue] itself, enforced by the scheduler)
     are requests answered [ERR [overloaded]].
 
-    {b Threads}: the legacy thread-per-connection loop, kept as the
-    A/B fallback ([--edge threads]). Both modes survive transient
-    [accept] failures (EMFILE/ENFILE back off, ECONNABORTED/EINTR
-    retry), set [TCP_NODELAY] on accepted sockets, enforce
-    [max_conns], and publish the same gauges through
+    The edge survives transient [accept] failures (EMFILE/ENFILE back
+    off, ECONNABORTED/EINTR retry), sets [TCP_NODELAY] on accepted
+    sockets, enforces [max_conns], and publishes its gauges through
     {!Service.set_edge_source}. *)
-
-type mode = Fiber | Threads
-
-val mode_of_string : string -> (mode, string) result
-val mode_to_string : mode -> string
 
 type config = {
   port : int;  (** 0 picks an ephemeral port — see {!port} *)
@@ -37,12 +29,10 @@ type config = {
   idle_timeout_ms : int;
       (** disconnect a connection with no traffic and no in-flight
           requests after this long; 0 = never *)
-  mode : mode;
 }
 
 val default_config : config
-(** port 0, backlog 64, unlimited connections, no idle timeout,
-    fiber mode. *)
+(** port 0, backlog 64, unlimited connections, no idle timeout. *)
 
 type t
 
@@ -65,6 +55,6 @@ val join : t -> unit
 val gauges : t -> Service.edge_gauges
 
 val session_loop : Service.t -> in_channel -> out_channel -> unit
-(** The blocking one-session loop shared by the [Threads] mode and
-    the stdin path of [xqbang serve] (no [--port]): read a request
-    line, dispatch, write the reply, until EOF or [QUIT]. *)
+(** The blocking one-session loop behind the stdin path of
+    [xqbang serve] (no [--port]): read a request line, dispatch, write
+    the reply, until EOF or [QUIT]. *)

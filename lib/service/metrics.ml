@@ -22,8 +22,8 @@ let window_specs = [ ("1s", 100, 10); ("10s", 1000, 10); ("60s", 1000, 60) ]
 type t = {
   mutex : Mutex.t;
   mutable queries : int;
-  mutable parallel : int;  (* executed on the read side *)
-  mutable exclusive : int;  (* executed on the write side *)
+  mutable parallel : int;  (* executed on the fork (read) route *)
+  mutable exclusive : int;  (* executed on a session-bound write route *)
   mutable errors : int;
   (* failed queries by taxonomy kind (Service_error) *)
   mutable err_timeout : int;
@@ -47,14 +47,6 @@ type t = {
   (* ∆ accounting from Context.on_apply *)
   mutable deltas_applied : int;  (* snap applications *)
   mutable update_requests : int;  (* total requests across all ∆s *)
-  (* in-flight gauges: how many jobs hold each side of the purity
-     gate right now / at peak. max_inflight_par > 1 is direct
-     evidence the read side admits concurrent Pure queries;
-     max_inflight_excl stays 1 by construction of the write lock. *)
-  mutable inflight_par : int;
-  mutable max_inflight_par : int;
-  mutable inflight_excl : int;
-  mutable max_inflight_excl : int;
   (* rolling 1s/10s/60s views of the same query stream ([] when
      telemetry is off — bench E22's baseline). Windows carry their
      own locks; recording happens outside [mutex]. *)
@@ -86,10 +78,6 @@ let create ?(windows = true) ?(slo_p99_ms = 250.) ?(slo_err_pct = 1.0) () =
     depth_max = 0;
     deltas_applied = 0;
     update_requests = 0;
-    inflight_par = 0;
-    max_inflight_par = 0;
-    inflight_excl = 0;
-    max_inflight_excl = 0;
     windows =
       (if windows then
          List.map
@@ -184,30 +172,7 @@ let record_queue_depth t d =
       t.depth_samples <- t.depth_samples + 1;
       if d > t.depth_max then t.depth_max <- d)
 
-(* Called by the service around each job's execution, with the
-   corresponding side of the scheduler's lock already held. *)
-let job_begin t ~parallel =
-  locked t (fun () ->
-      if parallel then begin
-        t.inflight_par <- t.inflight_par + 1;
-        if t.inflight_par > t.max_inflight_par then
-          t.max_inflight_par <- t.inflight_par
-      end
-      else begin
-        t.inflight_excl <- t.inflight_excl + 1;
-        if t.inflight_excl > t.max_inflight_excl then
-          t.max_inflight_excl <- t.inflight_excl
-      end)
-
-let job_end t ~parallel =
-  locked t (fun () ->
-      if parallel then t.inflight_par <- t.inflight_par - 1
-      else t.inflight_excl <- t.inflight_excl - 1)
-
 let counts t = locked t (fun () -> (t.queries, t.parallel, t.exclusive, t.errors))
-
-let max_inflight t =
-  locked t (fun () -> (t.max_inflight_par, t.max_inflight_excl))
 
 (* Wired into each session engine's [Context.on_apply]. *)
 let record_delta t delta =
@@ -276,12 +241,6 @@ let to_json ?(cache : Plan_cache.stats option)
                       (if t.depth_samples = 0 then 0.
                        else float_of_int t.depth_sum /. float_of_int t.depth_samples);
                     fint "max" t.depth_max;
-                  ]);
-             Printf.sprintf "\"concurrency\":%s"
-               (obj
-                  [
-                    fint "max_parallel_inflight" t.max_inflight_par;
-                    fint "max_exclusive_inflight" t.max_inflight_excl;
                   ]);
              Printf.sprintf "\"deltas\":%s"
                (obj
@@ -400,11 +359,6 @@ let to_prom ?(cache : Plan_cache.stats option) t p =
         ~help:"Update requests across all applied deltas." t.update_requests;
       Prom.gauge_i p "xqbang_queue_depth_max"
         ~help:"Peak scheduler queue depth sampled at submits." t.depth_max;
-      let peak = "Peak concurrent jobs per scheduling side." in
-      Prom.gauge_i p "xqbang_inflight_peak" ~help:peak
-        ~labels:[ ("side", "parallel") ] t.max_inflight_par;
-      Prom.gauge_i p "xqbang_inflight_peak" ~help:peak
-        ~labels:[ ("side", "exclusive") ] t.max_inflight_excl;
       (match cache with
       | None -> ()
       | Some c ->

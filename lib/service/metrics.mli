@@ -19,6 +19,7 @@ val create :
 (** [(slo_p99_ms, slo_err_pct)]. *)
 val slo : t -> float * float
 
+(** [parallel]: the job ran on the fork (read) route. *)
 val record_query :
   t ->
   purity:Core.Static.purity ->
@@ -50,18 +51,10 @@ val record_phase_totals : t -> (string * int) list -> unit
 (** Wire into a session engine's [Context.on_apply]. *)
 val record_delta : t -> Core.Update.delta -> unit
 
-(** Bracket a job's execution (lock already held) to maintain the
-    in-flight gauges. *)
-val job_begin : t -> parallel:bool -> unit
-
-val job_end : t -> parallel:bool -> unit
-
-(** [(queries, parallel, exclusive, errors)]. *)
+(** [(queries, parallel, exclusive, errors)]: [parallel] counts jobs
+    on the fork (read) route, [exclusive] those on a session-bound
+    write route. *)
 val counts : t -> int * int * int * int
-
-(** Peak concurrent jobs [(read side, write side)]. The read-side
-    peak exceeding 1 is direct evidence Pure queries overlapped. *)
-val max_inflight : t -> int * int
 
 val json_escape : string -> string
 

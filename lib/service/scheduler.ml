@@ -1,15 +1,12 @@
 (* The footprint-gated scheduler: a fixed pool of OCaml 5 domains
    draining one job queue, with a FIFO footprint gate (Rwlock) as the
-   admission control. Every job carries a static effects footprint:
-   read-only jobs (statically Pure and allocation-free programs —
-   {!Core.Static.prog_parallel_safe}) enter with a read-everything
-   footprint and run concurrently; updating jobs enter with the
-   footprint inferred from their plan and run concurrently with
-   everything provably disjoint from it (other documents, other
-   subtrees); jobs the analysis can't pin down (and document loads,
-   EXPLAIN, maintenance) enter with ⊤ and serialize exactly like the
-   old exclusive writer. Within one query, evaluation order is
-   exactly the paper's: a job never migrates between domains.
+   admission control. Every job carries a static effects footprint
+   (the one inferred from its plan) and runs concurrently with every
+   job provably disjoint from it: reads with reads, writers with
+   anything on other documents or other subtrees; jobs the analysis
+   can't pin down (and document loads, EXPLAIN, maintenance) carry ⊤
+   and run alone. Within one query, evaluation order is exactly the
+   paper's: a job never migrates between domains.
 
    ∆ application, WAL appends and wal_seq advancement are *not*
    covered by the gate — concurrent writers evaluate in parallel but
@@ -263,17 +260,11 @@ let oldest_queued_age_ns t =
    queue* — an expired job is aborted at dequeue, and [on_abort]
    (called before the future is filled) lets the submitter observe
    abandonment (queue expiry, shutdown drain) for metrics/cleanup.
-   [footprint] defaults to the binary extremes: [exclusive:true] = ⊤,
-   [exclusive:false] = read-everything.
+   [footprint] is what the gate admits the job against.
    @raise Shut_down after [shutdown] (both pooled and synchronous)
    @raise Overloaded when the queue is at [max_queue]. *)
-let submit t ?(deadline = max_int) ?(on_abort = fun _ -> ()) ?trace ?footprint
-    ~exclusive (f : unit -> 'a) : 'a future =
-  let footprint =
-    match footprint with
-    | Some fp -> fp
-    | None -> if exclusive then FP.top else FP.read_all
-  in
+let submit t ?(deadline = max_int) ?(on_abort = fun _ -> ()) ?trace ~footprint
+    (f : unit -> 'a) : 'a future =
   let fut = new_future () in
   let run () =
     let result = try Ok (f ()) with e -> Error e in

@@ -1,9 +1,8 @@
 (** Footprint-gated scheduler: a fixed pool of OCaml 5 domains plus a
-    FIFO footprint gate ({!Rwlock}). Read-only jobs (statically
-    parallel-safe queries) share the gate freely; updating jobs run
-    concurrently with everything provably disjoint from their static
-    footprint; ⊤-footprint jobs (inconclusive analysis, document
-    loads) serialize like the old exclusive writer. ∆ application is
+    FIFO footprint gate ({!Rwlock}). Every job runs concurrently with
+    everything provably disjoint from its static footprint — reads
+    share the gate freely; ⊤-footprint jobs (inconclusive analysis,
+    document loads, EXPLAIN) run alone. ∆ application is
     *not* covered by the gate — concurrent writers serialize their
     apply phase on {!with_apply}. [domains = 0] executes synchronously
     in the caller (still gate-admitted) — the "scheduler off"
@@ -55,8 +54,8 @@ val apply_held_ns : t -> int
     nanoseconds — immune to wall-clock steps) bounds its time in the
     queue; [on_abort] is called (before the future completes) if the
     job is abandoned without running — queue expiry or shutdown
-    drain. [footprint] admits the job against the gate (default: ⊤
-    when [exclusive], read-everything otherwise). [trace] makes the
+    drain. [footprint] admits the job against the gate ({!Core.Static.Footprint.top}
+    for a job that must run alone). [trace] makes the
     scheduler record the two waits only it can see: "queue.wait"
     (submit → dequeue; tagged ["expired" = "true"] when the job was
     aborted at dequeue) and "lock.wait" (blocked on the gate).
@@ -67,8 +66,7 @@ val submit :
   ?deadline:int ->
   ?on_abort:(exn -> unit) ->
   ?trace:Xqb_obs.Trace.t ->
-  ?footprint:Core.Static.Footprint.t ->
-  exclusive:bool ->
+  footprint:Core.Static.Footprint.t ->
   (unit -> 'a) ->
   'a future
 

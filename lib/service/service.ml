@@ -10,14 +10,16 @@
      skips parse → normalize → static-check → rewrite entirely;
    - execution goes through the footprint-gated {!Scheduler}: every
      plan carries a static effects footprint
-     ({!Core.Static.Footprint}) and jobs with provably disjoint
-     footprints run concurrently — statically parallel-safe programs
-     ({!Core.Static.prog_parallel_safe} — Pure *and* allocation-free)
-     as before, but now also updating jobs over disjoint documents or
-     subtrees. Inconclusive footprints (dynamic [fn:doc] URIs, upward
-     axes, user functions) widen to ⊤ and serialize exactly like the
-     old exclusive writer, with the paper's §4.1 runtime conflict
-     check still validating every ∆ at apply time;
+     ({!Core.Static.Footprint}, inferred once at compile time) and
+     jobs with provably disjoint footprints run concurrently — reads,
+     and updating jobs over disjoint documents or subtrees. The
+     footprint is the only concurrency judgement: its write set
+     picks the route (node allocation counts as a write to the job's
+     own fresh-node region). Upward axes widen a footprint to the
+     whole document; dynamic [fn:doc] URIs, unknown bindings and
+     updating user functions widen it to ⊤, which runs alone, with
+     the paper's §4.1 runtime conflict check still validating every
+     ∆ at apply time;
    - every job runs under a {!Xqb_governor.Budget}: the service-wide
      deadline / fuel / pending-∆ limits if configured, plus a cancel
      token always, so [CANCEL] works even on an unlimited service.
@@ -27,40 +29,48 @@
      counts, plan-cache counters, applied-∆ counts and failed
      queries by taxonomy kind.
 
-   Concurrency protocol, in one place:
+   Concurrency protocol, in one place. The three routes
+   ({!Core.Static.Footprint.route}):
 
-   - session mutable state (globals, function table) is only touched
-     (a) at submit time under the session lock (compile / install /
-     fork) and (b) inside write-side jobs, which also take the
-     session lock and additionally exclude every reader via the
-     write lock;
-   - read-side jobs evaluate in a [Context.fork_read] taken at
-     submit time under the session lock, so they observe a coherent
-     snapshot of the session and share nothing mutable with it (the
-     fork carries the job's budget; [Engine.with_budget] installs it
-     on the worker domain for the store layer);
-   - the store is only mutated at snap-apply time (evaluation never
-     touches it — §3.3, the basis of the whole scheme): concurrent
-     writers *evaluate* in parallel under the footprint gate, while
-     every ∆ application — and the WAL append recording it —
-     serializes on the scheduler's global apply mutex
-     ({!Scheduler.with_apply}, installed per-job as the context's
-     [apply_wrap]), keeping journal transaction spans contiguous and
-     WAL order equal to apply order. The [Always]-policy fsync wait
-     happens *outside* the mutex, so concurrent writers share one
-     group-commit fsync instead of queueing full syncs;
-   - Effecting programs (nested snap semantics), EXPLAIN, document
-     loads and checkpoints take a ⊤ footprint — fully exclusive —
-     and keep the old path: whole-job [Store.transactionally] plus
-     an inline durable flush, so a query killed mid-update leaves
-     the store exactly as it found it even if nested snaps had
-     already applied. On the concurrent-writer path the rollback
-     unit shrinks to one top-level snap: the apply itself is
-     transactional (a failure during apply rolls back before the WAL
-     sees it), but a job that fails *after* its snap applied — e.g.
-     a budget kill during result serialization — reports an error
-     for an update that committed, the same guarantee class as a
-     connection dropped between commit and acknowledgment. *)
+   - fork — the footprint writes nothing: the job evaluates in a
+     [Context.fork_read] taken at submit time under the session lock,
+     so it observes a coherent snapshot of the session and shares
+     nothing mutable with it (the fork carries the job's budget;
+     [Engine.with_budget] installs it on the worker domain for the
+     store layer). A replica accepts only this route;
+   - concurrent writer — writes to named documents or fresh nodes:
+     the job runs on the session itself under the session lock, each
+     top-level snap committing under the global apply mutex;
+   - exclusive — writes may reach any document (nested snaps, dynamic
+     [fn:doc] URIs, updating function calls): a ⊤ footprint, so the
+     job runs alone, under whole-job rollback.
+
+   Session mutable state (globals, function table) is only touched at
+   submit time under the session lock (compile / install / fork) and
+   inside the two write routes, which hold the session lock too.
+
+   The store is only mutated at snap-apply time (evaluation never
+   touches it — §3.3, the basis of the whole scheme): concurrent
+   writers *evaluate* in parallel under the footprint gate, while
+   every ∆ application — and the WAL append recording it —
+   serializes on the scheduler's global apply mutex
+   ({!Scheduler.with_apply}, installed per-job as the context's
+   [apply_wrap]), keeping journal transaction spans contiguous and
+   WAL order equal to apply order. The [Always]-policy fsync wait
+   happens *outside* the mutex, so concurrent writers share one
+   group-commit fsync instead of queueing full syncs.
+
+   Exclusive jobs, EXPLAIN, document loads and checkpoints hold a ⊤
+   footprint and commit with whole-job [Store.transactionally] plus
+   an inline durable flush, so a query killed mid-update leaves the
+   store exactly as it found it even if nested snaps (or snap-wrapped
+   globals) had already applied. On the concurrent-writer route the
+   rollback unit shrinks to one top-level snap: the apply itself is
+   transactional (a failure during apply rolls back before the WAL
+   sees it), but a job that fails *after* its snap applied — e.g. a
+   budget kill during result serialization — reports an error for an
+   update that committed, the same guarantee class as a connection
+   dropped between commit and acknowledgment. *)
 
 module Engine = Core.Engine
 module Budget = Xqb_governor.Budget
@@ -75,13 +85,12 @@ module Prom = Xqb_obs.Prom
 
 type plan = {
   compiled : Engine.compiled;
-  purity : Core.Static.purity;  (* of the body, for metrics *)
-  parallel : bool;  (* Static.prog_parallel_safe: read-side eligible *)
-  footprint : FP.t;
-    (* static effects footprint: what the scheduler gates on.
-       Computed against the catalog's documents at first compile;
+    (* carries the static effects footprint the scheduler gates on,
+       inferred against the catalog's documents at first compile;
        cached plans keep it (the var_docs question "is $v a document
        root?" is stable for a given URI — documents are load-once) *)
+  purity : Core.Static.purity;  (* of the body, for metrics *)
+  route : FP.route;  (* the footprint's write set, judged once *)
 }
 
 type session = {
@@ -97,7 +106,7 @@ type inflight = {
   jid : int;
   jsid : int;
   cancel : Budget.cancel;
-  started : float;  (* wall clock, for display only *)
+  started : int;  (* monotonic Clock ns: latency and STATS running_ms *)
   job_deadline : int;
     (* absolute, monotonic Clock ns ([max_int] when ungoverned) — the
        watchdog and the scheduler queue check share one scale that
@@ -110,7 +119,6 @@ type inflight = {
    closure so STATS/HEALTH/metrics can surface connection counts and
    backpressure state without depending on the edge module. *)
 type edge_gauges = {
-  eg_mode : string;  (* "fiber" | "threads" *)
   eg_open : int;  (* connections open now *)
   eg_peak : int;  (* peak concurrently open since boot *)
   eg_accepted : int;  (* connections accepted since boot *)
@@ -136,10 +144,6 @@ type t = {
   deadline_ms : int option;
   fuel : int option;
   max_delta : int option;
-  (* footprint scheduling: when off (bench E21's baseline), every
-     non-parallel job takes a ⊤ footprint — the old single-writer
-     exclusive gate — and commits through the inline durable path *)
-  footprints : bool;
   (* in-flight job registry *)
   jobs : (int, inflight) Hashtbl.t;
   jmutex : Mutex.t;
@@ -183,7 +187,7 @@ type t = {
   (* durability (leader side): the WAL/checkpoint manager, plus the
      journal seq of the first in-memory entry not yet appended to
      disk. [wal_seq] is only touched under the scheduler's apply
-     mutex or a ⊤ footprint (catalog loads, checkpoints, Effecting
+     mutex or a ⊤ footprint (catalog loads, checkpoints, exclusive
      jobs — which exclude every concurrent apply), so it needs no
      mutex of its own. *)
   durable : Durable.t option;
@@ -613,8 +617,8 @@ let detect_unclean_shutdown ~dir (recovered : Durable.recovered option) =
 
 let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
     ?fuel ?max_delta ?max_queue ?(tracing = false) ?(slow_apply_ms = 10)
-    ?durability ?(replica = false) ?replica_of ?(footprint_scheduling = true)
-    ?slo_p99_ms ?slo_err_pct ?(trace_ring = 32) ?(stall_ms = 1000)
+    ?durability ?(replica = false) ?replica_of ?slo_p99_ms ?slo_err_pct
+    ?(trace_ring = 32) ?(stall_ms = 1000)
     ?(fsync_warn_ms = 100) ?(lag_warn_frames = 256) ?(telemetry = true)
     ?events_cap ?profile_hz ?(gc_pause_warn_ms = 50) () =
   (match profile_hz with
@@ -691,7 +695,6 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       deadline_ms;
       fuel;
       max_delta;
-      footprints = footprint_scheduling;
       jobs = Hashtbl.create 16;
       jmutex = Mutex.create ();
       next_jid = 1;
@@ -743,7 +746,6 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
     [
       ("read_only", Events.B replica);
       ("domains", Events.I domains);
-      ("footprint_scheduling", Events.B footprint_scheduling);
       ("durable", Events.B (durable <> None));
     ];
   (match recovered with
@@ -911,7 +913,7 @@ let durable_publish t =
    No checkpoint here: a checkpoint resets the in-memory journal,
    which would orphan the allocation entries of writers still
    mid-evaluation. Checkpoints run only under a ⊤ footprint (loads,
-   Effecting jobs, CHECKPOINT), where nothing else is in flight. *)
+   exclusive jobs, CHECKPOINT), where nothing else is in flight. *)
 let writer_apply_wrap t apply =
   let pending =
     Scheduler.with_apply t.sched (fun () ->
@@ -1404,18 +1406,17 @@ let prepare t s src =
     Engine.install_functions s.engine plan.compiled;
     plan
   | None ->
-    let compiled = Engine.compile s.engine src in
     (* host-bound free variables that name catalog documents: the
        service binds every loaded document to [$uri], so a variable
        that is a catalog URI *is* that document's root. Anything else
        widens to "any document" inside the analysis. *)
     let var_docs v = if Catalog.find t.catalog v <> None then Some v else None in
+    let compiled = Engine.compile ~var_docs s.engine src in
     let plan =
       {
         compiled;
         purity = Engine.body_purity compiled;
-        parallel = Engine.parallel_safe compiled;
-        footprint = Engine.footprint ~var_docs compiled;
+        route = FP.route compiled.Engine.footprint;
       }
     in
     Plan_cache.add t.cache key plan;
@@ -1598,14 +1599,14 @@ let slowlog_json t =
 let slowlog_length t = locked t.sl_mutex (fun () -> List.length t.slowlog)
 
 let inflight_json t =
-  let now = Unix.gettimeofday () in
+  let now = Clock.now_ns () in
   let entries =
     locked t.jmutex (fun () ->
         Hashtbl.fold
           (fun _ j acc ->
             Printf.sprintf "{\"jid\":%d,\"sid\":%d,\"running_ms\":%.0f,\"src\":\"%s\"}"
               j.jid j.jsid
-              ((now -. j.started) *. 1e3)
+              (float_of_int (now - j.started) /. 1e6)
               (Metrics.json_escape j.src)
             :: acc)
           t.jobs [])
@@ -1620,210 +1621,199 @@ let await fut =
   | Ok r -> r
   | Error e -> Error (Service_error.classify e)
 
+(* QUERY and EXPLAIN share two brackets: [submit_governed] (deadline →
+   budget → job registry → scheduler admission, plus the completion
+   bookkeeping every outcome goes through) and [on_session] (execution
+   on the session engine, for the two write routes). *)
+
+(* Submit [body ~jid budget] as a governed job. [t0] (Clock ns) is
+   when the request arrived: it stamps the registry entry (STATS
+   running_ms) and the latency handed to [record ~ok ~latency_ns], the
+   caller's completion step. [record] runs once on every outcome —
+   success, failure, queue expiry, shutdown drain, overload — right
+   before the job's trace (if any) is folded into the phase histograms
+   and kept for [TRACE]. *)
+let submit_governed t sid ~t0 ~label ~tr ~footprint ~record body =
+  (* one deadline scale, one boundary: the budget's polls, the
+     scheduler queue check and the watchdog all use the same absolute
+     monotonic Clock ns derived from --deadline-ms right here —
+     wall-clock steps (NTP, VM suspend) can neither expire a job early
+     nor keep one alive. *)
+  let deadline_ns =
+    match t.deadline_ms with
+    | None -> max_int
+    | Some ms -> Clock.now_ns () + (ms * 1_000_000)
+  in
+  let budget =
+    Budget.create
+      ?deadline_ns:(if deadline_ns = max_int then None else Some deadline_ns)
+      ?fuel:t.fuel ?max_delta:t.max_delta ()
+  in
+  let jid =
+    register_job t sid ~deadline:deadline_ns
+      ~cancel:(Budget.cancel_token budget) ~started:t0 label
+  in
+  let finish ok =
+    record ~ok ~latency_ns:(float_of_int (Clock.now_ns () - t0));
+    match tr with
+    | Some tr ->
+      Metrics.record_phase_totals t.metrics (Trace.phase_totals tr);
+      push_trace t jid tr
+    | None -> ()
+  in
+  let fail e =
+    finish false;
+    let err = Service_error.classify e in
+    Metrics.record_error t.metrics err.Service_error.kind;
+    err
+  in
+  let job () =
+    Fun.protect ~finally:(fun () -> unregister_job t jid) @@ fun () ->
+    match body ~jid budget with
+    | out ->
+      finish true;
+      Ok out
+    | exception e ->
+      let err = fail e in
+      Events.warn t.events ~kind:"query.error"
+        [
+          ("jid", Events.I jid);
+          ("kind", Events.S (Service_error.kind_to_string err.Service_error.kind));
+        ];
+      Error err
+  in
+  (* Abandoned without running (queue-time expiry, shutdown drain):
+     still counts as a failed query of the appropriate kind. *)
+  let on_abort e =
+    unregister_job t jid;
+    ignore (fail e)
+  in
+  match
+    Scheduler.submit t.sched ~deadline:deadline_ns ~on_abort ?trace:tr
+      ~footprint job
+  with
+  | fut -> (jid, fut)
+  | exception ((Scheduler.Overloaded | Scheduler.Shut_down) as e) ->
+    (match e with
+    | Scheduler.Overloaded ->
+      Events.warn t.events ~kind:"sched.overload"
+        [
+          ("jid", Events.I jid);
+          ("queue_depth", Events.I (Scheduler.queue_depth t.sched));
+        ]
+    | _ -> ());
+    on_abort e;
+    (jid, Scheduler.ready (Error (Service_error.classify e)))
+
+(* The write routes run on the session engine itself, under the
+   session lock, with the job's tracer and budget installed and fresh
+   ∆ statistics (snapshotted for DELTA and the slow-effect log on the
+   way out, even when the job fails), bracketed by GC/profiler
+   attribution — [body] gets the attribution token for EXPLAIN
+   ANALYZE's footer.
+
+   Two commit disciplines. The exclusive route (a ⊤ footprint:
+   nothing else runs) wraps the whole job in one store transaction —
+   a budget kill rolls back even mid-way through nested applies — and
+   publishes to the WAL after, checkpointing if due (on failure it
+   still flushes the aborted span, but its own errors must not mask
+   the job's). On the concurrent-writer route each top-level snap's
+   apply + WAL append serializes under [writer_apply_wrap]: the
+   durable acknowledgment barrier moves inside the wrap, before the
+   job's future resolves. *)
+let on_session t s ~jid ~src ~tr ~budget ~route body =
+  let exclusive = route = FP.Exclusive in
+  match
+    locked s.slock (fun () ->
+        let ctx = Engine.context s.engine in
+        Core.Update.stats_reset ctx.Core.Context.delta_stats;
+        ctx.Core.Context.apply_ns <- 0;
+        let att = attribution_begin () in
+        Fun.protect
+          ~finally:(fun () ->
+            let gc_ns, samples = attribution_end att in
+            note_effects t ~jid ~sid:s.sid ~src
+              ~trace:(Option.map Trace.id tr)
+              ~gc_ns ~samples ctx)
+        @@ fun () ->
+        Engine.with_tracer s.engine tr @@ fun () ->
+        Engine.with_budget s.engine (Some budget) @@ fun () ->
+        if exclusive then
+          Xqb_store.Store.transactionally (Catalog.store t.catalog) (fun () ->
+              body att)
+        else begin
+          ctx.Core.Context.apply_wrap <- Some (writer_apply_wrap t);
+          Fun.protect
+            ~finally:(fun () -> ctx.Core.Context.apply_wrap <- None)
+            (fun () -> body att)
+        end)
+  with
+  | out ->
+    if exclusive then durable_publish t;
+    out
+  | exception e ->
+    if exclusive then (try durable_publish t with _ -> ());
+    raise e
+
 (* Submit a query; returns the job id (usable with [cancel]) and a
    future resolving to the serialized result or a structured error.
-   Parallel-safe programs run concurrently on the scheduler's read
-   side against a fork of the session taken now; everything else
-   serializes on the write side under [Store.transactionally], so a
-   query killed by its budget leaves the store unchanged. *)
+   The plan's route (see the header) decides where it runs: in a fork
+   of the session taken now, as a concurrent writer, or exclusively —
+   where a query killed by its budget leaves the store unchanged. *)
 let submit_job t sid src :
     int * (string, Service_error.t) result Scheduler.future =
   let s = find_session t sid in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   Metrics.record_queue_depth t.metrics (Scheduler.queue_depth t.sched);
   (* One tracer per job. Installed on the session engine only while
-     the session lock is held (prepare + fork); a read-side fork
-     copies it, so spans recorded by the fork on a worker domain land
-     in this job's trace without the session ever sharing a tracer
-     between two jobs. *)
+     the session lock is held (prepare + fork); a fork copies it, so
+     spans recorded by the fork on a worker domain land in this job's
+     trace without the session ever sharing a tracer between two
+     jobs. *)
   let tr = if t.tracing then Some (Trace.create ()) else None in
+  let reject e =
+    let err = Service_error.classify e in
+    Metrics.record_error t.metrics err.Service_error.kind;
+    (0, Scheduler.ready (Error err))
+  in
   match
     locked s.slock (fun () ->
         Engine.with_tracer s.engine tr (fun () ->
             let plan = prepare t s src in
             let fork =
-              if plan.parallel then Some (Engine.fork_read s.engine) else None
+              if plan.route = FP.Fork then Some (Engine.fork_read s.engine)
+              else None
             in
             (plan, fork)))
   with
   | exception e ->
     Metrics.record_compile_error t.metrics;
-    let err = Service_error.classify e in
-    Metrics.record_error t.metrics err.Service_error.kind;
-    (0, Scheduler.ready (Error err))
-  | _plan, None when t.read_only ->
-    (* purity gate doubles as the replica's write fence: anything not
-       statically parallel-safe could mutate the store *)
-    let err =
-      Service_error.classify
-        (Failure
-           "read-only replica: updating/effecting queries must run on the leader")
-    in
-    Metrics.record_error t.metrics err.Service_error.kind;
-    (0, Scheduler.ready (Error err))
+    reject e
+  | plan, _ when t.read_only && plan.route <> FP.Fork ->
+    (* the write set doubles as the replica's write fence: a program
+       that writes nothing — not even fresh nodes — cannot mutate the
+       store *)
+    reject
+      (Failure
+         "read-only replica: updating/effecting queries must run on the leader")
   | plan, fork ->
-    (* one deadline scale, one boundary: the budget's polls, the
-       scheduler queue check and the watchdog all use the same
-       absolute monotonic Clock ns derived from --deadline-ms right
-       here — wall-clock steps (NTP, VM suspend) can neither expire a
-       job early nor keep one alive. *)
-    let deadline_ns =
-      match t.deadline_ms with
-      | None -> max_int
-      | Some ms -> Clock.now_ns () + (ms * 1_000_000)
+    let record ~ok ~latency_ns =
+      Metrics.record_query t.metrics ~purity:plan.purity
+        ~parallel:(plan.route = FP.Fork) ~ok ~latency_ns
     in
-    let budget =
-      Budget.create
-        ?deadline_ns:(if deadline_ns = max_int then None else Some deadline_ns)
-        ?fuel:t.fuel ?max_delta:t.max_delta ()
-    in
-    let jid =
-      register_job t sid ~deadline:deadline_ns
-        ~cancel:(Budget.cancel_token budget) ~started:t0 src
-    in
-    let finish ok =
-      let latency_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-      Metrics.record_query t.metrics ~purity:plan.purity ~parallel:plan.parallel
-        ~ok ~latency_ns;
-      match tr with
-      | Some tr ->
-        (* fold the job's span totals into the per-phase latency
-           histograms and keep the trace for the wire [TRACE] *)
-        Metrics.record_phase_totals t.metrics (Trace.phase_totals tr);
-        push_trace t jid tr
-      | None -> ()
-    in
-    let job () =
-      Fun.protect ~finally:(fun () -> unregister_job t jid) @@ fun () ->
-      Metrics.job_begin t.metrics ~parallel:plan.parallel;
-      Fun.protect
-        ~finally:(fun () -> Metrics.job_end t.metrics ~parallel:plan.parallel)
-      @@ fun () ->
-      match
+    submit_governed t sid ~t0 ~label:src ~tr
+      ~footprint:plan.compiled.Engine.footprint ~record (fun ~jid budget ->
         match fork with
         | Some feng ->
-          (* read side: forked context, snap-free evaluation.
-             [run_readonly] re-forks internally; the fork inherits
-             the session budget we install here. *)
+          (* snap-free evaluation; [run_readonly] re-forks internally
+             and the fork inherits the budget installed here *)
           Engine.with_budget feng (Some budget) (fun () ->
               let v = Engine.run_readonly feng plan.compiled in
               Engine.serialize_with (Catalog.store t.catalog) v)
-        | None -> (
-          (* write side: the session itself, full snap semantics.
-             The job's ∆ statistics and apply-phase wall time are
-             snapshotted for DELTA / the slow-effect log even when it
-             fails.
-
-             Two commit disciplines. Non-Effecting jobs (at most one
-             top-level apply per snap-wrapped global/body) take the
-             concurrent path: evaluation runs in parallel with every
-             footprint-disjoint job, and each snap's apply + WAL
-             append serializes under [writer_apply_wrap] — the
-             durable acknowledgment barrier moves inside the wrap,
-             before this future resolves. Effecting jobs (nested
-             snaps) hold a ⊤ footprint, so they keep the old
-             exclusive discipline: whole-job [transactionally] (a
-             budget kill rolls back even mid-way through nested
-             applies) and the inline durable flush + checkpoint after
-             (on failure it still flushes the aborted span, but its
-             own errors must not mask the job's). *)
-          let concurrent =
-            t.footprints && plan.purity <> Core.Static.Effecting
-          in
-          match
-            locked s.slock (fun () ->
-              let ctx = Engine.context s.engine in
-              Core.Update.stats_reset ctx.Core.Context.delta_stats;
-              ctx.Core.Context.apply_ns <- 0;
-              let att = attribution_begin () in
-              Fun.protect
-                ~finally:(fun () ->
-                  let gc_ns, samples = attribution_end att in
-                  note_effects t ~jid ~sid ~src
-                    ~trace:(Option.map Trace.id tr)
-                    ~gc_ns ~samples ctx)
-              @@ fun () ->
-              Engine.with_tracer s.engine tr (fun () ->
-                  Engine.with_budget s.engine (Some budget) (fun () ->
-                      if concurrent then begin
-                        ctx.Core.Context.apply_wrap <-
-                          Some (writer_apply_wrap t);
-                        Fun.protect
-                          ~finally:(fun () ->
-                            ctx.Core.Context.apply_wrap <- None)
-                          (fun () ->
-                            let v =
-                              Engine.run_compiled s.engine plan.compiled
-                            in
-                            Engine.serialize s.engine v)
-                      end
-                      else
-                        Xqb_store.Store.transactionally
-                          (Catalog.store t.catalog)
-                          (fun () ->
-                            let v =
-                              Engine.run_compiled s.engine plan.compiled
-                            in
-                            Engine.serialize s.engine v))))
-          with
-          | out ->
-            if not concurrent then durable_publish t;
-            out
-          | exception e ->
-            if not concurrent then (try durable_publish t with _ -> ());
-            raise e)
-      with
-      | out ->
-        finish true;
-        Ok out
-      | exception e ->
-        finish false;
-        let err = Service_error.classify e in
-        Metrics.record_error t.metrics err.Service_error.kind;
-        Events.warn t.events ~kind:"query.error"
-          [
-            ("jid", Events.I jid);
-            ("kind", Events.S (Service_error.kind_to_string err.Service_error.kind));
-          ];
-        Error err
-    in
-    (* Abandoned without running (queue-time expiry, shutdown drain):
-       still counts as a failed query of the appropriate kind. *)
-    let on_abort e =
-      unregister_job t jid;
-      finish false;
-      Metrics.record_error t.metrics (Service_error.classify e).Service_error.kind
-    in
-    (* Both sides gate on the *inferred* footprint when footprint
-       scheduling is on: a parallel-safe reader's footprint has no
-       write regions (read/read never conflicts, so readers behave
-       exactly as under the old read lock), but its read regions are
-       now precise enough to overlap with writers on *other*
-       documents. Effecting jobs and the baseline toggle degrade to
-       the binary extremes — read-everything / ⊤ — which is the old
-       purity gate verbatim. *)
-    let footprint =
-      if t.footprints && plan.purity <> Core.Static.Effecting then
-        plan.footprint
-      else if plan.parallel then FP.read_all
-      else FP.top
-    in
-    (match
-       Scheduler.submit t.sched ~deadline:deadline_ns ~on_abort ?trace:tr
-         ~footprint ~exclusive:(not plan.parallel) job
-     with
-    | fut -> (jid, fut)
-    | exception ((Scheduler.Overloaded | Scheduler.Shut_down) as e) ->
-      (match e with
-      | Scheduler.Overloaded ->
-        Events.warn t.events ~kind:"sched.overload"
-          [
-            ("jid", Events.I jid);
-            ("queue_depth", Events.I (Scheduler.queue_depth t.sched));
-          ]
-      | _ -> ());
-      on_abort e;
-      (jid, Scheduler.ready (Error (Service_error.classify e))))
+        | None ->
+          on_session t s ~jid ~src ~tr ~budget ~route:plan.route (fun _ ->
+              let v = Engine.run_compiled s.engine plan.compiled in
+              Engine.serialize s.engine v))
 
 let submit t sid src = snd (submit_job t sid src)
 
@@ -1832,12 +1822,12 @@ let query t sid src = await (submit t sid src)
 
 (* EXPLAIN ANALYZE (wire [EXPLAIN]): compile through the algebraic
    [Runner] and execute with per-operator profiling, returning the
-   annotated plan tree. Always on the write side — the query runs
-   for real, side effects included, which is the only honest way to
-   report actual cardinalities for a language with side effects —
-   under the same governance (budget, registry, CANCEL) as a normal
-   submission. Bypasses the plan cache: profiling wants the full
-   compile path and the algebraic plan. *)
+   annotated plan tree. Always exclusive — the query runs for real,
+   side effects included, which is the only honest way to report
+   actual cardinalities for a language with side effects — under the
+   same governance (budget, registry, CANCEL) as a normal submission,
+   but outside the query counts. Bypasses the plan cache: profiling
+   wants the full compile path and the algebraic plan. *)
 let explain_job t sid src :
     int * (string, Service_error.t) result Scheduler.future =
   let s = find_session t sid in
@@ -1851,94 +1841,23 @@ let explain_job t sid src :
     Metrics.record_error t.metrics err.Service_error.kind;
     (0, Scheduler.ready (Error err))
   end
-  else begin
-  let t0 = Unix.gettimeofday () in
-  let deadline_ns =
-    match t.deadline_ms with
-    | None -> max_int
-    | Some ms -> Clock.now_ns () + (ms * 1_000_000)
-  in
-  let budget =
-    Budget.create
-      ?deadline_ns:(if deadline_ns = max_int then None else Some deadline_ns)
-      ?fuel:t.fuel ?max_delta:t.max_delta ()
-  in
-  let jid =
-    register_job t sid ~deadline:deadline_ns
-      ~cancel:(Budget.cancel_token budget) ~started:t0
-      ("EXPLAIN " ^ src)
-  in
-  let tr = if t.tracing then Some (Trace.create ()) else None in
-  let flush_trace () =
-    match tr with
-    | Some tr ->
-      Metrics.record_phase_totals t.metrics (Trace.phase_totals tr);
-      push_trace t jid tr
-    | None -> ()
-  in
-  let job () =
-    Fun.protect ~finally:(fun () -> unregister_job t jid) @@ fun () ->
-    Metrics.job_begin t.metrics ~parallel:false;
-    Fun.protect ~finally:(fun () -> Metrics.job_end t.metrics ~parallel:false)
-    @@ fun () ->
-    let run () =
-      locked s.slock (fun () ->
-          let ctx = Engine.context s.engine in
-          Core.Update.stats_reset ctx.Core.Context.delta_stats;
-          ctx.Core.Context.apply_ns <- 0;
-          let att = attribution_begin () in
-          Fun.protect
-            ~finally:(fun () ->
-              let gc_ns, samples = attribution_end att in
-              note_effects t ~jid ~sid ~src ~trace:(Option.map Trace.id tr)
-                ~gc_ns ~samples ctx)
-          @@ fun () ->
-          Engine.with_tracer s.engine tr (fun () ->
-              Engine.with_budget s.engine (Some budget) (fun () ->
-                  Xqb_store.Store.transactionally (Catalog.store t.catalog)
-                    (fun () ->
-                      let _, rendered =
-                        (* the algebraic path doesn't go through
-                           Engine.run_compiled, so label it here *)
-                        Xqb_obs.Profile.with_phase "run" @@ fun () ->
-                        Xqb_algebra.Runner.analyze s.engine src
-                      in
-                      (* same footer style as the ddo/footprint lines:
-                         sampling + GC attribution, present only when
-                         the corresponding collector is on *)
-                      rendered ^ attribution_suffix t att))))
-    in
-    match
-      match run () with
-      | out ->
-        durable_publish t;
-        out
-      | exception e ->
-        (try durable_publish t with _ -> ());
-        raise e
-    with
-    | rendered ->
-      flush_trace ();
-      Ok rendered
-    | exception e ->
-      flush_trace ();
-      let err = Service_error.classify e in
-      Metrics.record_error t.metrics err.Service_error.kind;
-      Error err
-  in
-  let on_abort e =
-    unregister_job t jid;
-    Metrics.record_error t.metrics (Service_error.classify e).Service_error.kind
-  in
-  match
-    Scheduler.submit t.sched ~deadline:deadline_ns ~on_abort ?trace:tr
-      ~exclusive:true job
-  with
-  | fut -> (jid, fut)
-  | exception ((Scheduler.Overloaded | Scheduler.Shut_down) as e) ->
-    on_abort e;
-    (jid, Scheduler.ready (Error (Service_error.classify e)))
-  end
+  else
+    let tr = if t.tracing then Some (Trace.create ()) else None in
+    submit_governed t sid ~t0:(Clock.now_ns ()) ~label:("EXPLAIN " ^ src) ~tr
+      ~footprint:FP.top
+      ~record:(fun ~ok:_ ~latency_ns:_ -> ())
+      (fun ~jid budget ->
+        on_session t s ~jid ~src ~tr ~budget ~route:FP.Exclusive (fun att ->
+            let _, rendered =
+              (* the algebraic path doesn't go through
+                 Engine.run_compiled, so label it here *)
+              Xqb_obs.Profile.with_phase "run" @@ fun () ->
+              Xqb_algebra.Runner.analyze s.engine src
+            in
+            (* same footer style as the ddo/footprint lines: sampling +
+               GC attribution, present only when the corresponding
+               collector is on *)
+            rendered ^ attribution_suffix t att))
 
 let explain t sid src = await (snd (explain_job t sid src))
 
@@ -1951,9 +1870,8 @@ let cache_stats t = Plan_cache.stats t.cache
 let concurrency_json t =
   let g = Scheduler.gate t.sched in
   Printf.sprintf
-    "{\"footprint_scheduling\":%b,\"running\":%d,\"running_writers\":%d,\"peak\":%d,\"writer_peak\":%d}"
-    t.footprints (Rwlock.running g)
-    (Rwlock.running_writers g)
+    "{\"running\":%d,\"running_writers\":%d,\"peak\":%d,\"writer_peak\":%d}"
+    (Rwlock.running g) (Rwlock.running_writers g)
     (Rwlock.peak g) (Rwlock.writer_peak g)
 
 (* Wire [METRICS PROM]: every layer's contribution on one shared
@@ -1969,8 +1887,8 @@ let edge_gauges t = Option.map (fun src -> src ()) t.edge_src
 
 let edge_json (e : edge_gauges) =
   Printf.sprintf
-    "{\"mode\":\"%s\",\"open\":%d,\"peak\":%d,\"accepted\":%d,\"conn_rejects\":%d,\"read_suspended\":%d,\"suspensions\":%d,\"overload_rejects\":%d,\"requests\":%d,\"batches\":%d,\"max_conns\":%d}"
-    e.eg_mode e.eg_open e.eg_peak e.eg_accepted e.eg_conn_rejects e.eg_suspended
+    "{\"open\":%d,\"peak\":%d,\"accepted\":%d,\"conn_rejects\":%d,\"read_suspended\":%d,\"suspensions\":%d,\"overload_rejects\":%d,\"requests\":%d,\"batches\":%d,\"max_conns\":%d}"
+    e.eg_open e.eg_peak e.eg_accepted e.eg_conn_rejects e.eg_suspended
     e.eg_suspensions e.eg_overload_rejects e.eg_requests e.eg_batches
     e.eg_max_conns
 
@@ -2069,26 +1987,25 @@ let metrics_prometheus t =
   (match edge_gauges t with
   | None -> ()
   | Some e ->
-    let lbl = [ ("mode", e.eg_mode) ] in
-    Prom.gauge_i p ~help:"Connections open on the wire edge." ~labels:lbl
+    Prom.gauge_i p ~help:"Connections open on the wire edge."
       "xqbang_edge_open_connections" e.eg_open;
     Prom.gauge_i p ~help:"Peak concurrently open connections since boot."
-      ~labels:lbl "xqbang_edge_open_connections_peak" e.eg_peak;
-    Prom.counter p ~help:"Connections accepted since boot." ~labels:lbl
+      "xqbang_edge_open_connections_peak" e.eg_peak;
+    Prom.counter p ~help:"Connections accepted since boot."
       "xqbang_edge_accepted_total" e.eg_accepted;
-    Prom.counter p ~help:"Connections refused at --max-conns." ~labels:lbl
+    Prom.counter p ~help:"Connections refused at --max-conns."
       "xqbang_edge_conn_rejects_total" e.eg_conn_rejects;
     Prom.gauge_i p
       ~help:"Connections read-suspended by scheduler backpressure right now."
-      ~labels:lbl "xqbang_edge_read_suspended" e.eg_suspended;
-    Prom.counter p ~help:"Read-suspension episodes since boot." ~labels:lbl
+      "xqbang_edge_read_suspended" e.eg_suspended;
+    Prom.counter p ~help:"Read-suspension episodes since boot."
       "xqbang_edge_suspensions_total" e.eg_suspensions;
     Prom.counter p
       ~help:"Requests rejected with [overloaded] at the hard watermark."
-      ~labels:lbl "xqbang_edge_overload_rejects_total" e.eg_overload_rejects;
-    Prom.counter p ~help:"Requests parsed off the wire." ~labels:lbl
+      "xqbang_edge_overload_rejects_total" e.eg_overload_rejects;
+    Prom.counter p ~help:"Requests parsed off the wire."
       "xqbang_edge_requests_total" e.eg_requests;
-    Prom.counter p ~help:"Readiness-cycle admission batches." ~labels:lbl
+    Prom.counter p ~help:"Readiness-cycle admission batches."
       "xqbang_edge_batches_total" e.eg_batches);
   (* process identity + continuous profiling + GC telemetry *)
   Prom.gauge p

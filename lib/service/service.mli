@@ -35,11 +35,6 @@ type t
     the GC's p99 pause over the sliding 10s window exceeds it. Both
     must be positive (@raise Invalid_argument).
 
-    [footprint_scheduling] (default true) gates jobs on their static
-    effects footprints; [false] restores the binary purity gate
-    (read-everything / exclusive ⊤) — the single-writer baseline of
-    bench E21.
-
     Health telemetry: [slo_p99_ms] (default 250) / [slo_err_pct]
     (default 1) set the SLO targets behind the rolling-window burn
     rates; [trace_ring] (default 32) the TRACE ring capacity;
@@ -64,7 +59,6 @@ val create :
   ?durability:Xqb_wal.Durable.config ->
   ?replica:bool ->
   ?replica_of:string ->
-  ?footprint_scheduling:bool ->
   ?slo_p99_ms:float ->
   ?slo_err_pct:float ->
   ?trace_ring:int ->
@@ -99,16 +93,19 @@ val load_document : t -> int -> uri:string -> string -> unit
 
 (** Submit a query; returns the job id (usable with {!cancel} while
     the job is queued or running) and a future resolving to the
-    serialized result or a structured error. Parallel-safe programs
-    (Pure and allocation-free) run concurrently against a
-    submission-time fork of the session; updating programs run on the
-    session itself, concurrently with every job whose static
-    footprint is provably disjoint, their ∆ applications serialized
-    on the global apply mutex (each top-level snap is transactional:
-    an apply-time failure rolls back before the WAL sees it).
-    Effecting programs and inconclusive footprints serialize
-    exclusively under whole-job rollback, exactly the old writer
-    path.
+    serialized result or a structured error. The plan's static
+    footprint, inferred once per compile, is the only judgement
+    ({!Core.Static.Footprint.route}): a program that writes nothing
+    (no updates, no snap, no node allocation) runs against a
+    submission-time fork of the session; one whose writes may reach
+    any document (nested snaps, dynamic [fn:doc] URIs, updating
+    function calls) runs alone under whole-job rollback — killed by
+    its budget, it leaves the store unchanged; every other program
+    runs on the session itself, concurrently with every job whose
+    footprint is provably disjoint, its ∆ applications serialized on
+    the global apply mutex (each top-level snap is transactional: an
+    apply-time failure rolls back before the WAL sees it). Jobs run
+    under the footprint gate either way.
     @raise Failure on an unknown session. *)
 val submit_job :
   t -> int -> string -> int * (string, Service_error.t) result Scheduler.future
@@ -128,9 +125,9 @@ val query : t -> int -> string -> (string, Service_error.t) result
 
 (** EXPLAIN ANALYZE (wire [EXPLAIN]): run the query through the
     algebraic compiler with per-operator profiling and return the
-    annotated plan tree. Executes for real (side effects included) on
-    the write side under the usual governance; bypasses the plan
-    cache. *)
+    annotated plan tree. Executes for real (side effects included),
+    exclusively, under the usual governance but outside the query
+    counts; bypasses the plan cache. *)
 val explain_job :
   t -> int -> string -> int * (string, Service_error.t) result Scheduler.future
 
@@ -155,10 +152,9 @@ val error_message : exn -> string
 
 val cache_stats : t -> Plan_cache.stats
 
-(** Footprint-gate gauges as JSON: whether footprint scheduling is
-    on, currently admitted jobs (all / holding write regions) and
-    their high-water marks since boot. Also embedded in
-    {!stats_json} under ["concurrency"]. *)
+(** Footprint-gate gauges as JSON: currently admitted jobs (all /
+    holding write regions) and their high-water marks since boot.
+    Also embedded in {!stats_json} under ["concurrency"]. *)
 val concurrency_json : t -> string
 
 (** Metrics + plan-cache + catalog + in-flight jobs + rolling windows
@@ -179,7 +175,6 @@ val metrics_prometheus : t -> string
     state; the service itself never depends on the edge module. *)
 
 type edge_gauges = {
-  eg_mode : string;  (** ["fiber"] | ["threads"] *)
   eg_open : int;  (** connections open now *)
   eg_peak : int;  (** peak concurrently open since boot *)
   eg_accepted : int;  (** connections accepted since boot *)

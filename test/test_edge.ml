@@ -106,7 +106,7 @@ let fiber_tests =
 (* Wire helpers                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let with_edge ?(mode = Edge.Fiber) ?(domains = 1) ?max_queue ?(max_conns = 0)
+let with_edge ?(domains = 1) ?max_queue ?(max_conns = 0)
     ?(idle_timeout_ms = 0) f =
   let svc = Svc.create ~domains ?max_queue () in
   Fun.protect
@@ -114,7 +114,7 @@ let with_edge ?(mode = Edge.Fiber) ?(domains = 1) ?max_queue ?(max_conns = 0)
     (fun () ->
       let edge =
         Edge.start svc
-          { Edge.default_config with mode; max_conns; idle_timeout_ms }
+          { Edge.default_config with max_conns; idle_timeout_ms }
       in
       Fun.protect ~finally:(fun () -> Edge.stop edge) (fun () -> f svc edge))
 
@@ -159,7 +159,8 @@ let block_worker svc =
   let m = Mutex.create () in
   Mutex.lock m;
   let fut =
-    Sched.submit (Svc.scheduler svc) ~exclusive:true (fun () ->
+    Sched.submit (Svc.scheduler svc) ~footprint:Core.Static.Footprint.top
+      (fun () ->
         Mutex.lock m;
         Mutex.unlock m)
   in
@@ -333,45 +334,10 @@ let edge_tests =
                 send c "STATS\n";
                 let l = line c in
                 check Alcotest.bool "stats has edge object" true
-                  (Re.execp (Re.compile (Re.str "\"edge\":{\"mode\":\"fiber\"")) l));
+                  (Re.execp (Re.compile (Re.str "\"edge\":{\"open\":")) l));
             ignore (Edge.gauges edge);
             check Alcotest.bool "service sees the gauges" true
               (Svc.edge_gauges svc <> None)));
-    tc "threads edge: same protocol, same pipelining contract" `Quick
-      (fun () ->
-        with_edge ~mode:Edge.Threads ~domains:2 (fun _svc edge ->
-            with_client edge (fun c ->
-                send c "OPEN\n";
-                let sid = Scanf.sscanf (line c) "OK %d" (fun n -> n) in
-                let b = Buffer.create 256 in
-                for i = 1 to 10 do
-                  Buffer.add_string b (Printf.sprintf "QUERY %d %d+100\n" sid i)
-                done;
-                send c (Buffer.contents b);
-                for i = 1 to 10 do
-                  check Alcotest.string
-                    (Printf.sprintf "reply %d" i)
-                    (Printf.sprintf "OK %d" (i + 100))
-                    (line c)
-                done);
-            let g = Edge.gauges edge in
-            check Alcotest.string "mode gauge" "threads" g.Svc.eg_mode;
-            check Alcotest.bool "accepts counted" true (g.Svc.eg_accepted >= 1)));
-    tc "threads edge: max-conns refuses the surplus connection" `Quick
-      (fun () ->
-        with_edge ~mode:Edge.Threads ~max_conns:1 (fun _svc edge ->
-            with_client edge (fun c1 ->
-                send c1 "OPEN\n";
-                ignore (line c1);
-                with_client edge (fun c2 ->
-                    (match line c2 with
-                    | l ->
-                      check Alcotest.bool "refusal line" true
-                        (starts_with "ERR [overloaded]" l)
-                    | exception End_of_file -> ());
-                    match line c2 with
-                    | l -> Alcotest.failf "expected EOF, got %S" l
-                    | exception End_of_file -> ()))));
   ]
 
 let suite = [ ("edge:fiber", fiber_tests); ("edge:wire", edge_tests) ]

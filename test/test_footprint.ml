@@ -6,6 +6,9 @@
    - inference: literal-doc plans get precise (document, path-prefix)
      regions; dynamic [fn:doc] URIs, upward axes and user functions
      widen to "any document" (inconclusive);
+   - routing: the write set alone picks the service route (fork /
+     concurrent writer / exclusive) for every template the benchmark
+     workloads send;
    - independence is *sound*: if two programs' footprints are
      independent, running them in either order produces identical
      stores (commutativity — the behavioral form of "no R1–R7
@@ -44,6 +47,78 @@ let fp_of src =
 
 let mentions_doc uri fp =
   List.exists (fun r -> r.FP.rdoc = FP.Named uri) fp.FP.reads
+
+(* The route the service takes for [src]: the judgement cached at
+   compile time. *)
+let route_of src =
+  let c =
+    Engine.compile
+      ~var_docs:(fun v -> if v = "da" || v = "db" then Some v else None)
+      (fresh_engine ()) src
+  in
+  let route = FP.route c.Engine.footprint in
+  check Alcotest.bool
+    ("parallel_safe agrees: " ^ src)
+    (route = FP.Fork) (Engine.parallel_safe c);
+  route
+
+let route_t =
+  Alcotest.testable
+    (fun fmt r ->
+      Format.pp_print_string fmt
+        (match r with
+        | FP.Fork -> "fork"
+        | FP.Concurrent -> "concurrent writer"
+        | FP.Exclusive -> "exclusive"))
+    ( = )
+
+(* Every request template the xqbench workloads send, plus the
+   function-call and dynamic-URI edges of the judgement. *)
+let routing_table =
+  [
+    (* xmark-read *)
+    ({|doc("auction")//person[@id="person7"]/name/string()|}, FP.Fork);
+    ({|doc("auction")//person[@id="person7"]/emailaddress/string()|}, FP.Fork);
+    ({|doc("auction")//item[@id="item3"]/name/string()|}, FP.Fork);
+    ({|count(doc("auction")//item[contains(description/text, "gold")])|}, FP.Fork);
+    ({|doc("auction")//person[starts-with(name, "Kim ")]/name/string()|}, FP.Fork);
+    ({|sum(doc("auction")//closed_auction[price >= 25]/price)|}, FP.Fork);
+    ({|count(doc("auction")//open_auction[count(bidder) >= 2])|}, FP.Fork);
+    ({|avg(doc("auction")//open_auction[count(bidder) = 2]/current)|}, FP.Fork);
+    ( {|max(doc("auction")//open_auction[count(bidder) >= 1]/bidder/increase)|},
+      FP.Fork );
+    ( {|for $p in doc("auction")//person let $a := for $t in doc("auction")//closed_auction where $t/buyer/@person = $p/@id return $t return <item person="{$p/name}">{count($a)}</item>|},
+      FP.Concurrent );
+    (* weblog-write *)
+    ( {|insert {<logentry id="c0-1" user="person3" itemid="item5"/>} into {doc("log0")/log}|},
+      FP.Concurrent );
+    ( {|(insert {<batch seq="c0-64" size="{count(doc("log0")/log/logentry)}"/>} into {doc("archive0")/archive}, delete {doc("log0")/log/logentry})|},
+      FP.Concurrent );
+    (* auction-mixed *)
+    ( {|let $item := doc("auction")//item[@id="item3"] return (snap insert {<logentry user="{doc("auction")//person[@id="person5"]/name/string()}" itemid="item3"/>} into {doc("log")/log}, if (count(doc("log")/log/logentry) >= 64) then (snap insert {<batch size="{count(doc("log")/log/logentry)}"/>} into {doc("archive")/archive}, snap delete {doc("log")/log/logentry}) else (), $item/name/string())|},
+      FP.Exclusive );
+    ( {|replace value of node doc("auction")//open_auction[@id="open4"]/current with xs:integer(doc("auction")//open_auction[@id="open4"]/current) + 1|},
+      FP.Concurrent );
+    ({|doc("auction")//item[@id="item3"]/location/string()|}, FP.Fork);
+    (* user functions: the callee's allocation and purity decide *)
+    ( {|declare function local:twice($x) { 2 * $x }; local:twice(count(doc("da")//a))|},
+      FP.Fork );
+    ( {|declare function local:wrap($x) { <w>{$x}</w> }; local:wrap(count(doc("da")//a))|},
+      FP.Concurrent );
+    ( {|declare function local:hit() { insert {<hit/>} into {doc("da")/r} }; local:hit()|},
+      FP.Exclusive );
+    (* a URI known only at run time *)
+    ( {|declare variable $u := "da"; insert {<hit/>} into {doc($u)/r}|},
+      FP.Exclusive );
+    (* an update on a node the job built itself *)
+    ({|let $x := <x/> return insert {<a/>} into {$x}|}, FP.Concurrent);
+  ]
+
+let routing =
+  tc "every served template takes its route" `Quick (fun () ->
+      List.iter
+        (fun (src, want) -> check route_t src want (route_of src))
+        routing_table)
 
 let inference =
   [
@@ -104,6 +179,22 @@ let inference =
         let w = fp_of "insert {<hit/>} into {doc('da')/r}" in
         check Alcotest.bool "top vs a precise writer" false
           (FP.independent FP.top w));
+    tc "node allocation writes only the job's fresh region" `Quick (fun () ->
+        let c = fp_of "<a>{count(doc('da')//a)}</a>" in
+        check Alcotest.bool "allocation is a write" false (FP.writes_nothing c);
+        check Alcotest.bool "conclusive" true (FP.conclusive c);
+        (* admission is unchanged: fresh regions overlap nothing *)
+        check Alcotest.bool "vs a reader of the same doc" true
+          (FP.independent c (fp_of "count(doc('da')//a)"));
+        check Alcotest.bool "vs another allocating job" true
+          (FP.independent c (fp_of "<b/>"));
+        check Alcotest.bool "vs a writer elsewhere" true
+          (FP.independent c (fp_of "insert {<hit/>} into {doc('db')/r}")));
+    tc "trace passes its input through" `Quick (fun () ->
+        let fp = fp_of "delete {trace(doc('da')/r/x, 'gone')}" in
+        check Alcotest.bool "writes da" true
+          (List.exists (fun r -> r.FP.rdoc = FP.Named "da") fp.FP.writes));
+    routing;
   ]
 
 (* -- soundness: independent footprints commute ----------------------- *)

@@ -11,6 +11,7 @@ module Metrics = Xqb_service.Metrics
 module Sched = Xqb_service.Scheduler
 module PC = Xqb_service.Plan_cache
 module SE = Xqb_service.Service_error
+module FP = Core.Static.Footprint
 
 let ok = function
   | Ok s -> s
@@ -214,6 +215,20 @@ let scheduler =
             let _, par, excl, _ = Metrics.counts (Svc.metrics svc) in
             check Alcotest.int "parallel" 1 par;
             check Alcotest.int "exclusive" 1 excl));
+    tc "replica fence: constructor reads rejected, pure function reads served"
+      `Quick (fun () ->
+        let svc = Svc.create ~domains:0 ~replica:true () in
+        Fun.protect
+          ~finally:(fun () -> Svc.shutdown svc)
+          (fun () ->
+            let s = Svc.open_session svc in
+            let e = err (Svc.query svc s "<a/>") in
+            check Alcotest.bool "fence message" true
+              (Re.execp (Re.compile (Re.str "read-only replica")) e.SE.message);
+            check Alcotest.string "pure function read" "4"
+              (ok
+                 (Svc.query svc s
+                    "declare function local:twice($x) { 2 * $x }; local:twice(2)"))));
     tc "concurrent pure queries match sequential results" `Quick (fun () ->
         let seq = with_service ~domains:0 pure_workload in
         let par = with_service ~domains:4 pure_workload in
@@ -290,6 +305,27 @@ let governance =
                     {|(snap insert {<probe/>} into {doc("d")/r}, %s)|}
                     slow_pure));
             check Alcotest.string "probe rolled back" "0"
+              (ok (Svc.query svc s {|count(doc("d")//probe)|}))));
+    tc "a dynamic-URI update killed after its first apply rolls back" `Quick
+      (fun () ->
+        (* No explicit snap, but the URI is only known at run time:
+           a ⊤ footprint, so the job takes the exclusive route. Each
+           global applies in its own implicit snap; fuel runs out in
+           the second, and the whole-job transaction undoes the
+           first's insert. *)
+        with_service ~fuel:10_000 (fun svc ->
+            let s = Svc.open_session svc in
+            Svc.load_document svc s ~uri:"d" doc_xml;
+            errk "fuel" SE.Timeout
+              (Svc.query svc s
+                 (Printf.sprintf
+                    {|declare variable $u := "d";
+                      declare variable $first := insert {<probe/>} into {doc($u)/r};
+                      declare variable $second :=
+                        (insert {<probe/>} into {doc($u)/r}, %s);
+                      ()|}
+                    slow_pure));
+            check Alcotest.string "store unchanged" "0"
               (ok (Svc.query svc s {|count(doc("d")//probe)|}))));
     tc "cancel kills an in-flight job with [Cancelled]" `Quick (fun () ->
         with_service ~domains:2 (fun svc ->
@@ -373,7 +409,7 @@ let admission =
           (fun domains ->
             let sched = Sched.create ~domains () in
             Sched.shutdown sched;
-            match Sched.submit sched ~exclusive:false (fun () -> 42) with
+            match Sched.submit sched ~footprint:FP.read_all (fun () -> 42) with
             | _ ->
                 Alcotest.failf "domains=%d accepted work after shutdown"
                   domains
@@ -385,7 +421,7 @@ let admission =
           ~finally:(fun () -> Sched.shutdown sched)
           (fun () ->
             let f1 =
-              Sched.submit sched ~exclusive:false (fun () ->
+              Sched.submit sched ~footprint:FP.read_all (fun () ->
                   Unix.sleepf 0.25;
                   "slow done")
             in
@@ -395,7 +431,7 @@ let admission =
               Sched.submit sched
                 ~deadline:(Xqb_obs.Clock.now_ns () + 50_000_000)
                 ~on_abort:(fun _ -> aborted := true)
-                ~exclusive:false
+                ~footprint:FP.read_all
                 (fun () -> "should never run")
             in
             (match Sched.await f2 with
@@ -418,7 +454,7 @@ let admission =
               Sched.submit sched
                 ~deadline:(Xqb_obs.Clock.now_ns () - 1)
                 ~on_abort:(fun _ -> aborted := true)
-                ~exclusive:false
+                ~footprint:FP.read_all
                 (fun () -> ran := true)
             in
             (match Sched.await f with
@@ -443,7 +479,7 @@ let admission =
           (fun () ->
             let tr_hog = Xqb_obs.Trace.create () in
             let f0 =
-              Sched.submit sched ~trace:tr_hog ~exclusive:false (fun () ->
+              Sched.submit sched ~trace:tr_hog ~footprint:FP.read_all (fun () ->
                   Unix.sleepf 0.15)
             in
             wait_for_drain sched;
@@ -451,7 +487,7 @@ let admission =
             let f =
               Sched.submit sched ~trace:tr
                 ~deadline:(Xqb_obs.Clock.now_ns () + 20_000_000)
-                ~exclusive:false
+                ~footprint:FP.read_all
                 (fun () -> ())
             in
             (match Sched.await f with
@@ -466,12 +502,12 @@ let admission =
     tc "deadlined shutdown abandons still-queued jobs" `Quick (fun () ->
         let sched = Sched.create ~domains:1 () in
         let f1 =
-          Sched.submit sched ~exclusive:false (fun () ->
+          Sched.submit sched ~footprint:FP.read_all (fun () ->
               Unix.sleepf 0.3;
               "ran")
         in
         wait_for_drain sched;
-        let f2 = Sched.submit sched ~exclusive:false (fun () -> "queued") in
+        let f2 = Sched.submit sched ~footprint:FP.read_all (fun () -> "queued") in
         let t0 = Unix.gettimeofday () in
         Sched.shutdown ~deadline:0.05 sched;
         check Alcotest.bool "did not drain-wait for the runner" true

@@ -150,13 +150,14 @@ let join_meet =
 
 (* -- qcheck: Pure programs never touch the store ---------------------
 
-   The property behind the service layer's purity gate
+   The property behind the service layer's fork route
    (docs/SERVICE.md): if the §5 analysis classifies a program's body
    as Pure, evaluating it leaves every pre-existing document
    bit-identical and the store invariants intact. (A Pure program may
    still *allocate* fresh nodes — constructors are pure — so the
    check compares the serialized documents, not store size; the
-   stronger allocation-free judgement is [Static.prog_parallel_safe].)
+   footprint records allocation as a write to the fresh-node region,
+   which keeps such programs off the fork route.)
    Reuses the fuzz generator, whose samples mix reads and updates, so
    a good fraction exercise the Pure branch. *)
 
