@@ -325,7 +325,7 @@ let e7 () =
     List.map
       (fun (name, src) ->
         let eng = Workloads.engine ~persons:10 ~closed:10 () in
-        let _, cres = Xqb_algebra.Runner.plan_of eng src in
+        let cres = (Xqb_algebra.Runner.prepare eng src).Xqb_algebra.Runner.algebra in
         [
           name;
           (match cres.Xqb_algebra.Compile.fired with
@@ -376,7 +376,7 @@ let e8 () =
         let full_ns =
           measure_ns (Printf.sprintf "compile-%d" n) (fun () ->
               let eng = Core.Engine.create () in
-              ignore (Xqb_algebra.Runner.plan_of eng src))
+              ignore (Xqb_algebra.Runner.prepare eng src))
         in
         [
           string_of_int n;

@@ -76,10 +76,6 @@ let seed_arg =
   Arg.(value & opt int 0x5eed & info [ "seed" ] ~docv:"N"
          ~doc:"Seed for the nondeterministic update-application order.")
 
-let optimize_arg =
-  Arg.(value & flag & info [ "O"; "optimize" ]
-         ~doc:"Run through the algebraic compiler (join/group-by unnesting) instead of direct evaluation.")
-
 let trace_arg =
   Arg.(value & flag & info [ "trace-updates" ]
          ~doc:"Print each pending-update list (Delta) to stderr as its snap scope closes, before application.")
@@ -150,7 +146,7 @@ let write_file path content =
     (fun () -> output_string oc content)
 
 let run_cmd =
-  let run query expr docs vars mode seed optimize trace quiet deadline_ms fuel
+  let run query expr docs vars mode seed trace quiet deadline_ms fuel
       explain_analyze trace_out show_delta explain_conflicts profile_out =
     report_errors (fun () ->
         let eng = setup_engine docs vars seed in
@@ -186,25 +182,21 @@ let run_cmd =
             let value =
               Core.Engine.with_budget eng (make_budget deadline_ms fuel)
                 (fun () ->
-                  if explain_analyze then begin
-                    (* EXPLAIN ANALYZE: run through the algebraic
-                       compiler with per-operator profiling; the
-                       annotated tree precedes the result *)
-                    let r, rendered = Xqb_algebra.Runner.analyze ~mode eng src in
-                    print_endline rendered;
-                    r.Xqb_algebra.Runner.value
-                  end
-                  else begin
-                    let compiled = Core.Engine.compile eng src in
-                    if not quiet then
-                      List.iter
-                        (fun w -> Printf.eprintf "warning: %s\n%!" w)
-                        compiled.Core.Engine.type_warnings;
-                    if optimize then
-                      (Xqb_algebra.Runner.run ~mode eng src)
-                        .Xqb_algebra.Runner.value
-                    else Core.Engine.run_compiled ~mode eng compiled
-                  end)
+                  (* the one execution path: the algebra plan of the
+                     body, its leaves on the evaluator *)
+                  let p = Xqb_algebra.Runner.prepare eng src in
+                  if not quiet then
+                    List.iter
+                      (fun w -> Printf.eprintf "warning: %s\n%!" w)
+                      p.Xqb_algebra.Runner.compiled.Core.Engine.type_warnings;
+                  let r =
+                    Xqb_algebra.Runner.execute ~mode ~profile:explain_analyze eng p
+                  in
+                  (* EXPLAIN ANALYZE: the annotated tree precedes the
+                     result *)
+                  if explain_analyze then
+                    print_endline (Xqb_algebra.Runner.render r);
+                  r.Xqb_algebra.Runner.value)
             in
             print_endline (Core.Engine.serialize eng value))
         with Core.Conflict.Conflict_error c -> on_conflict c);
@@ -229,7 +221,7 @@ let run_cmd =
   in
   let explain_analyze_arg =
     Arg.(value & flag & info [ "explain" ]
-           ~doc:"EXPLAIN ANALYZE: execute through the algebraic compiler and print the plan tree annotated with per-operator tuple counts and timings before the result.")
+           ~doc:"EXPLAIN ANALYZE: print the executed plan tree annotated with per-operator tuple counts and timings before the result.")
   in
   let trace_out_arg =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH"
@@ -249,7 +241,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Evaluate an XQuery! program")
     Term.(ret (const run $ query_arg $ expr_arg $ docs_arg $ vars_arg $ mode_arg
-               $ seed_arg $ optimize_arg $ trace_arg $ quiet_arg $ deadline_arg
+               $ seed_arg $ trace_arg $ quiet_arg $ deadline_arg
                $ fuel_arg $ explain_analyze_arg $ trace_out_arg $ show_delta_arg
                $ explain_conflicts_arg $ profile_out_arg))
 
@@ -370,8 +362,8 @@ let repl_cmd =
             match handle_command line with `Quit -> () | `Continue -> loop ())
           | Some line ->
             (try
-               let v = Core.Engine.run ~mode:!mode eng line in
-               print_endline (Core.Engine.serialize eng v)
+               let r = Xqb_algebra.Runner.run ~mode:!mode eng line in
+               print_endline (Core.Engine.serialize eng r.Xqb_algebra.Runner.value)
              with
             | Core.Engine.Compile_error m -> print_endline m
             | Xqb_xdm.Errors.Dynamic_error (code, m) ->

@@ -1,6 +1,8 @@
 (* The §4.3 experiment as an application: run the XMark-Q8-with-
-   updates query naively and through the algebraic optimizer, check
-   the results (value *and* side effects) agree and show the plan.
+   updates query on the tree interpreter (the reference semantics,
+   a nested loop) and through the algebra plan — the path `xqbang
+   run` and the query service execute — check the results (value
+   *and* side effects) agree and show the plan.
 
    Run with: dune exec examples/auction_report.exe *)
 

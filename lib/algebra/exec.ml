@@ -288,33 +288,7 @@ let rec exec_v ctx stats prof id (env0 : Context.env) (p : Plan.vplan) : Value.t
     note_io op (List.length va + List.length vb) (List.length v);
     v
   | Plan.Snap_v (mode, body) ->
-    let snaps = ctx.Context.snaps in
-    Core.Snap_stack.push snaps (Core.Apply.mode_of_snap mode);
-    let v =
-      match exec_v ctx stats prof (id + 1) env0 body with
-      | v -> v
-      | exception ex ->
-        ignore (Core.Snap_stack.pop snaps);
-        raise ex
-    in
-    let delta, mode = Core.Snap_stack.pop snaps in
-    (match ctx.Context.on_apply with
-    | Some hook -> hook delta mode
-    | None -> ());
-    (match ctx.Context.tracer with
-    | None ->
-      Core.Apply.apply ~rand_state:ctx.Context.rand ctx.Context.store mode delta
-    | Some tr ->
-      Xqb_obs.Trace.with_span ~cat:"snap"
-        ~args:
-          [
-            ("requests", string_of_int (List.length delta));
-            ("mode", Core.Apply.mode_to_string mode);
-          ]
-        tr "snap.apply"
-        (fun () ->
-          Core.Apply.apply ~rand_state:ctx.Context.rand ~tracer:tr
-            ctx.Context.store mode delta));
+    let v = Eval.snap ctx mode (fun () -> exec_v ctx stats prof (id + 1) env0 body) in
     note_io op 0 (List.length v);
     v
   | Plan.Ddo_v { elided; body } ->

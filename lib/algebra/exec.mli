@@ -17,9 +17,8 @@ type stats = {
 val new_stats : unit -> stats
 
 (** Execute a value plan from an initial environment. [prof] must be
-    sized to [plan] ({!Profile.create}). Snap application inside the
-    plan records "snap.apply" spans when the context carries a
-    tracer. *)
+    sized to [plan] ({!Profile.create}). A [Snap_v] node runs
+    {!Core.Eval.snap}, the evaluator's own snap rule. *)
 val exec :
   ?stats:stats ->
   ?prof:Profile.t ->

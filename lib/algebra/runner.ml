@@ -1,9 +1,20 @@
-(* Optimizing front end: the same pipeline as [Core.Engine.run] with
-   the algebraic compilation step of §4.2 inserted between
-   normalization and evaluation. *)
+(* Optimizing front end: the [Core.Engine] pipeline with the algebraic
+   compilation step of §4.2 inserted between normalization and
+   evaluation. Two halves, shared with the query service: [prepare]
+   compiles a program and the plan of its body (the service caches
+   the result), [execute] runs that plan through the engine's entry
+   points as their body evaluator. *)
 
 module Engine = Core.Engine
 module C = Core.Core_ast
+
+type prepared = {
+  compiled : Engine.compiled;
+  algebra : Compile.result;
+      (* the body's plan, without the implicit top-level snap: the
+         caller's route decides whether that snap runs, and in which
+         mode *)
+}
 
 type run_result = {
   value : Xqb_xdm.Value.t;
@@ -18,68 +29,79 @@ type run_result = {
        service's disjointness scheduler gates on *)
 }
 
-(* Compile [source] and return the optimized plan for its body (under
-   the implicit top-level snap). *)
-let plan_of ?(mode = C.Snap_ordered) engine source =
-  let compiled = Engine.compile engine source in
-  let ctx = Engine.context engine in
-  Core.Context.span ~cat:"compile" ctx "algebra.compile" @@ fun () ->
+let prepare ?var_docs engine source =
+  let compiled = Engine.compile ?var_docs engine source in
+  Core.Context.span ~cat:"compile" (Engine.context engine) "algebra.compile"
+  @@ fun () ->
   let purity = Core.Static.purity_oracle compiled.Engine.prog in
-  let body =
-    match compiled.Engine.prog.Core.Normalize.body with
-    | Some b -> C.Snap (mode, b)
-    | None -> C.Empty
-  in
-  (compiled, Compile.compile ~purity body)
+  let body = Option.value compiled.Engine.prog.Core.Normalize.body ~default:C.Empty in
+  { compiled; algebra = Compile.compile ~purity body }
 
-let run_with ?(mode = C.Snap_ordered) ~profile engine source : run_result =
-  let compiled, cres = plan_of ~mode engine source in
-  Engine.eval_globals ~mode engine compiled;
+(* The plan as executed under [snap]: wrapped in the top-level Snap
+   operator when there is one, so the rendered tree is the paper's
+   and profile ids cover the snap too. *)
+let top_plan snap plan =
+  match snap with None -> plan | Some m -> Plan.Snap_v (m, plan)
+
+let exec ?stats ?prof plan : Engine.exec =
+ fun ctx env ~snap -> Exec.exec ?stats ?prof ctx env (top_plan snap plan)
+
+(* The whole program as displayed: a body-less program runs nothing,
+   so its plan gets no snap. *)
+let shown_plan ~mode p =
+  match p.compiled.Engine.prog.Core.Normalize.body with
+  | None -> p.algebra.Compile.plan
+  | Some _ -> top_plan (Some mode) p.algebra.Compile.plan
+
+let execute ?(mode = C.Snap_ordered) ?(profile = false) engine p : run_result =
+  let plan = shown_plan ~mode p in
   let stats = Exec.new_stats () in
-  let prof = if profile then Some (Profile.create cres.Compile.plan) else None in
+  let prof = if profile then Some (Profile.create plan) else None in
   let ctx = Engine.context engine in
   let elided_before = ctx.Core.Context.ddo_elided in
   let value =
-    Core.Context.span ~cat:"exec" ctx "exec.plan" (fun () ->
-        Exec.exec ~stats ?prof ctx ctx.Core.Context.globals cres.Compile.plan)
+    Engine.run_compiled ~mode
+      ~exec:(exec ~stats ?prof p.algebra.Compile.plan)
+      engine p.compiled
   in
   {
     value;
-    plan = cres.Compile.plan;
-    fired = cres.Compile.fired;
-    rejected = cres.Compile.rejected;
+    plan;
+    fired = p.algebra.Compile.fired;
+    rejected = p.algebra.Compile.rejected;
     stats;
     profile = prof;
     ddo_elided = ctx.Core.Context.ddo_elided - elided_before;
-    footprint = compiled.Engine.footprint;
+    footprint = p.compiled.Engine.footprint;
   }
 
-let run ?mode engine source = run_with ?mode ~profile:false engine source
+let run ?mode engine source = execute ?mode engine (prepare engine source)
+
+let footprint_line fp =
+  Printf.sprintf "\n-- footprint: %s" (Core.Static.Footprint.to_string fp)
+
+(* EXPLAIN ANALYZE rendering: the annotated plan, then the ddo and
+   footprint footers. *)
+let render (r : run_result) =
+  let tree =
+    match r.profile with
+    | Some p -> Profile.render r.plan p
+    | None -> Plan.explain r.plan
+  in
+  let elided =
+    if r.ddo_elided > 0 then Printf.sprintf "\n-- ddo sorts elided: %d" r.ddo_elided
+    else ""
+  in
+  tree ^ elided ^ footprint_line r.footprint
 
 (* EXPLAIN ANALYZE: execute with per-operator profiling and render the
    annotated plan. The query runs for real — side effects included —
    which is the only honest way to report actual cardinalities for a
    language with side effects. *)
 let analyze ?mode engine source : run_result * string =
-  let r = run_with ?mode ~profile:true engine source in
-  let rendered =
-    match r.profile with
-    | Some p -> Profile.render r.plan p
-    | None -> Plan.explain r.plan
-  in
-  let rendered =
-    if r.ddo_elided > 0 then
-      Printf.sprintf "%s\n-- ddo sorts elided: %d" rendered r.ddo_elided
-    else rendered
-  in
-  let rendered =
-    Printf.sprintf "%s\n-- footprint: %s" rendered
-      (Core.Static.Footprint.to_string r.footprint)
-  in
-  (r, rendered)
+  let r = execute ?mode ~profile:true engine (prepare engine source) in
+  (r, render r)
 
-let explain ?mode engine source =
-  let compiled, cres = plan_of ?mode engine source in
-  Printf.sprintf "%s\n-- footprint: %s"
-    (Plan.explain cres.Compile.plan)
-    (Core.Static.Footprint.to_string compiled.Engine.footprint)
+let explain ?(mode = C.Snap_ordered) engine source =
+  let p = prepare engine source in
+  Plan.explain (shown_plan ~mode p) ^ footprint_line p.compiled.Engine.footprint

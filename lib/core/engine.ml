@@ -1,9 +1,10 @@
 (* The public entry point: compile and run XQuery! programs.
 
-   Pipeline (§4.2): parse -> normalize -> static checks -> (optional
-   algebraic compilation, in [Xqb_algebra]) -> evaluate. The top-level
-   query is wrapped in an implicit snap (§2.3), whose mode defaults to
-   ordered and can be overridden per run. *)
+   Pipeline (§4.2): parse -> normalize -> static checks -> evaluate.
+   The top-level query is wrapped in an implicit snap (§2.3), whose
+   mode defaults to ordered and can be overridden per run. The body
+   evaluator is pluggable ([exec]): [Eval] by default, the algebra
+   plan executor of [Xqb_algebra] on the served path. *)
 
 module Value = Xqb_xdm.Value
 module Item = Xqb_xdm.Item
@@ -203,15 +204,29 @@ let eval_globals ?(mode = Core_ast.Snap_ordered) t (c : compiled) =
       bind t v value)
     c.prog.Normalize.global_vars
 
+(* A body evaluator: evaluate the compiled program's body in [ctx]
+   from [env], under the implicit top-level snap of mode [m] when
+   [~snap:(Some m)] and bare when [~snap:None]. [Eval] is the default
+   and the oracle; the served path passes the algebra executor over
+   the cached plan ([Xqb_algebra.Runner]), whose [Direct] leaves are
+   [Eval] again. *)
+type exec = Context.t -> Context.env -> snap:Core_ast.snap_mode option -> Value.t
+
+let eval_exec body : exec =
+ fun ctx env ~snap ->
+  let body = match snap with None -> body | Some m -> Core_ast.Snap (m, body) in
+  Eval.eval ctx env None body
+
 (* Run a compiled program's body under the implicit top-level snap. *)
-let run_compiled ?(mode = Core_ast.Snap_ordered) t (c : compiled) : Value.t =
+let run_compiled ?(mode = Core_ast.Snap_ordered) ?exec t (c : compiled) : Value.t =
   Xqb_obs.Profile.with_phase "run" @@ fun () ->
   Context.span ~cat:"exec" t.ctx "eval" @@ fun () ->
   eval_globals ~mode t c;
   match c.prog.Normalize.body with
   | None -> []
   | Some body ->
-    Eval.eval t.ctx t.ctx.Context.globals None (Core_ast.Snap (mode, body))
+    let exec = Option.value exec ~default:(eval_exec body) in
+    exec t.ctx t.ctx.Context.globals ~snap:(Some mode)
 
 (* One-shot: compile and run. *)
 let run ?mode t source : Value.t =
@@ -289,7 +304,7 @@ let footprint ?var_docs (c : compiled) = Static.Footprint.of_prog ?var_docs c.pr
    the snap stack and the store's journal flags).
 
    @raise Invalid_argument when the program is not parallel-safe. *)
-let run_readonly t (c : compiled) : Value.t =
+let run_readonly ?exec t (c : compiled) : Value.t =
   if not (parallel_safe c) then
     invalid_arg "Engine.run_readonly: program is not parallel-safe";
   let ctx = Context.fork_read t.ctx in
@@ -311,4 +326,6 @@ let run_readonly t (c : compiled) : Value.t =
   in
   match c.prog.Normalize.body with
   | None -> []
-  | Some body -> Eval.eval ctx env None body
+  | Some body ->
+    let exec = Option.value exec ~default:(eval_exec body) in
+    exec ctx env ~snap:None

@@ -2,8 +2,9 @@
 
     Pipeline (§4.2): parse → normalize → static checks → evaluate,
     with the query body wrapped in the implicit top-level snap (§2.3).
-    The algebraic path with join/group-by unnesting is
-    [Xqb_algebra.Runner]. *)
+    The body runs on {!Eval} unless the caller passes an {!exec}: the
+    served path and [Xqb_algebra.Runner] pass the algebra plan
+    executor (join/group-by unnesting, §4.3). *)
 
 type t
 
@@ -77,9 +78,20 @@ val install_functions : t -> compiled -> unit
     each under an implicit snap. *)
 val eval_globals : ?mode:Core_ast.snap_mode -> t -> compiled -> unit
 
+(** A body evaluator: [exec ctx env ~snap] evaluates a compiled
+    program's body in [ctx] from [env] — under the implicit top-level
+    snap ({!Eval.snap}) of mode [m] when [snap = Some m], bare when
+    [None] (the read-only fork). The default is {!Eval.eval}, the
+    oracle; the service and [Xqb_algebra.Runner] pass the algebra
+    executor over the program's cached plan. *)
+type exec =
+  Context.t -> Context.env -> snap:Core_ast.snap_mode option -> Xqb_xdm.Value.t
+
 (** Run a compiled program's body under the implicit top-level snap
-    (default mode: ordered). *)
-val run_compiled : ?mode:Core_ast.snap_mode -> t -> compiled -> Xqb_xdm.Value.t
+    (default mode: ordered), after its global declarations. [exec]
+    evaluates the body (default: {!Eval.eval}). *)
+val run_compiled :
+  ?mode:Core_ast.snap_mode -> ?exec:exec -> t -> compiled -> Xqb_xdm.Value.t
 
 (** [compile] + [run_compiled]. *)
 val run : ?mode:Core_ast.snap_mode -> t -> string -> Xqb_xdm.Value.t
@@ -130,7 +142,9 @@ val footprint :
     multiple domains concurrently, provided no writer is mutating the
     regions it reads (the service scheduler's footprint gate enforces
     this).
+    [exec] evaluates the body, called with [~snap:None] (default:
+    {!Eval.eval}).
     @raise Invalid_argument when the program is not parallel-safe. *)
-val run_readonly : t -> compiled -> Xqb_xdm.Value.t
+val run_readonly : ?exec:exec -> t -> compiled -> Xqb_xdm.Value.t
 
 val parse_error_message : exn -> string

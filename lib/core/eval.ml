@@ -108,6 +108,64 @@ let emit_request ctx ?(loc = C.no_loc) op =
   | Some b ->
     Xqb_governor.Budget.charge_delta b (Snap_stack.pending ctx.Context.snaps)
 
+(* The snap rule, shared by every evaluator ([eval] below, the
+   algebra executor's Snap operator, the engine's implicit top-level
+   snap): push a frame, run [body], pop and apply the frame's ∆ — the
+   "stack-like behavior ... built into the recursive machinery" of
+   §3.4. On error the frame's pending updates are abandoned.
+
+   [snap atomic] (extension, §5 failure control) runs the whole scope
+   — body, any nested snaps it applies, and the final application —
+   inside a store transaction: on error the store is rolled back and
+   the error propagates. *)
+let snap_frame ctx mode body =
+  let snaps = ctx.Context.snaps in
+  Snap_stack.push snaps (Apply.mode_of_snap mode);
+  let v =
+    match body () with
+    | v -> v
+    | exception ex ->
+      ignore (Snap_stack.pop snaps);
+      raise ex
+  in
+  let delta, amode = Snap_stack.pop snaps in
+  (match ctx.Context.on_apply with
+  | Some hook -> hook delta amode
+  | None -> ());
+  Update.stats_record ctx.Context.delta_stats
+    ~conflict_checked:(amode = Apply.Conflict_detection)
+    delta;
+  let apply_inline () =
+    Xqb_obs.Profile.with_phase "snap-apply" @@ fun () ->
+    let t0 = Xqb_obs.Clock.now_ns () in
+    (match ctx.Context.tracer with
+    | None ->
+      Apply.apply ~rand_state:ctx.Context.rand ctx.Context.store amode delta
+    | Some tr ->
+      Xqb_obs.Trace.with_span ~cat:"snap"
+        ~args:
+          [
+            ("requests", string_of_int (List.length delta));
+            ("mode", Apply.mode_to_string amode);
+          ]
+        tr "snap.apply"
+        (fun () ->
+          Apply.apply ~rand_state:ctx.Context.rand ~tracer:tr ctx.Context.store
+            amode delta));
+    ctx.Context.apply_ns <- ctx.Context.apply_ns + (Xqb_obs.Clock.now_ns () - t0)
+  in
+  (match ctx.Context.apply_wrap with
+  | Some wrap when delta <> [] -> wrap apply_inline
+  | _ -> apply_inline ());
+  v
+
+let snap ctx (mode : C.snap_mode) body =
+  match mode with
+  | C.Snap_atomic ->
+    Store.transactionally ctx.Context.store (fun () ->
+        snap_frame ctx C.Snap_ordered body)
+  | _ -> snap_frame ctx mode body
+
 let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option)
     (e : C.expr) : Value.t =
   tick ctx;
@@ -406,62 +464,13 @@ let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option
     let name = value_to_qname ctx.Context.store v2 in
     emit_request ctx ~loc (Update.Rename (node, name));
     []
-  | C.Snap (C.Snap_atomic, body) ->
-    (* Extension (§5, failure control): run the whole scope — body
-       evaluation, including any nested snaps it applies, plus the
-       final application — inside a store transaction. On error the
-       store is rolled back and the error propagates. *)
-    Store.transactionally ctx.Context.store (fun () ->
-        eval_snap ctx env focus Core_ast.Snap_ordered body)
-  | C.Snap (mode, body) -> eval_snap ctx env focus mode body
+  | C.Snap (mode, body) -> snap ctx mode (fun () -> eval ctx env focus body)
 
 (* Explicit left-to-right evaluation (OCaml's own application order is
    right-to-left, so a bare List.map would not do). *)
 and eval_args ctx env focus arg_exprs =
   List.rev
     (List.fold_left (fun acc a -> eval ctx env focus a :: acc) [] arg_exprs)
-
-and eval_snap ctx env focus mode body =
-  let snaps = ctx.Context.snaps in
-  Snap_stack.push snaps (Apply.mode_of_snap mode);
-  let v =
-    match eval ctx env focus body with
-    | v -> v
-    | exception ex ->
-      (* Abandon the frame's pending updates on error. *)
-      ignore (Snap_stack.pop snaps);
-      raise ex
-  in
-  let delta, amode = Snap_stack.pop snaps in
-  (match ctx.Context.on_apply with
-  | Some hook -> hook delta amode
-  | None -> ());
-  Update.stats_record ctx.Context.delta_stats
-    ~conflict_checked:(amode = Apply.Conflict_detection)
-    delta;
-  let apply_inline () =
-    Xqb_obs.Profile.with_phase "snap-apply" @@ fun () ->
-    let t0 = Xqb_obs.Clock.now_ns () in
-    (match ctx.Context.tracer with
-    | None ->
-      Apply.apply ~rand_state:ctx.Context.rand ctx.Context.store amode delta
-    | Some tr ->
-      Xqb_obs.Trace.with_span ~cat:"snap"
-        ~args:
-          [
-            ("requests", string_of_int (List.length delta));
-            ("mode", Apply.mode_to_string amode);
-          ]
-        tr "snap.apply"
-        (fun () ->
-          Apply.apply ~rand_state:ctx.Context.rand ~tracer:tr ctx.Context.store
-            amode delta));
-    ctx.Context.apply_ns <- ctx.Context.apply_ns + (Xqb_obs.Clock.now_ns () - t0)
-  in
-  (match ctx.Context.apply_wrap with
-  | Some wrap when delta <> [] -> wrap apply_inline
-  | _ -> apply_inline ());
-  v
 
 and eval_name ctx env focus (ns : C.name_spec) : Qname.t =
   match ns with

@@ -16,6 +16,18 @@ val eval :
   Core_ast.expr ->
   Xqb_xdm.Value.t
 
+(** [snap ctx mode body] is the snap rule, the one implementation
+    every evaluator shares (this module's [Snap], the algebra
+    executor's Snap operator, the engine's implicit top-level snap):
+    push a ∆ frame, run [body], pop the frame, run [ctx]'s [on_apply]
+    hook, record [delta_stats], and apply the ∆ (in the ["snap-apply"]
+    profiler phase, timed into [apply_ns], through [apply_wrap] when
+    the ∆ is non-empty). On error the frame is abandoned.
+    [Snap_atomic] additionally runs the whole scope inside
+    {!Xqb_store.Store.transactionally}, so an error rolls back nested
+    snaps that already applied. *)
+val snap : Context.t -> Core_ast.snap_mode -> (unit -> Xqb_xdm.Value.t) -> Xqb_xdm.Value.t
+
 (** Convert a value to the node list an insert/replace payload
     denotes: runs of atomics become space-joined text nodes, exactly
     as in element-constructor content. Exposed for the plan executor

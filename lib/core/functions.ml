@@ -221,6 +221,18 @@ let compile_re pattern =
     Mutex.unlock regexp_lock;
     re
 
+(* Byte offset of the first occurrence of [sub] in [s] ([Some 0] for
+   the empty needle). Byte matching is exact on valid UTF-8: the
+   encoding is self-synchronizing, so a match of a valid needle starts
+   and ends on character boundaries. *)
+let find_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec matches_at i j = j = m || (s.[i + j] = sub.[j] && matches_at i (j + 1)) in
+  let rec scan i =
+    if i > n - m then None else if matches_at i 0 then Some i else scan (i + 1)
+  in
+  scan 0
+
 (* -- dispatch -------------------------------------------------------- *)
 
 let call (ctx : Context.t) (focus : Context.focus option) name
@@ -284,9 +296,7 @@ let call (ctx : Context.t) (focus : Context.focus option) name
     Value.of_string
       (String.concat sep (List.map (fun i -> Item.string_value store i) v))
   | "contains", [ a; b ] ->
-    let s = sv a and sub = sv b in
-    let re = Re.compile (Re.str sub) in
-    Value.of_bool (sub = "" || Re.execp re s)
+    Value.of_bool (find_sub (sv a) (sv b) <> None)
   | "starts-with", [ a; b ] ->
     let s = sv a and p = sv b in
     Value.of_bool
@@ -313,20 +323,17 @@ let call (ctx : Context.t) (focus : Context.focus option) name
       let last = min last (String.length s) in
       Value.of_string (String.sub s (first - 1) (last - first + 1))
   | "substring-before", [ a; b ] ->
-    let s = sv a and sub = sv b in
-    (try
-       let re = Re.compile (Re.str sub) in
-       let g = Re.exec re s in
-       Value.of_string (String.sub s 0 (Re.Group.start g 0))
-     with Not_found -> Value.of_string "")
+    let s = sv a in
+    Value.of_string
+      (match find_sub s (sv b) with Some i -> String.sub s 0 i | None -> "")
   | "substring-after", [ a; b ] ->
     let s = sv a and sub = sv b in
-    (try
-       let re = Re.compile (Re.str sub) in
-       let g = Re.exec re s in
-       let e = Re.Group.stop g 0 in
-       Value.of_string (String.sub s e (String.length s - e))
-     with Not_found -> Value.of_string "")
+    Value.of_string
+      (match find_sub s sub with
+      | Some i ->
+        let e = i + String.length sub in
+        String.sub s e (String.length s - e)
+      | None -> "")
   | "upper-case", [ a ] -> Value.of_string (String.uppercase_ascii (sv a))
   | "lower-case", [ a ] -> Value.of_string (String.lowercase_ascii (sv a))
   | "translate", [ a; from_s; to_s ] ->

@@ -7,7 +7,12 @@
      to all sessions, while functions and globals stay per-session;
    - prepared plans are cached across sessions ({!Plan_cache}),
      keyed on literal-aware whitespace-normalized source — a hit
-     skips parse → normalize → static-check → rewrite entirely;
+     skips parse → normalize → static-check → rewrite → algebra
+     compile entirely;
+   - every route executes the cached §4.3 algebra plan
+     ([Xqb_algebra.Exec] as the engine's body evaluator); the tree
+     interpreter evaluates its [Direct] leaves, and EXPLAIN profiles
+     the same plan;
    - execution goes through the footprint-gated {!Scheduler}: every
      plan carries a static effects footprint
      ({!Core.Static.Footprint}, inferred once at compile time) and
@@ -73,6 +78,7 @@
    dropped between commit and acknowledgment. *)
 
 module Engine = Core.Engine
+module Runner = Xqb_algebra.Runner
 module Budget = Xqb_governor.Budget
 module Trace = Xqb_obs.Trace
 module Durable = Xqb_wal.Durable
@@ -84,11 +90,13 @@ module Window = Xqb_obs.Window
 module Prom = Xqb_obs.Prom
 
 type plan = {
-  compiled : Engine.compiled;
-    (* carries the static effects footprint the scheduler gates on,
-       inferred against the catalog's documents at first compile;
-       cached plans keep it (the var_docs question "is $v a document
-       root?" is stable for a given URI — documents are load-once) *)
+  prep : Runner.prepared;
+    (* the compiled program and the algebra plan of its body, which
+       every route executes. The program carries the static effects
+       footprint the scheduler gates on, inferred against the
+       catalog's documents at first compile; cached plans keep it (the
+       var_docs question "is $v a document root?" is stable for a
+       given URI — documents are load-once) *)
   purity : Core.Static.purity;  (* of the body, for metrics *)
   route : FP.route;  (* the footprint's write set, judged once *)
 }
@@ -1392,7 +1400,8 @@ let load_document t sid ~uri xml =
 
 let error_message e = (Service_error.classify e).Service_error.message
 
-(* Prepared plan for [src]: cache hit or full compile. On a hit the
+(* Prepared plan for [src]: cache hit, or a full compile of the
+   program and its body's algebra plan. On a hit the
    program's function declarations are still installed into the
    session (cheap), so cross-session hits behave like a local
    compile. Caller holds the session lock. *)
@@ -1403,7 +1412,7 @@ let prepare t s src =
     (match (Engine.context s.engine).Core.Context.tracer with
     | Some tr -> Trace.instant tr "plan.cache.hit"
     | None -> ());
-    Engine.install_functions s.engine plan.compiled;
+    Engine.install_functions s.engine plan.prep.Runner.compiled;
     plan
   | None ->
     (* host-bound free variables that name catalog documents: the
@@ -1411,10 +1420,11 @@ let prepare t s src =
        that is a catalog URI *is* that document's root. Anything else
        widens to "any document" inside the analysis. *)
     let var_docs v = if Catalog.find t.catalog v <> None then Some v else None in
-    let compiled = Engine.compile ~var_docs s.engine src in
+    let prep = Runner.prepare ~var_docs s.engine src in
+    let compiled = prep.Runner.compiled in
     let plan =
       {
-        compiled;
+        prep;
         purity = Engine.body_purity compiled;
         route = FP.route compiled.Engine.footprint;
       }
@@ -1801,18 +1811,20 @@ let submit_job t sid src :
       Metrics.record_query t.metrics ~purity:plan.purity
         ~parallel:(plan.route = FP.Fork) ~ok ~latency_ns
     in
+    let compiled = plan.prep.Runner.compiled in
+    let exec = Runner.exec plan.prep.Runner.algebra.Xqb_algebra.Compile.plan in
     submit_governed t sid ~t0 ~label:src ~tr
-      ~footprint:plan.compiled.Engine.footprint ~record (fun ~jid budget ->
+      ~footprint:compiled.Engine.footprint ~record (fun ~jid budget ->
         match fork with
         | Some feng ->
           (* snap-free evaluation; [run_readonly] re-forks internally
              and the fork inherits the budget installed here *)
           Engine.with_budget feng (Some budget) (fun () ->
-              let v = Engine.run_readonly feng plan.compiled in
+              let v = Engine.run_readonly ~exec feng compiled in
               Engine.serialize_with (Catalog.store t.catalog) v)
         | None ->
           on_session t s ~jid ~src ~tr ~budget ~route:plan.route (fun _ ->
-              let v = Engine.run_compiled s.engine plan.compiled in
+              let v = Engine.run_compiled ~exec s.engine compiled in
               Engine.serialize s.engine v))
 
 let submit t sid src = snd (submit_job t sid src)
@@ -1820,14 +1832,14 @@ let submit t sid src = snd (submit_job t sid src)
 (* Synchronous submit-and-await. *)
 let query t sid src = await (submit t sid src)
 
-(* EXPLAIN ANALYZE (wire [EXPLAIN]): compile through the algebraic
-   [Runner] and execute with per-operator profiling, returning the
-   annotated plan tree. Always exclusive — the query runs for real,
-   side effects included, which is the only honest way to report
-   actual cardinalities for a language with side effects — under the
-   same governance (budget, registry, CANCEL) as a normal submission,
-   but outside the query counts. Bypasses the plan cache: profiling
-   wants the full compile path and the algebraic plan. *)
+(* EXPLAIN ANALYZE (wire [EXPLAIN]): execute the query's served plan
+   — [prepare]'s, so a cached plan is the one profiled — with
+   per-operator profiling, returning the annotated plan tree. Always
+   exclusive — the query runs for real, side effects included, which
+   is the only honest way to report actual cardinalities for a
+   language with side effects — under the same governance (budget,
+   registry, CANCEL) as a normal submission, but outside the query
+   counts. *)
 let explain_job t sid src :
     int * (string, Service_error.t) result Scheduler.future =
   let s = find_session t sid in
@@ -1848,16 +1860,12 @@ let explain_job t sid src :
       ~record:(fun ~ok:_ ~latency_ns:_ -> ())
       (fun ~jid budget ->
         on_session t s ~jid ~src ~tr ~budget ~route:FP.Exclusive (fun att ->
-            let _, rendered =
-              (* the algebraic path doesn't go through
-                 Engine.run_compiled, so label it here *)
-              Xqb_obs.Profile.with_phase "run" @@ fun () ->
-              Xqb_algebra.Runner.analyze s.engine src
-            in
+            let plan = prepare t s src in
+            let r = Runner.execute ~profile:true s.engine plan.prep in
             (* same footer style as the ddo/footprint lines: sampling +
                GC attribution, present only when the corresponding
                collector is on *)
-            rendered ^ attribution_suffix t att))
+            Runner.render r ^ attribution_suffix t att))
 
 let explain t sid src = await (snd (explain_job t sid src))
 

@@ -105,7 +105,8 @@ val load_document : t -> int -> uri:string -> string -> unit
     footprint is provably disjoint, its ∆ applications serialized on
     the global apply mutex (each top-level snap is transactional: an
     apply-time failure rolls back before the WAL sees it). Jobs run
-    under the footprint gate either way.
+    under the footprint gate either way, and every route executes
+    the program's cached algebra plan.
     @raise Failure on an unknown session. *)
 val submit_job :
   t -> int -> string -> int * (string, Service_error.t) result Scheduler.future
@@ -123,11 +124,11 @@ val await :
 (** Synchronous [submit] + {!await}. *)
 val query : t -> int -> string -> (string, Service_error.t) result
 
-(** EXPLAIN ANALYZE (wire [EXPLAIN]): run the query through the
-    algebraic compiler with per-operator profiling and return the
-    annotated plan tree. Executes for real (side effects included),
-    exclusively, under the usual governance but outside the query
-    counts; bypasses the plan cache. *)
+(** EXPLAIN ANALYZE (wire [EXPLAIN]): run the query's served plan —
+    from the plan cache, compiled into it on a miss — with
+    per-operator profiling and return the annotated plan tree.
+    Executes for real (side effects included), exclusively, under the
+    usual governance but outside the query counts. *)
 val explain_job :
   t -> int -> string -> int * (string, Service_error.t) result Scheduler.future
 

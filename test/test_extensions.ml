@@ -47,51 +47,66 @@ let treat_tests =
     expect "cast as T? accepts the question mark" "'3' cast as xs:integer? + 1" "4";
   ]
 
-let snap_atomic_tests =
+(* Each case runs on the tree interpreter and on the plan executor,
+   whose Snap operator shares the interpreter's snap implementation. *)
+let engines =
   [
-    expect "snap atomic applies like ordered on success"
-      {|let $x := <x/>
-        return (snap atomic { insert {<a/>} into {$x}, insert {<b/>} into {$x} }, $x)|}
-      "<x><a></a><b></b></x>";
-    tc "snap atomic rolls back applied inner snaps on failure" `Quick (fun () ->
-        let eng = Core.Engine.create () in
-        (match
-           Core.Engine.run eng
-             {|declare variable $x := <x><keep/></x>;
-               snap atomic {
-                 snap delete { $x/keep },
-                 error('E', 'abort')
-               }|}
-         with
-        | _ -> Alcotest.fail "expected error"
-        | exception Xqb_xdm.Errors.Dynamic_error ("E", _) -> ());
-        check Alcotest.string "keep survives" "1"
-          (Core.Engine.serialize eng (Core.Engine.run eng "count($x/keep)")));
-    tc "snap atomic commits on success" `Quick (fun () ->
-        let eng = Core.Engine.create () in
-        ignore
-          (Core.Engine.run eng
-             {|declare variable $x := <x><keep/></x>;
-               snap atomic { snap delete { $x/keep } }|});
-        check Alcotest.string "keep gone" "0"
-          (Core.Engine.serialize eng (Core.Engine.run eng "count($x/keep)")));
-    tc "failed conflict snap inside atomic rolls back cleanly" `Quick (fun () ->
-        let eng = Core.Engine.create () in
-        (match
-           Core.Engine.run eng
-             {|declare variable $x := <x/>;
-               snap atomic {
-                 snap { insert {<applied/>} into {$x} },
-                 snap conflict { insert {<a/>} into {$x}, insert {<b/>} into {$x} }
-               }|}
-         with
-        | _ -> Alcotest.fail "expected conflict"
-        | exception Core.Conflict.Conflict_error _ -> ());
-        check Alcotest.string "all rolled back" "0"
-          (Core.Engine.serialize eng (Core.Engine.run eng "count($x/*)"));
-        check (Alcotest.list Alcotest.string) "invariants" []
-          (Xqb_store.Store.validate (Core.Engine.store eng)));
+    ("", fun eng src -> Core.Engine.run eng src);
+    ( " (plan path)",
+      fun eng src -> (Xqb_algebra.Runner.run eng src).Xqb_algebra.Runner.value );
   ]
+
+let snap_atomic_tests =
+  List.concat_map
+    (fun (suffix, run) ->
+      let serialize eng src = Core.Engine.serialize eng (run eng src) in
+      [
+        tc ("snap atomic applies like ordered on success" ^ suffix) `Quick
+          (fun () ->
+            check Alcotest.string "result" "<x><a></a><b></b></x>"
+              (serialize (Core.Engine.create ())
+                 {|let $x := <x/>
+                   return (snap atomic { insert {<a/>} into {$x}, insert {<b/>} into {$x} }, $x)|}));
+        tc ("snap atomic rolls back applied inner snaps on failure" ^ suffix)
+          `Quick (fun () ->
+            let eng = Core.Engine.create () in
+            (match
+               run eng
+                 {|declare variable $x := <x><keep/></x>;
+                   snap atomic {
+                     snap delete { $x/keep },
+                     error('E', 'abort')
+                   }|}
+             with
+            | _ -> Alcotest.fail "expected error"
+            | exception Xqb_xdm.Errors.Dynamic_error ("E", _) -> ());
+            check Alcotest.string "keep survives" "1"
+              (serialize eng "count($x/keep)"));
+        tc ("snap atomic commits on success" ^ suffix) `Quick (fun () ->
+            let eng = Core.Engine.create () in
+            ignore
+              (run eng
+                 {|declare variable $x := <x><keep/></x>;
+                   snap atomic { snap delete { $x/keep } }|});
+            check Alcotest.string "keep gone" "0" (serialize eng "count($x/keep)"));
+        tc ("failed conflict snap inside atomic rolls back cleanly" ^ suffix)
+          `Quick (fun () ->
+            let eng = Core.Engine.create () in
+            (match
+               run eng
+                 {|declare variable $x := <x/>;
+                   snap atomic {
+                     snap { insert {<applied/>} into {$x} },
+                     snap conflict { insert {<a/>} into {$x}, insert {<b/>} into {$x} }
+                   }|}
+             with
+            | _ -> Alcotest.fail "expected conflict"
+            | exception Core.Conflict.Conflict_error _ -> ());
+            check Alcotest.string "all rolled back" "0" (serialize eng "count($x/*)");
+            check (Alcotest.list Alcotest.string) "invariants" []
+              (Xqb_store.Store.validate (Core.Engine.store eng)));
+      ])
+    engines
 
 let builtin_tests =
   [

@@ -34,14 +34,19 @@ let strings =
     expect "concat" "concat('a', 1, 'b')" "a1b";
     expect "string-join" "string-join(('a','b','c'), '-')" "a-b-c";
     expect "string-length" "string-length('hello')" "5";
-    expect "contains" "(contains('abc','b'), contains('abc','z'), contains('abc',''))"
-      "true false true";
+    expect "contains"
+      "(contains('abc','b'), contains('abc','z'), contains('abc',''), contains('',''), \
+       contains('ab','abc'), contains('abc','bc'), contains('abcab','abd'), \
+       contains('caf\xc3\xa9s','\xc3\xa9'), contains('cafe','\xc3\xa9'))"
+      "true false true true false true false true false";
     expect "starts/ends-with" "(starts-with('abc','ab'), ends-with('abc','bc'))"
       "true true";
     expect "substring" "(substring('12345', 2), substring('12345', 2, 2))" "2345 23";
     expect "substring clamps" "(substring('abc', 0), substring('abc', 9))" "abc ";
     expect "substring-before/after"
-      "(substring-before('a=b','='), substring-after('a=b','='))" "a b";
+      "(substring-before('a=b','='), substring-after('a=b','='), \
+       substring-before('abc','z'), substring-after('abc',''), substring-after('abc','bc'))"
+      "a b  abc ";
     expect "upper/lower" "(upper-case('aBc'), lower-case('aBc'))" "ABC abc";
     expect "translate" "translate('abcabc', 'abc', 'AB')" "ABAB";
     expect "normalize-space" "normalize-space('  a  b ')" "a b";

@@ -437,6 +437,32 @@ let service =
             let s = Svc.open_session svc in
             check Alcotest.string "updates are visible" "<z>1</z>"
               (ok (Svc.query svc s {|doc("d")/r/z|}))));
+    tc "a concurrent-writer plan's inserts reach the WAL" `Quick (fun () ->
+        (* no explicit snap and named-document targets: the footprint
+           routes it to the concurrent writer, and its FLWOR runs as an
+           algebra plan whose top-level snap must commit through the
+           WAL like the interpreter's *)
+        let src =
+          {|for $i in (1, 2) return insert {<b n="{$i}"/>} into {doc("d")/r}|}
+        in
+        let fp =
+          (Core.Engine.compile (Core.Engine.create ()) src).Core.Engine.footprint
+        in
+        check Alcotest.bool "concurrent-writer route" true
+          (Core.Static.Footprint.route fp = Core.Static.Footprint.Concurrent);
+        let dir = fresh_dir () in
+        let d1 =
+          with_durable_svc dir (fun svc ->
+              let s = Svc.open_session svc in
+              Svc.load_document svc s ~uri:"d" "<r/>";
+              ignore (ok (Svc.query svc s src));
+              digest_of svc)
+        in
+        with_durable_svc dir (fun svc ->
+            check Alcotest.string "digest after restart" d1 (digest_of svc);
+            let s = Svc.open_session svc in
+            check Alcotest.string "recovered inserts" "1 2"
+              (ok (Svc.query svc s {|for $b in doc("d")/r/b return string($b/@n)|}))));
     tc "a failed update leaves the durable state untouched" `Quick
       (fun () ->
         let dir = fresh_dir () in
