@@ -1,4 +1,4 @@
-(* Per-query resource budgets: a wall-clock deadline, an
+(* Per-query resource budgets: a monotonic deadline, an
    evaluation-step fuel allowance, a cap on the pending-update list,
    and a cooperative cancel token. The evaluator (and the store's
    axis iterators, via the domain-local [current] budget) charge
@@ -33,11 +33,10 @@ let request tok r = ignore (Atomic.compare_and_set tok None (Some r))
 let requested tok = Atomic.get tok
 
 type t = {
-  deadline : float;  (* absolute (Unix.gettimeofday scale); infinity = none *)
   deadline_ns : int;
-    (* absolute monotonic ({!Xqb_obs.Clock} scale); max_int = none.
-       Preferred over [deadline]: a wall-clock step (NTP, VM suspend)
-       can neither expire a running job early nor keep one alive. *)
+    (* absolute monotonic ({!Xqb_obs.Clock} scale); max_int = none. A
+       wall-clock step (NTP, VM suspend) can neither expire a running
+       job early nor keep one alive. *)
   fuel : int;  (* max evaluation steps; max_int = none *)
   max_delta : int;  (* max pending requests in one snap frame *)
   cancel : cancel;
@@ -47,13 +46,12 @@ type t = {
 
 (* How many charged steps between clock/cancel polls. Small enough
    that a tight evaluation loop notices a deadline within
-   microseconds, large enough that gettimeofday stays off the hot
+   microseconds, large enough that the clock read stays off the hot
    path. *)
 let poll_every = 256
 
-let create ?deadline ?deadline_ns ?fuel ?max_delta ?cancel () =
+let create ?deadline_ns ?fuel ?max_delta ?cancel () =
   {
-    deadline = Option.value deadline ~default:infinity;
     deadline_ns = Option.value deadline_ns ~default:max_int;
     fuel = Option.value fuel ~default:max_int;
     max_delta = Option.value max_delta ~default:max_int;
@@ -65,7 +63,7 @@ let create ?deadline ?deadline_ns ?fuel ?max_delta ?cancel () =
 let cancel_token t = t.cancel
 let steps_used t = t.used
 
-(* The expensive half of a check: cancel flag, then wall clock. A
+(* The expensive half of a check: cancel flag, then the clock. A
    deadline hit also marks the token, so concurrent observers (the
    watchdog, STATS) agree on why the job died. *)
 let poll t =
@@ -73,10 +71,6 @@ let poll t =
   | Some r -> raise (Budget_exceeded r)
   | None -> ());
   if t.deadline_ns <> max_int && Xqb_obs.Clock.now_ns () > t.deadline_ns then begin
-    request t.cancel Deadline;
-    raise (Budget_exceeded Deadline)
-  end;
-  if Float.is_finite t.deadline && Unix.gettimeofday () > t.deadline then begin
     request t.cancel Deadline;
     raise (Budget_exceeded Deadline)
   end

@@ -1,10 +1,10 @@
 (** Per-query resource budgets and cooperative cancellation.
 
-    Bottom-of-the-stack module (depends only on [Unix] and the
-    monotonic clock in [Xqb_obs]) so both the
-    store's axis iterators and the core evaluator can charge work
-    against the same budget without a dependency cycle. The service
-    layer decides the limits; this module only enforces them. *)
+    Bottom-of-the-stack module (depends only on the monotonic clock
+    in [Xqb_obs]) so both the store's axis iterators and the core
+    evaluator can charge work against the same budget without a
+    dependency cycle. The service layer decides the limits; this
+    module only enforces them. *)
 
 type reason = Deadline | Cancelled | Fuel | Delta_limit
 
@@ -28,18 +28,16 @@ val requested : cancel -> reason option
 
 type t
 
-(** [create ?deadline ?deadline_ns ?fuel ?max_delta ?cancel ()] —
+(** [create ?deadline_ns ?fuel ?max_delta ?cancel ()] —
     [deadline_ns] is an absolute *monotonic* deadline
-    ({!Xqb_obs.Clock} nanoseconds) and the preferred form: wall-clock
-    steps (NTP, VM suspend) can neither expire a running job early
-    nor keep one alive. [deadline] is the legacy absolute wall-clock
-    form ([Unix.gettimeofday] scale); both are checked when given.
+    ({!Xqb_obs.Clock} nanoseconds): wall-clock steps (NTP, VM
+    suspend) can neither expire a running job early nor keep one
+    alive.
     [fuel] caps charged evaluation steps, [max_delta] the innermost
     snap frame's pending-update count. Omitted limits are unlimited;
     an omitted [cancel] gets a fresh token (so cancellation works
     even on an otherwise unlimited budget). *)
 val create :
-  ?deadline:float ->
   ?deadline_ns:int ->
   ?fuel:int ->
   ?max_delta:int ->
@@ -51,7 +49,7 @@ val cancel_token : t -> cancel
 val steps_used : t -> int
 
 (** Charge [n] units of work; raises [Budget_exceeded Fuel] when the
-    fuel runs out and polls the cancel flag / wall clock every ~256
+    fuel runs out and polls the cancel flag / clock every ~256
     charged units. *)
 val charge : t -> int -> unit
 

@@ -5,8 +5,7 @@
    always, read/write and write/write when their document regions
    don't overlap. The old purity gate falls out as the two extreme
    footprints: [read_all] (a Pure query: reads everything, writes
-   nothing) and [top] (an opaque writer: conflicts with everyone),
-   which is exactly what {!with_read} / {!with_write} request.
+   nothing) and [top] (an opaque writer: conflicts with everyone).
 
    Admission is FIFO-ticketed: a job may start iff it is independent
    of every *running* job and of every *earlier-ticketed waiter*. The
@@ -77,10 +76,6 @@ let release t e =
 let with_footprint t fp f =
   let e = acquire t fp in
   Fun.protect ~finally:(fun () -> release t e) f
-
-(* The legacy binary gate, as footprints. *)
-let with_read t f = with_footprint t FP.read_all f
-let with_write t f = with_footprint t FP.top f
 
 let running t =
   Mutex.lock t.mutex;

@@ -3,9 +3,9 @@
     ({!Core.Static.Footprint}) and run concurrently with every job
     they are provably independent of; conflicting jobs are admitted in
     submission order (no barging — the old writer preference,
-    generalized). The legacy binary readers-writer interface is the
-    pair of extreme footprints: {!with_read} = reads-everything, and
-    {!with_write} = conflicts-with-everything. *)
+    generalized). The old binary readers-writer lock is the pair of
+    extreme footprints: {!Core.Static.Footprint.read_all} and
+    {!Core.Static.Footprint.top}. *)
 
 type t
 
@@ -21,12 +21,6 @@ val release : t -> ticket -> unit
 
 (** Exception-safe scoped admission. *)
 val with_footprint : t -> Core.Static.Footprint.t -> (unit -> 'a) -> 'a
-
-(** [with_footprint] with {!Core.Static.Footprint.read_all}. *)
-val with_read : t -> (unit -> 'a) -> 'a
-
-(** [with_footprint] with {!Core.Static.Footprint.top}. *)
-val with_write : t -> (unit -> 'a) -> 'a
 
 (** Currently admitted jobs / currently admitted writing jobs. *)
 val running : t -> int

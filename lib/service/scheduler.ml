@@ -306,8 +306,6 @@ let submit t ?(deadline = max_int) ?(on_abort = fun _ -> ()) ?trace ~footprint
 
 (* Direct access to the gate, for operations that bypass the queue
    (the service loads documents under ⊤ synchronously). *)
-let with_write t f = Rwlock.with_write t.rw f
-let with_read t f = Rwlock.with_read t.rw f
 let with_footprint t fp f = Rwlock.with_footprint t.rw fp f
 
 (* The global apply mutex: concurrent writers evaluate in parallel

@@ -95,13 +95,9 @@ val ready : 'a -> 'a future
 (** An already-failed future holding [e]. *)
 val failed : exn -> 'a future
 
-(** Run [f] under the gate directly, bypassing the queue (used for
-    synchronous shared-state operations such as catalog loads). *)
-val with_write : t -> (unit -> 'a) -> 'a
-
-val with_read : t -> (unit -> 'a) -> 'a
-
-(** Gate admission with an explicit footprint, bypassing the queue. *)
+(** Gate admission with an explicit footprint, bypassing the queue
+    (used for synchronous shared-state operations such as catalog
+    loads, under {!Core.Static.Footprint.top}). *)
 val with_footprint : t -> Core.Static.Footprint.t -> (unit -> 'a) -> 'a
 
 (** The global apply mutex: concurrent writers evaluate in parallel

@@ -948,7 +948,7 @@ let checkpoint_now t =
   match t.durable with
   | None -> Error "service is not durable (started without --data-dir)"
   | Some d ->
-    Scheduler.with_write t.sched (fun () ->
+    Scheduler.with_footprint t.sched FP.top (fun () ->
         durable_commit t;
         let lsn =
           Durable.checkpoint d ~docs:(Catalog.roots t.catalog)
@@ -1014,7 +1014,7 @@ let snapshot_blob t =
   | None -> Error "service is not durable (started without --data-dir)"
   | Some d ->
     Ok
-      (Scheduler.with_write t.sched (fun () ->
+      (Scheduler.with_footprint t.sched FP.top (fun () ->
            durable_commit t;
            Durable.snapshot_blob d ~docs:(Catalog.roots t.catalog)
              (Catalog.store t.catalog)))
@@ -1030,7 +1030,7 @@ let replica_bootstrap t blob =
       Error "replica already holds data; bootstrap needs a fresh store"
     else
       match
-        Scheduler.with_write t.sched (fun () -> Wcodec.restore store blob)
+        Scheduler.with_footprint t.sched FP.top (fun () -> Wcodec.restore store blob)
       with
       | lsn, docs ->
         List.iter
@@ -1073,7 +1073,7 @@ let replica_ingest t ~leader_lsn blob =
             in
             let n = List.length complete in
             if n > 0 then begin
-              Scheduler.with_write t.sched (fun () ->
+              Scheduler.with_footprint t.sched FP.top (fun () ->
                   Xqb_store.Journal.apply (Catalog.store t.catalog) complete);
               List.iteri
                 (fun i (lsn, _, _) ->
@@ -1156,7 +1156,7 @@ let journal_stat_json t =
       | Some r -> locked r.rm (fun () -> r.r_applied_lsn)
       | None -> 0)
   in
-  Scheduler.with_read t.sched (fun () ->
+  Scheduler.with_footprint t.sched FP.read_all (fun () ->
       let store = Catalog.store t.catalog in
       Printf.sprintf
         "{\"recording\":%b,\"length\":%d,\"nodes\":%d,\"digest\":\"%s\",\"lsn\":%d}"
@@ -1373,7 +1373,7 @@ let load_document t sid ~uri xml =
            "read-only replica: %S is not resident (documents replicate from the leader)"
            uri)
     | None ->
-      Scheduler.with_write t.sched (fun () ->
+      Scheduler.with_footprint t.sched FP.top (fun () ->
           (* transactional so the load's journal entries form one
              span: recovery and replicas either get the whole
              document or none of it (and a parse failure rolls the
@@ -1914,9 +1914,33 @@ let process_json t =
     (Unix.gettimeofday () -. t.boot_wall)
     build_version Sys.ocaml_version
 
+(* Deterministic store operation counts for STATS / METRICS PROM:
+   store mutations, and the index and order-key (re)builds reads paid
+   for after them. *)
+let store_counts t =
+  let st = Catalog.store t.catalog in
+  Xqb_store.Store.
+    [
+      ("mutations", "Store-changing operations since boot.", mutation_count st);
+      ("index_builds", "Root name/key index records (re)built since boot.",
+        index_builds st);
+      ("order_key_builds", "Order-key tables (re)built since boot.",
+        order_key_builds st);
+    ]
+
+let store_json t =
+  "{"
+  ^ String.concat ","
+      (List.map (fun (k, _, v) -> Printf.sprintf "\"%s\":%d" k v) (store_counts t))
+  ^ "}"
+
 let metrics_prometheus t =
   let p = Prom.create () in
   Metrics.to_prom ~cache:(Plan_cache.stats t.cache) t.metrics p;
+  List.iter
+    (fun (k, help, v) ->
+      Prom.counter p ~help (Printf.sprintf "xqbang_store_%s_total" k) v)
+    (store_counts t);
   let g = Scheduler.gate t.sched in
   let inflight = "Jobs currently admitted by the footprint gate." in
   Prom.gauge_i p ~help:inflight ~labels:[ ("side", "all") ]
@@ -2071,6 +2095,7 @@ let stats_json t =
       ("concurrency", concurrency_json t);
       ("inflight", inflight_json t);
       ("process", process_json t);
+      ("store", store_json t);
       ("profiler", Xqb_obs.Profile.stat_json ());
     ]
   in

@@ -1,11 +1,13 @@
 (* Versioned pre/post-order keys for O(1) document order.
 
-   One key per node, tagged with the (root, version) generation it was
-   built under — the same generation machinery that invalidates the
-   name index. A key is *valid* iff its root's current version still
-   equals [ver]; every structural mutation bumps the affected root's
-   version, so a valid key proves the tree shape is unchanged since
-   the build.
+   One key per node, tagged with the (root, shape generation) it was
+   built under. A key is *valid* iff its root's current shape
+   generation still equals [ver]; every insert and detach bumps the
+   affected root's shape generation, so a valid key proves the tree
+   shape is unchanged since the build. Renames and value edits do not
+   move the shape generation (keys read no names or contents), and
+   the name and key indexes are invalidated separately
+   ([Store.bump]).
 
    [pre]/[post] are positions in a single shared counter over one DFS:
    an element takes its [pre], then each attribute takes an empty slot

@@ -1,6 +1,7 @@
 (** Versioned pre/post-order keys: the store's O(1) document-order
     acceleration (see [Store.compare_order]). A key is valid iff its
-    [(root, ver)] generation matches the root's current version. *)
+    [(root, ver)] generation matches the root's current shape
+    generation, which only inserts and detaches move. *)
 
 type t = { root : int; ver : int; pre : int; post : int }
 

@@ -78,6 +78,17 @@ type mj_op =
 
 type mj_entry = { seq : int; op : mj_op }
 
+(* One parentless root's name and key indexes. [by_name] is filled by
+   one DFS when the record is built; [by_key] fills lazily, one table
+   per (element, attribute) pair. Both read only element names,
+   attribute names and attribute values, so only an edit to one of
+   those drops the record (see [bump]). *)
+type root_index = {
+  by_name : (string, node_id list) Hashtbl.t;  (* name -> elements, doc order *)
+  by_key : (string * string, (string, node_id list) Hashtbl.t) Hashtbl.t;
+    (* (elem, attr) -> value -> elements, doc order *)
+}
+
 type t = {
   mutable tbl : node array;
   mutable next_id : int;
@@ -91,35 +102,36 @@ type t = {
   mutable mj_on : bool;
   mutable mj_suspend : bool;
   mutable mutations : int;  (* statistics: store-changing operations *)
-  (* element-name index: (root, version, name) -> descendants in doc
-     order, built lazily per parentless root. Invalidation is
-     *per-root*: every mutation bumps the version of the root above
-     the touched node, so writes to one tree (a log) never evict
-     another tree's index (the auction document) — see bench E13.
-     Stale generations linger until the size-triggered reset. *)
+  (* The name and key indexes, one record per parentless root, built
+     lazily by the first read that needs it. Invalidation is per root
+     and per index kind: only an edit to what the record reads (an
+     element or attribute inserted, detached or renamed, an attribute
+     value set) drops the record of the root above it. Text edits —
+     the bids of the §2 service — leave it alone, and writes to one
+     tree (a log) never evict another tree's record (the auction
+     document) — see bench E13. A rebuild replaces the dropped record,
+     so the table holds one record per indexed root, bounded by
+     [max_indexed_roots]. Guarded by [index_lock]. *)
   mutable index_enabled : bool;
-  name_index : (node_id * int * string, node_id list) Hashtbl.t;
-  indexed_roots : (node_id * int, unit) Hashtbl.t;
-  (* per-root index generation, one slot per node id (only parentless
-     roots are ever bumped). An array rather than a hashtable so the
-     hot validity check ([okey_valid]) is a lock-free load that can
-     run while a *disjoint* region of the same store is being
-     mutated; all writes (and resizes) happen under [mu]. A stale
-     read is sound: it can only under-report a bump by a concurrent
-     writer whose footprint is disjoint, and relative order /
-     containment of the reader's own nodes is unaffected by disjoint
-     structural edits. *)
+  index : (node_id, root_index) Hashtbl.t;
+  mutable index_builds : int;  (* statistics: root-index (re)builds *)
+  (* The shape generation: one slot per node id (only parentless roots
+     are ever bumped), bumped by every insert and detach, whatever the
+     node kind — exactly what the order keys read. An array rather
+     than a hashtable so the hot validity check ([okey_valid]) is a
+     lock-free load that can run while a *disjoint* region of the
+     same store is being mutated; all writes (and resizes) happen
+     under [mu]. A stale read is sound: it can only under-report a
+     bump by a concurrent writer whose footprint is disjoint, and
+     relative order / containment of the reader's own nodes is
+     unaffected by disjoint structural edits. *)
   mutable root_vers : int array;
-  (* attribute-value key index: (root, version, elem, attr) -> value
-     -> nodes; same policy *)
-  key_index :
-    (node_id * int * string * string, (string, node_id list) Hashtbl.t) Hashtbl.t;
   (* pre/post-order keys (see order_key.ml), one slot per node id,
-     built lazily per parentless root and invalidated by the same
-     per-root version bumps as the name index. [Order_key.none] means
-     "never built"; a stale generation is detected per-node by
-     comparing [ver] against the root's current version, so slots are
-     never eagerly cleared. *)
+     built lazily per parentless root and invalidated by the root's
+     shape generation. [Order_key.none] means "never built"; a stale
+     generation is detected per-node by comparing [ver] against the
+     root's current shape generation, so slots are never eagerly
+     cleared. *)
   mutable okeys : Order_key.t array;
   mutable order_keys_enabled : bool;
   mutable okey_builds : int;  (* statistics: key-table (re)builds *)
@@ -149,9 +161,8 @@ let dummy_node =
 let create () =
   { tbl = Array.make 64 dummy_node; next_id = 0; journal = []; journal_on = false;
     mj = []; mj_count = 0; mj_on = false; mj_suspend = false;
-    mutations = 0; index_enabled = true; name_index = Hashtbl.create 64;
-    indexed_roots = Hashtbl.create 8; root_vers = Array.make 64 0;
-    key_index = Hashtbl.create 16;
+    mutations = 0; index_enabled = true; index = Hashtbl.create 8;
+    index_builds = 0; root_vers = Array.make 64 0;
     okeys = Array.make 64 Order_key.none; order_keys_enabled = true;
     okey_builds = 0; index_lock = Mutex.create (); mu = Mutex.create () }
 
@@ -208,6 +219,7 @@ let journal_note store ~line ~col ~snap_depth ~trace_id ~desc =
 let set_indexing store b = store.index_enabled <- b
 let set_order_keys store b = store.order_keys_enabled <- b
 let order_key_builds store = store.okey_builds
+let index_builds store = store.index_builds
 
 let with_index_lock store f =
   Mutex.lock store.index_lock;
@@ -217,13 +229,14 @@ let root_version store root =
   let vers = store.root_vers in
   if root >= 0 && root < Array.length vers then vers.(root) else 0
 
-(* Is this key's generation current? Two reads (key slot + version
-   hash) — no root walk. Sound because every structural mutation
-   bumps the version of the root whose tree it touches (including the
-   self-bump on freshly attached nodes and the child bump when an
-   undo re-attaches a detached subtree), so a key that still matches
-   its root's version proves the tree shape is unchanged since the
-   build. *)
+(* Is this key's generation current? Two reads (key slot + shape
+   generation) — no root walk. Sound because every insert and detach
+   bumps the shape generation of the root whose tree it touches
+   (including the self-bump on freshly attached nodes and the child
+   bump when an undo re-attaches a detached subtree), so a key that
+   still matches its root's generation proves the tree shape is
+   unchanged since the build. Names and contents are not part of the
+   shape: renames and value edits leave keys valid. *)
 let okey_valid store (k : Order_key.t) =
   k.Order_key.root >= 0 && root_version store k.Order_key.root = k.Order_key.ver
 
@@ -333,23 +346,36 @@ let root store id =
   in
   up id
 
-(* Invalidate the index generation of the tree containing [id]
-   (bump the version of its root). O(depth). Runs even while indexing
-   is disabled, so caches built before a disable/enable cycle can
-   never be served stale. *)
-let bump_index store id =
+(* Does an edit of a node of this kind change what the name and key
+   indexes read? Inserting, detaching or renaming elements and
+   attributes does; so does setting an attribute's value (the key
+   index reads it). Text, comment and PI edits never do. *)
+let indexed_kind = function
+  | Element | Attribute -> true
+  | Document | Text | Comment | Pi -> false
+
+(* Invalidate what an edit under the tree containing [id] changed:
+   [~shape] bumps the root's shape generation (order keys),
+   [~elements] drops the root's name/key index record. O(depth).
+   Runs even while indexing is disabled, so caches built before a
+   disable/enable cycle can never be served stale. Caller holds
+   [index_lock] (every mutator body and [undo] do), which is what
+   guards [index]. *)
+let bump store id ~shape ~elements =
   let r = root store id in
-  with_mu store (fun () ->
-      if r >= 0 && r < Array.length store.root_vers then
-        store.root_vers.(r) <- store.root_vers.(r) + 1)
+  if elements then Hashtbl.remove store.index r;
+  if shape then
+    with_mu store (fun () ->
+        if r >= 0 && r < Array.length store.root_vers then
+          store.root_vers.(r) <- store.root_vers.(r) + 1)
 
 (* -- Order keys (see order_key.ml) --------------------------------- *)
 
 (* Build the key table for the tree rooted at parentless [r] under
-   its current version. One DFS with one shared counter: an element
-   takes [pre], each attribute takes an empty slot (pre = post), the
-   children recurse, then the element takes [post] — matching
-   [sibling_rank]'s attributes-before-children order. A node's slot
+   its current shape generation. One DFS with one shared counter: an
+   element takes [pre], each attribute takes an empty slot
+   (pre = post), the children recurse, then the element takes [post]
+   — matching [sibling_rank]'s attributes-before-children order. A node's slot
    is written only once its post is known (an immutable record, so
    the store is atomic): lock-free readers either see a complete key
    of the current generation or fall back. *)
@@ -376,9 +402,9 @@ let build_okeys store r =
 
 (* A valid key for [id], building its root's table on a generation
    miss. The fast path costs two reads; the O(depth) root walk and
-   O(tree) build are paid once per (root, version) generation — i.e.
-   once per evaluation phase of an innermost snap, during which no
-   structural mutation can run (the §3.3 purity observation). *)
+   O(tree) build are paid once per (root, shape generation) — i.e. at
+   most once per evaluation phase of an innermost snap, during which
+   no structural mutation can run (the §3.3 purity observation). *)
 let ensure_key store id =
   let k = store.okeys.(id) in
   if okey_valid store k then Some k
@@ -404,19 +430,25 @@ let is_descendant store ~ancestor id =
 
 let record store e = if store.journal_on then store.journal <- e :: store.journal
 
+(* Each undo invalidates what the edit it reverses did, judged by the
+   kind of the node it re-attaches, detaches, renames or resets. *)
 let undo store e =
+  let elements id = indexed_kind (get store id).kind in
   (match e with
-  | J_child_inserted (parent, _)
-  | J_attr_inserted (parent, _) ->
-    bump_index store parent
+  | J_child_inserted (parent, child)
+  | J_attr_inserted (parent, child) ->
+    bump store parent ~shape:true ~elements:(elements child)
   | J_detached_child (child, parent, _)
   | J_detached_attr (child, parent, _) ->
     (* the child is parentless right now, so it is its own root: bump
-       it too, killing order keys built on the detached subtree
-       between the detach and this rollback *)
-    bump_index store child;
-    bump_index store parent
-  | J_renamed (id, _) | J_content (id, _) -> bump_index store id);
+       it too, killing order keys and index records built on the
+       detached subtree between the detach and this rollback *)
+    let elements = elements child in
+    bump store child ~shape:true ~elements;
+    bump store parent ~shape:true ~elements
+  | J_renamed (id, _) -> bump store id ~shape:false ~elements:(elements id)
+  | J_content (id, _) ->
+    bump store id ~shape:false ~elements:((get store id).kind = Attribute));
   match e with
   | J_child_inserted (parent, child) ->
     let p = get store parent in
@@ -503,7 +535,7 @@ let rename store id new_name =
     update_error "cannot rename a %s node" (kind_to_string n.kind));
   record store (J_renamed (id, n.name));
   mj_append store (M_rename (id, new_name));
-  bump_index store id;
+  bump store id ~shape:false ~elements:(indexed_kind n.kind);
   n.name <- Some new_name;
   store.mutations <- store.mutations + 1
 
@@ -516,7 +548,8 @@ let set_content store id s =
     update_error "cannot set content of a %s node" (kind_to_string n.kind));
   record store (J_content (id, n.content));
   mj_append store (M_set_content (id, s));
-  bump_index store id;
+  (* only an attribute value is indexed (by the key index) *)
+  bump store id ~shape:false ~elements:(n.kind = Attribute);
   n.content <- s;
   store.mutations <- store.mutations + 1
 
@@ -529,7 +562,9 @@ let detach store id =
   match n.parent with
   | None -> ()
   | Some pid ->
-    bump_index store pid;  (* before the detach changes the root chain *)
+    let elements = indexed_kind n.kind in
+    (* before the detach changes the root chain *)
+    bump store pid ~shape:true ~elements;
     let p = get store pid in
     let vec = if n.kind = Attribute then p.attributes else p.children in
     let idx = n.pos in
@@ -545,11 +580,11 @@ let detach store id =
     mj_append store (M_detach id);
     n.parent <- None;
     n.pos <- 0;
-    (* [id] just became its own root: bump it, so order keys built
-       when it was last a root (before an earlier re-attach, during
-       which its subtree may have changed under the *enclosing*
-       root's versions) can never resurface as valid *)
-    bump_index store id;
+    (* [id] just became its own root: bump it, so order keys and index
+       records built when it was last a root (before an earlier
+       re-attach, during which its subtree may have changed under the
+       *enclosing* root's generations) can never resurface as valid *)
+    bump store id ~shape:true ~elements;
     store.mutations <- store.mutations + 1
 
 (* Insert [nodes] under [parent]. Attribute nodes go to the attribute
@@ -591,7 +626,8 @@ let insert store ~parent:pid ~position nodes =
       if nid = pid || is_ancestor store ~ancestor:nid pid then
         update_error "insertion would create a cycle")
     nodes;
-  bump_index store pid;
+  bump store pid ~shape:true
+    ~elements:(List.exists (fun nid -> indexed_kind (get store nid).kind) nodes);
   let base_idx =
     match position with
     | First -> 0
@@ -607,9 +643,10 @@ let insert store ~parent:pid ~position nodes =
     (fun nid ->
       let n = get store nid in
       (* [nid] is still parentless here, i.e. its own root: bump it so
-         order keys built on the detached subtree don't survive the
-         attach (its nodes now live under [pid]'s root) *)
-      bump_index store nid;
+         order keys and index records built on the detached subtree
+         don't survive the attach (its nodes now live under [pid]'s
+         root) *)
+      bump store nid ~shape:true ~elements:(indexed_kind n.kind);
       if n.kind = Attribute then begin
         Vec.push p.attributes nid;
         n.parent <- Some pid;
@@ -874,69 +911,68 @@ let validate store =
   done;
   List.rev !errors
 
-(* -- Element-name index -------------------------------------------- *)
+(* -- Name and key indexes ------------------------------------------ *)
 
-(* Elements named [q] among the descendants of [root], in document
-   order — the workhorse of [e//name] steps. Results are cached per
-   parentless root and invalidated (wholesale, by version) on any
-   store mutation; descendant queries from attached context nodes are
-   computed directly, keeping the cache's memory linear in the store. *)
-let descendants_by_name store root q =
-  let compute ctxnode =
-    let out = ref [] in
+(* Elements named [q] among the descendants of [ctx], in document
+   order, by a direct walk: the uncached path, and the oracle the
+   index must agree with. *)
+let elements_named store ctx q =
+  let out = ref [] in
+  let rec walk id =
+    let n = get store id in
+    (match n.kind, n.name with
+    | Element, Some nm when Xqb_xml.Qname.equal nm q -> out := id :: !out
+    | _ -> ());
+    Vec.iter walk n.children
+  in
+  Vec.iter walk (get store ctx).children;
+  List.rev !out
+
+(* How many roots the index holds records for before it is reset.
+   Documents are few, but every [//name] step from a freshly
+   constructed or detached root indexes that root, and such roots come
+   and go. *)
+let max_indexed_roots = 4096
+
+let bucket tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
+
+(* The record of parentless [root], built on a miss by one DFS that
+   fills every name's bucket; the build replaces the record the last
+   element edit dropped. Caller holds [index_lock]. *)
+let root_index store root =
+  match Hashtbl.find_opt store.index root with
+  | Some ri -> ri
+  | None ->
+    if Hashtbl.length store.index >= max_indexed_roots then
+      Hashtbl.reset store.index;
+    let by_name = Hashtbl.create 32 in
     let rec walk id =
       let n = get store id in
       (match n.kind, n.name with
-      | Element, Some nm when Xqb_xml.Qname.equal nm q -> out := id :: !out
+      | Element, Some nm ->
+        let key = Xqb_xml.Qname.to_string nm in
+        Hashtbl.replace by_name key (id :: bucket by_name key)
       | _ -> ());
       Vec.iter walk n.children
     in
-    let n = get store ctxnode in
-    Vec.iter walk n.children;
-    List.rev !out
-  in
-  if not store.index_enabled then compute root
-  else if (get store root).parent <> None then compute root
+    Vec.iter walk (get store root).children;
+    Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) by_name;
+    let ri = { by_name; by_key = Hashtbl.create 8 } in
+    Hashtbl.replace store.index root ri;
+    store.index_builds <- store.index_builds + 1;
+    ri
+
+(* Elements named [q] among the descendants of [root], in document
+   order — the workhorse of [e//name] steps. Served from the root's
+   index record for parentless roots; descendant queries from attached
+   context nodes are computed directly, keeping the index's memory
+   linear in the store. *)
+let descendants_by_name store root q =
+  if (not store.index_enabled) || (get store root).parent <> None then
+    elements_named store root q
   else
     with_index_lock store (fun () ->
-    begin
-    (* size-bounded: stale generations accumulate until this reset *)
-    if Hashtbl.length store.name_index > 65536 then begin
-      Hashtbl.reset store.name_index;
-      Hashtbl.reset store.indexed_roots;
-      Hashtbl.reset store.key_index
-    end;
-    let n = get store root in
-    begin
-      let version = root_version store root in
-      if not (Hashtbl.mem store.indexed_roots (root, version)) then begin
-        (* one DFS filling the per-name buckets for this generation *)
-        let buckets : (string, node_id list ref) Hashtbl.t = Hashtbl.create 32 in
-        let rec walk id =
-          let nd = get store id in
-          (match nd.kind, nd.name with
-          | Element, Some nm ->
-            let key = Xqb_xml.Qname.to_string nm in
-            (match Hashtbl.find_opt buckets key with
-            | Some l -> l := id :: !l
-            | None -> Hashtbl.add buckets key (ref [ id ]))
-          | _ -> ());
-          Vec.iter walk nd.children
-        in
-        Vec.iter walk n.children;
-        Hashtbl.iter
-          (fun name l ->
-            Hashtbl.replace store.name_index (root, version, name) (List.rev !l))
-          buckets;
-        Hashtbl.replace store.indexed_roots (root, version) ()
-      end;
-      match
-        Hashtbl.find_opt store.name_index (root, version, Xqb_xml.Qname.to_string q)
-      with
-      | Some l -> l
-      | None -> []
-    end
-    end)
+        bucket (root_index store root).by_name (Xqb_xml.Qname.to_string q))
 
 (* Attribute value of [elem] for [attr], if present. *)
 let attr_value store elem attr =
@@ -953,53 +989,36 @@ let attr_value store elem attr =
   !found
 
 (* Elements [elem] under [root] whose @[attr] string-equals [value] —
-   the hash path behind //elem[@attr = $v] when $v is a string. Shares
-   the name index's cache policy and invalidation. *)
+   the hash path behind //elem[@attr = $v] when $v is a string. The
+   (elem, attr) value table lives in the root's index record, so it
+   shares the name index's invalidation: attribute values are among
+   the things an element edit covers. *)
 let lookup_by_key store root ~elem ~attr value =
-  let candidates () = descendants_by_name store root elem in
-  let scan () =
+  if (not store.index_enabled) || (get store root).parent <> None then
     List.filter
       (fun e -> attr_value store e attr = Some value)
-      (candidates ())
-  in
-  if not store.index_enabled then scan ()
-  else begin
-    (* [candidates] takes the index lock itself, so it must run
-       before we acquire it (the lock is not reentrant) *)
-    let base = candidates () in
-    let n = get store root in
-    if n.parent <> None then
-      List.filter (fun e -> attr_value store e attr = Some value) base
-    else
-      with_index_lock store (fun () ->
-      begin
-      let key =
-        ( root,
-          root_version store root,
-          Xqb_xml.Qname.to_string elem,
-          Xqb_xml.Qname.to_string attr )
-      in
-      let tbl =
-        match Hashtbl.find_opt store.key_index key with
-        | Some tbl -> tbl
-        | None ->
-          let tbl = Hashtbl.create 64 in
-          List.iter
-            (fun e ->
-              match attr_value store e attr with
-              | Some v ->
-                let prev = Option.value ~default:[] (Hashtbl.find_opt tbl v) in
-                Hashtbl.replace tbl v (e :: prev)
-              | None -> ())
-            base;
-          (* store buckets in document order *)
-          Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl;
-          Hashtbl.add store.key_index key tbl;
-          tbl
-      in
-      Option.value ~default:[] (Hashtbl.find_opt tbl value)
-      end)
-  end
+      (elements_named store root elem)
+  else
+    with_index_lock store (fun () ->
+        let ri = root_index store root in
+        let key = (Xqb_xml.Qname.to_string elem, Xqb_xml.Qname.to_string attr) in
+        let tbl =
+          match Hashtbl.find_opt ri.by_key key with
+          | Some tbl -> tbl
+          | None ->
+            let tbl = Hashtbl.create 64 in
+            List.iter
+              (fun e ->
+                match attr_value store e attr with
+                | Some v -> Hashtbl.replace tbl v (e :: bucket tbl v)
+                | None -> ())
+              (bucket ri.by_name (fst key));
+            (* store buckets in document order *)
+            Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl;
+            Hashtbl.add ri.by_key key tbl;
+            tbl
+        in
+        bucket tbl value)
 
 (* Count nodes that are not reachable from any document node —
    §4.1's "persistent but unreachable nodes" produced by the detach

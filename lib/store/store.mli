@@ -151,12 +151,18 @@ val load_events : t -> Xqb_xml.Event.t list -> node_id
 
 val load_string : ?keep_ws:bool -> t -> string -> node_id
 
-(** {1 Element-name index} *)
+(** {1 Name and key indexes}
+
+    One index record per parentless root, built lazily by the first
+    read that needs it. A record reads only element names, attribute
+    names and attribute values, so only inserting, detaching or
+    renaming an element or attribute, or setting an attribute's value,
+    drops it; text, comment and PI edits leave it valid. *)
 
 (** Elements named [q] among the descendants of the context node, in
-    document order — the workhorse of [e//name] steps. Cached per
-    parentless root; invalidated (by version) on any store mutation;
-    computed directly for attached context nodes. *)
+    document order — the workhorse of [e//name] steps. Served from the
+    root's index record for parentless roots; computed directly for
+    attached context nodes. *)
 val descendants_by_name : t -> node_id -> Xqb_xml.Qname.t -> node_id list
 
 (** String value of [elem]'s attribute named [attr], if present. *)
@@ -179,8 +185,14 @@ val set_indexing : t -> bool -> unit
 val set_order_keys : t -> bool -> unit
 
 (** How many order-key tables were (re)built (instrumentation: one
-    per (root, version) generation actually touched by a read). *)
+    per (root, shape generation) actually touched by a read; only
+    inserts and detaches move a shape generation). *)
 val order_key_builds : t -> int
+
+(** How many root index records were (re)built (instrumentation: one
+    per parentless root read through the index after an edit that
+    dropped its record). *)
+val index_builds : t -> int
 
 (** {1 Introspection} *)
 

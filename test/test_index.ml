@@ -194,3 +194,139 @@ let key_tests =
   ]
 
 let suite = suite @ [ ("index:key", key_tests) ]
+
+(* -- invalidation per index kind ----------------------------------- *)
+
+(* The indexes are dropped only by edits to what they read (element
+   and attribute names, attribute values). The oracle for everything
+   below is the same store with indexing off, which walks the tree on
+   every call. *)
+
+module OK = Test_order_keys
+
+let without_index store f =
+  Store.set_indexing store false;
+  Fun.protect ~finally:(fun () -> Store.set_indexing store true) f
+
+(* Every element name and every (elem, attr, value) in the store,
+   asked of every parentless root: the indexed answers equal the
+   direct walk's. *)
+let index_agrees store =
+  let ids = OK.all_ids store in
+  let name x = Option.map Xqb_xml.Qname.to_string (Store.name store x) in
+  let elems = List.filter (fun x -> Store.kind store x = Store.Element) ids in
+  let names = List.sort_uniq compare ("absent" :: List.filter_map name elems) in
+  let keys =
+    List.concat_map
+      (fun e ->
+        List.concat_map
+          (fun a ->
+            match name e, name a with
+            | Some en, Some an ->
+              [ (en, an, Store.content store a); (en, an, "absent") ]
+            | _ -> [])
+          (Store.attributes store e))
+      elems
+    |> List.sort_uniq compare
+  in
+  let roots = List.filter (fun x -> Store.parent store x = None) ids in
+  let answers () =
+    List.concat_map
+      (fun r ->
+        List.map (fun q -> Store.descendants_by_name store r (qn q)) names
+        @ List.map
+            (fun (e, a, v) -> Store.lookup_by_key store r ~elem:(qn e) ~attr:(qn a) v)
+            keys)
+      roots
+  in
+  let indexed = answers () in
+  indexed = without_index store answers
+
+(* After each generated edit the first check is served by whatever
+   records survived it; the second by records the first rebuilt. *)
+let prop_index_eq_walk (script, muts) =
+  let store, _doc = OK.build script in
+  index_agrees store
+  && List.for_all
+       (fun n ->
+         OK.mutate store [ n ];
+         index_agrees store && index_agrees store)
+       muts
+
+(* A loaded document bound to $d, its index warmed by [warm]. *)
+let engine_with xml warm =
+  let eng = Core.Engine.create () in
+  let d = Core.Engine.load_document eng ~uri:"d" xml in
+  Core.Engine.bind_node eng "d" d;
+  ignore (Core.Engine.run eng warm);
+  eng
+
+let answer eng q = Core.Engine.serialize eng (Core.Engine.run eng q)
+
+let kind_tests =
+  [
+    tc "attribute value edit changes the next key lookup" `Quick (fun () ->
+        let eng =
+          engine_with {|<r><a k="v"/><a k="v"/></r>|} {|count($d//a[@k = "v"])|}
+        in
+        ignore (Core.Engine.run eng {|snap { replace value of node ($d//a)[1]/@k with "w" }|});
+        check Alcotest.string "v" "1" (answer eng {|count($d//a[@k = "v"])|});
+        check Alcotest.string "w" "1" (answer eng {|count($d//a[@k = "w"])|}));
+    tc "element value edit drops its element children from //child" `Quick
+      (fun () ->
+        let eng = engine_with "<r><p><c/><c/></p><c/></r>" "count($d//c)" in
+        ignore (Core.Engine.run eng {|snap { replace value of node $d/r/p with "x" }|});
+        check Alcotest.string "one c left" "1" (answer eng "count($d//c)");
+        check Alcotest.bool "oracle" true (index_agrees (Core.Engine.store eng)));
+    tc "text edits keep the index; snap atomic rollback leaves it exact" `Quick
+      (fun () ->
+        let eng =
+          engine_with {|<r><a k="v">t</a><a k="w">u</a></r>|}
+            {|count($d//a[@k = "v"])|}
+        in
+        let store = Core.Engine.store eng in
+        let builds = Store.index_builds store in
+        ignore (Core.Engine.run eng {|snap { replace value of node $d/r/a[2]/text() with "x" }|});
+        (match
+           Core.Engine.run eng
+             {|snap atomic {
+                 snap { replace value of node $d/r/a[1]/text() with "y" },
+                 error('E', 'abort')
+               }|}
+         with
+        | _ -> Alcotest.fail "expected error"
+        | exception Xqb_xdm.Errors.Dynamic_error ("E", _) -> ());
+        check Alcotest.string "rolled back" "tx" (answer eng "string($d/r)");
+        check Alcotest.string "key lookup" "t" (answer eng {|string($d//a[@k = "v"])|});
+        check Alcotest.int "no rebuild" builds (Store.index_builds store);
+        check Alcotest.bool "oracle" true (index_agrees store));
+    qtest ~count:80 "indexed answers = direct walk (random trees + snaps)"
+      OK.gen_scripts prop_index_eq_walk;
+  ]
+  (* An edit applied by an inner snap, the index read (and rebuilt)
+     before the atomic snap fails: the undo must drop that record. *)
+  @ List.map
+      (fun (what, edit) ->
+        tc ("rollback after a mid-snap read: " ^ what) `Quick (fun () ->
+            let eng = engine_with {|<r><a k="v"/><a k="v"/></r>|} "count($d//a)" in
+            (match
+               Core.Engine.run eng
+                 (Printf.sprintf
+                    {|snap atomic {
+                        snap { %s },
+                        if (count($d//a[@k = "v"]) != 2) then error('E', 'abort') else ()
+                      }|}
+                    edit)
+             with
+            | _ -> Alcotest.fail "expected error"
+            | exception Xqb_xdm.Errors.Dynamic_error ("E", _) -> ());
+            check Alcotest.string "both back" "2" (answer eng {|count($d//a[@k = "v"])|});
+            check Alcotest.bool "oracle" true (index_agrees (Core.Engine.store eng))))
+      [
+        ("element insert", {|insert {<a k="v"/>} into {$d/r}|});
+        ("element delete", "delete { ($d//a)[1] }");
+        ("attribute value", {|replace value of node ($d//a)[1]/@k with "w"|});
+        ("element rename", "rename node ($d//a)[1] as 'b'");
+      ]
+
+let suite = suite @ [ ("index:kinds", kind_tests) ]

@@ -55,7 +55,10 @@ let sort_matches_naive store =
 (* -- random trees ------------------------------------------------- *)
 
 (* Grow a tree from an int script: each step hangs a fresh element,
-   text or attribute off a script-chosen existing element. *)
+   text or attribute off a script-chosen existing element. Attribute
+   names and values come from small sets, so key lookups have
+   repeated (name, value) pairs to find; a duplicate name on one
+   element is skipped. *)
 let build script =
   let store = Store.create () in
   let doc = Store.make_document store in
@@ -75,37 +78,53 @@ let build script =
         let t = Store.make_text store "t" in
         Store.insert store ~parent ~position:Store.Last [ t ]
       | _ ->
-        let a = Store.make_attribute store (qn (Printf.sprintf "a%d" i)) "v" in
-        Store.insert store ~parent ~position:Store.Last [ a ])
+        let a =
+          Store.make_attribute store
+            (qn (Printf.sprintf "a%d" (i mod 3)))
+            (Printf.sprintf "v%d" (n mod 2))
+        in
+        (try Store.insert store ~parent ~position:Store.Last [ a ]
+         with Store.Update_error _ -> ()))
     script;
   (store, doc)
 
 (* Apply script-chosen ∆s through the snap application machinery
    (Apply → transactionally), so key invalidation is exercised on the
-   same paths real queries use. [n mod 4 = 1] builds a ∆ whose second
-   request always fails, forcing a rollback through the undo
-   journal. *)
+   same paths real queries use. [n mod 8 = 1] and [= 7] build a ∆
+   whose last request always fails, forcing a rollback through the
+   undo journal. The value edits cover each kind the index
+   invalidation tells apart: text only, an attribute value, and an
+   element whose element children it detaches. *)
 let mutate store muts =
   List.iteri
     (fun i n ->
-      let elems =
-        List.filter
-          (fun x -> Store.kind store x = Store.Element)
-          (all_ids store)
+      let of_kind k =
+        List.filter (fun x -> Store.kind store x = k) (all_ids store)
       in
+      let elems = of_kind Store.Element in
       let v = nth elems n in
+      (* a cycle error: fails after the requests before it applied *)
+      let fail = Update.Insert { nodes = [ v ]; parent = v; position = Update.Last } in
+      let pick_in = function [] -> v | l -> nth l n in
+      let pick k = pick_in (of_kind k) in
       let delta =
-        match n mod 4 with
+        match n mod 8 with
         | 0 ->
           let e = Store.make_element store (qn (Printf.sprintf "m%d" i)) in
           [ Update.Insert { nodes = [ e ]; parent = v; position = Update.Last } ]
-        | 1 ->
-          (* detach v, then a guaranteed cycle error: rolls back *)
-          [ Update.Delete v;
-            Update.Insert { nodes = [ v ]; parent = v; position = Update.Last }
-          ]
+        | 1 -> [ Update.Delete v; fail ]
         | 2 -> [ Update.Rename (v, qn "z") ]
-        | _ -> [ Update.Set_value (v, "w") ]
+        | 3 -> [ Update.Set_value (v, "w") ]
+        | 4 -> [ Update.Set_value (pick Store.Text, "w") ]
+        | 5 -> [ Update.Set_value (pick Store.Attribute, Printf.sprintf "v%d" (n mod 3)) ]
+        | 6 ->
+          let has_element_child e =
+            List.exists
+              (fun c -> Store.kind store c = Store.Element)
+              (Store.children store e)
+          in
+          [ Update.Set_value (pick_in (List.filter has_element_child elems), "w") ]
+        | _ -> [ Update.Set_value (pick Store.Text, "w"); fail ]
       in
       match Apply.apply store Apply.Ordered (rqs delta) with
       | () -> ()
@@ -212,9 +231,17 @@ let test_builds_counter () =
   check Alcotest.int "one build" 1 (Store.order_key_builds f.store);
   build_keys f.store;
   check Alcotest.int "cached" 1 (Store.order_key_builds f.store);
+  (* names and values are not part of the shape the keys encode *)
   Store.rename f.store f.a (qn "a2");
+  Store.set_content f.store f.t2 "w";
   build_keys f.store;
-  check Alcotest.int "rebuild after mutation" 2 (Store.order_key_builds f.store)
+  check Alcotest.int "kept across rename and value edit" 1
+    (Store.order_key_builds f.store);
+  (* any insert moves the shape, a text node's included *)
+  Store.insert f.store ~parent:f.b2 ~position:Store.Last
+    [ Store.make_text f.store "n" ];
+  build_keys f.store;
+  check Alcotest.int "rebuild after insert" 2 (Store.order_key_builds f.store)
 
 let test_keys_disabled () =
   let f = fixture () in

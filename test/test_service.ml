@@ -576,6 +576,54 @@ let updating_query =
 
 let observability =
   [
+    tc "index builds: a bid keeps the index, an element insert rebuilds it"
+      `Quick (fun () ->
+        let xml =
+          Xqb_xmark.Generator.to_xml
+            { Xqb_xmark.Generator.default with persons = 5; items = 4;
+              open_auctions = 3; closed_auctions = 4 }
+        in
+        let read = {|doc("auction")//item[@id="item1"]/name/string()|} in
+        let current = {|doc("auction")//open_auction[@id="open0"]/current|} in
+        let bid =
+          Printf.sprintf "replace value of node %s with xs:integer(%s) + 1"
+            current current
+        in
+        with_service (fun svc ->
+            let s = Svc.open_session svc in
+            Svc.load_document svc s ~uri:"auction" xml;
+            let store = Catalog.store (Svc.catalog svc) in
+            let builds () = Store.index_builds store in
+            let name = ok (Svc.query svc s read) in
+            let after_read = builds () in
+            let before = ok (Svc.query svc s (current ^ "/string()")) in
+            ignore (ok (Svc.query svc s bid));
+            check Alcotest.string "bid applied"
+              (string_of_int (int_of_string before + 1))
+              (ok (Svc.query svc s (current ^ "/string()")));
+            check Alcotest.string "read after bid" name (ok (Svc.query svc s read));
+            check Alcotest.int "no rebuild after a bid" after_read (builds ());
+            ignore
+              (ok (Svc.query svc s {|insert {<note/>} into {doc("auction")/site}|}));
+            check Alcotest.string "read after insert" name (ok (Svc.query svc s read));
+            check Alcotest.int "one rebuild after an element insert"
+              (after_read + 1) (builds ());
+            let v = check_json "stats" (Svc.stats_json svc) in
+            check Alcotest.int "STATS store.index_builds" (builds ())
+              (num_at v [ "store"; "index_builds" ]);
+            check Alcotest.int "STATS store.order_key_builds"
+              (Store.order_key_builds store)
+              (num_at v [ "store"; "order_key_builds" ]);
+            let prom = Svc.metrics_prometheus svc in
+            List.iter
+              (fun sample ->
+                if not (Re.execp (Re.compile (Re.str sample)) prom) then
+                  Alcotest.failf "METRICS PROM lacks %S" sample)
+              [
+                Printf.sprintf "xqbang_store_index_builds_total %d" (builds ());
+                Printf.sprintf "xqbang_store_order_key_builds_total %d"
+                  (Store.order_key_builds store);
+              ]));
     tc "DELTA: last write-side job's ∆ statistics" `Quick (fun () ->
         with_service (fun svc ->
             let s = Svc.open_session svc in
