@@ -1,22 +1,27 @@
-(* Measurement and reporting helpers shared by the E1-E7 benches.
+(* Measurement and reporting helpers shared by every experiment in
+   bench/main.ml.
 
    Two measurement styles:
    - [measure_ns] uses Bechamel (OLS over geometric run counts) for
      micro-operations;
-   - [wall_ms] takes a single wall-clock measurement for macro runs
-     whose setup cannot be repeated cheaply (fresh store per run). *)
+   - [wall_ms] takes a single elapsed-time measurement on the
+     monotonic clock for macro runs whose setup cannot be repeated
+     cheaply (fresh store per run). *)
 
 open Bechamel
 
 (* -- machine-readable results (bench --json PATH) -------------------
 
-   Every measurement records (name, n, median ns) here; [write_json]
-   dumps the run for per-PR BENCH_*.json trajectory files. [n] is
-   the workload size the number refers to (1 for micro-ops). *)
+   Every measurement records (name, unit, value, n) here;
+   [write_json] dumps the run for the committed BENCH_*.json
+   trajectory files. [unit] names what [value] counts ("ns",
+   "words", "%", "count"); [n] is the workload size the number
+   refers to (1 for micro-ops). *)
 
-let json_results : (string * int * float) list ref = ref []
+let json_results : (string * string * float * int) list ref = ref []
 
-let record ~name ~n ns = json_results := (name, n, ns) :: !json_results
+let record ~name ~unit ~n value =
+  json_results := (name, unit, value, n) :: !json_results
 
 let write_json path =
   let oc = open_out path in
@@ -33,9 +38,10 @@ let write_json path =
       in
       output_string oc "[\n";
       List.iteri
-        (fun i (name, n, ns) ->
-          Printf.fprintf oc "  {\"name\":\"%s\",\"n\":%d,\"median_ns\":%.1f}%s\n"
-            (escape name) n ns
+        (fun i (name, unit, value, n) ->
+          Printf.fprintf oc
+            "  {\"name\":\"%s\",\"unit\":\"%s\",\"value\":%.1f,\"n\":%d}%s\n"
+            (escape name) (escape unit) value n
             (if i = List.length !json_results - 1 then "" else ","))
         (List.rev !json_results);
       output_string oc "]\n");
@@ -54,17 +60,17 @@ let measure_ns ?(quota = 0.4) name (f : unit -> unit) : float =
   let res = Analyze.all ols clock raw in
   match Analyze.OLS.estimates (Hashtbl.find res name) with
   | Some [ t ] ->
-    record ~name ~n:1 t;
+    record ~name ~unit:"ns" ~n:1 t;
     t
   | _ -> Float.nan
 
-(* One wall-clock run, in milliseconds, with the result value kept
-   alive. *)
+(* One run's elapsed time, in milliseconds, with the result value
+   kept alive. *)
 let wall_ms (f : unit -> 'a) : 'a * float =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Xqb_obs.Clock.now_ns () in
   let v = f () in
-  let t1 = Unix.gettimeofday () in
-  (v, (t1 -. t0) *. 1000.)
+  let t1 = Xqb_obs.Clock.now_ns () in
+  (v, float_of_int (t1 - t0) /. 1e6)
 
 (* Median-of-3 wall time for slightly steadier macro numbers. *)
 let wall_ms_median3 (f : unit -> 'a) : float =

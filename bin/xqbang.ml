@@ -575,7 +575,7 @@ let serve_cmd =
   in
   let telemetry_arg =
     Arg.(value & opt bool true & info [ "telemetry" ] ~docv:"BOOL"
-           ~doc:"Health telemetry: the structured event log (EVENTS), rolling-window SLO metrics, stall watchdog and flight recorder. Pass false to run bare (bench E22's baseline).")
+           ~doc:"Health telemetry: the structured event log (EVENTS), rolling-window SLO metrics, stall watchdog and flight recorder. Pass false to run bare (the telemetry-off side of bench/main.exe overhead).")
   in
   let backlog_arg =
     Arg.(value & opt string "64" & info [ "backlog" ] ~docv:"N"

@@ -89,7 +89,7 @@ let create ?(cap = 512) ?sink_path () =
     subs = [];
   }
 
-(* A no-op log for telemetry-off runs (bench E22's baseline): log
+(* A no-op log for telemetry-off runs (the [overhead] bench's baseline): log
    becomes a single branch, no ring, no sink. *)
 let disabled () =
   {

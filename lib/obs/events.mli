@@ -32,7 +32,7 @@ type t
 val create : ?cap:int -> ?sink_path:string -> unit -> t
 
 (** A no-op log: {!log} is a single branch — the telemetry-off
-    baseline of bench E22. *)
+    side of the [overhead] bench's telemetry leg. *)
 val disabled : unit -> t
 
 val enabled : t -> bool

@@ -3,8 +3,8 @@
    JSON emitters share.
 
    This is the well-formedness checker behind the test suite's
-   round-trip assertions (test/helpers.ml) and bench E17's trace
-   artifact validation — everything the tracer, metrics and the
+   round-trip assertions (test/helpers.ml), recorded job traces
+   included — everything the tracer, metrics and the
    STATS/TRACE wire commands emit must parse here. It is not a
    general-purpose JSON library: numbers come back as floats and
    object member order is preserved but not deduplicated. *)

@@ -3,8 +3,8 @@
 
     The parser accepts exactly RFC 8259 documents (no trailing
     commas, no comments, validated escapes and surrogate pairs); it
-    backs the test suite's round-trip assertions and bench E17's
-    trace artifact validation. *)
+    backs the test suite's round-trip assertions, recorded job traces
+    included. *)
 
 type v =
   | Null

@@ -14,7 +14,7 @@
    after the first few ticks through a hot path every sample is a
    hashtable hit, so steady-state cost per tick is the callstack
    capture plus a handful of lookups — the 97 Hz default stays well
-   under the 3% budget bench E24 enforces. *)
+   under the 3% CPU budget `bench/main.exe overhead` enforces. *)
 
 external set_itimer : int -> bool = "xqb_prof_set_itimer"
 

@@ -48,7 +48,7 @@ type t = {
   mutable deltas_applied : int;  (* snap applications *)
   mutable update_requests : int;  (* total requests across all ∆s *)
   (* rolling 1s/10s/60s views of the same query stream ([] when
-     telemetry is off — bench E22's baseline). Windows carry their
+     telemetry is off — the [overhead] bench's baseline). Windows carry their
      own locks; recording happens outside [mutex]. *)
   windows : (string * Window.t) list;
   slo_p99_ms : float;  (* latency SLO target: p99 under this *)

@@ -9,7 +9,7 @@ type t
 (** [windows] (default true) maintains rolling 1s/10s/60s views of
     the query stream (rate, windowed percentiles, error and
     SLO-violation fractions) alongside the since-boot counters;
-    [false] is the telemetry-off baseline of bench E22. The SLO
+    [false] is the telemetry-off side of the [overhead] bench. The SLO
     targets drive the [slow] classification and burn-rate gauges:
     [slo_p99_ms] (default 250) is the latency target, [slo_err_pct]
     (default 1) the allowed error percentage. *)

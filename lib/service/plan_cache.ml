@@ -1,7 +1,7 @@
 (* Bounded LRU cache of prepared query plans, keyed on the
    whitespace-normalized query source. A hit skips the whole
-   parse → normalize → static-check → rewrite pipeline (bench E15
-   measures what that saves); eviction is least-recently-used so a
+   parse → normalize → static-check → rewrite pipeline (xqbench's
+   plan_cache.hit_pct tracks how often); eviction is least-recently-used so a
    service's steady-state working set stays resident.
 
    Thread-safe: the service submits from many client threads.

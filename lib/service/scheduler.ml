@@ -15,7 +15,8 @@
    WAL byte order deterministic.
 
    [domains = 0] degenerates to synchronous in-caller execution
-   (still gate-admitted) — the "scheduler off" baseline in bench E15.
+   (still gate-admitted) — the sequential oracle the pool's results
+   are tested against.
 
    Admission control: the queue is bounded ([max_queue], default
    unbounded); a submission over the high watermark raises

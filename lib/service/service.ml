@@ -85,6 +85,9 @@ module Durable = Xqb_wal.Durable
 module Wcodec = Xqb_wal.Codec
 module FP = Core.Static.Footprint
 module Clock = Xqb_obs.Clock
+
+(* Seconds elapsed since a [Clock.now_ns] instant. *)
+let secs_since ns = float_of_int (Clock.now_ns () - ns) /. 1e9
 module Events = Xqb_obs.Events
 module Window = Xqb_obs.Window
 module Prom = Xqb_obs.Prom
@@ -215,7 +218,7 @@ type t = {
   profile_owned : bool;
   gc_tel : bool;
   gc_pause_warn_ns : int;
-  boot_wall : float;  (* process-identity gauges: uptime *)
+  boot_ns : int;  (* monotonic boot instant: uptime *)
 }
 
 and slow_entry = {
@@ -247,7 +250,7 @@ and repl = {
        received-but-not-applied lag gauge *)
   mutable r_frames : int;  (* frames applied since boot *)
   mutable r_status : string;
-  mutable r_last_apply : float;
+  mutable r_last_apply : int;  (* monotonic ns; 0 = never applied *)
   mutable r_thread : Thread.t option;
   mutable r_sock : Unix.file_descr option;
   mutable r_stop : bool;
@@ -259,7 +262,7 @@ and repl = {
 and peer = {
   mutable p_acked : int;
   mutable p_shipped : int;
-  mutable p_last_seen : float;  (* wall clock, for staleness display *)
+  mutable p_last_seen : int;  (* monotonic ns, for staleness display *)
 }
 
 let slowlog_cap = 64
@@ -684,7 +687,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
           r_pending = [];
           r_frames = 0;
           r_status = "idle";
-          r_last_apply = 0.;
+          r_last_apply = 0;
           r_thread = None;
           r_sock = None;
           r_stop = false;
@@ -735,7 +738,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       profile_owned = profile_hz <> None;
       gc_tel = telemetry;
       gc_pause_warn_ns = gc_pause_warn_ms * 1_000_000;
-      boot_wall = Unix.gettimeofday ();
+      boot_ns = Clock.now_ns ();
     }
   in
   (* GC telemetry rides on the telemetry switch: the Runtime_events
@@ -969,7 +972,7 @@ let note_peer t id ~acked ~shipped =
         match Hashtbl.find_opt t.peers id with
         | Some p -> p
         | None ->
-          let p = { p_acked = 0; p_shipped = 0; p_last_seen = 0. } in
+          let p = { p_acked = 0; p_shipped = 0; p_last_seen = 0 } in
           Hashtbl.replace t.peers id p;
           Events.info t.events ~kind:"replica.peer"
             [ ("id", Events.S id); ("from_lsn", Events.I (acked + 1)) ];
@@ -977,7 +980,7 @@ let note_peer t id ~acked ~shipped =
       in
       p.p_acked <- Stdlib.max p.p_acked acked;
       p.p_shipped <- Stdlib.max p.p_shipped shipped;
-      p.p_last_seen <- Unix.gettimeofday ())
+      p.p_last_seen <- Clock.now_ns ())
 
 let ship_frames ?replica_id t ~from_lsn ~max =
   match t.durable with
@@ -994,7 +997,6 @@ let ship_frames ?replica_id t ~from_lsn ~max =
 
 let peers_json t =
   let last = match t.durable with Some d -> Durable.last_lsn d | None -> 0 in
-  let now = Unix.gettimeofday () in
   let entries =
     locked t.pmutex (fun () ->
         Hashtbl.fold
@@ -1003,7 +1005,7 @@ let peers_json t =
               "{\"id\":\"%s\",\"acked_lsn\":%d,\"shipped_lsn\":%d,\"lag_frames\":%d,\"last_seen_age_s\":%.3f}"
               (Metrics.json_escape id) p.p_acked p.p_shipped
               (Stdlib.max 0 (last - p.p_acked))
-              (now -. p.p_last_seen)
+              (secs_since p.p_last_seen)
             :: acc)
           t.peers [])
   in
@@ -1041,7 +1043,7 @@ let replica_bootstrap t blob =
             r.r_received_lsn <- lsn;
             r.r_applied_lsn <- lsn;
             r.r_leader_lsn <- max r.r_leader_lsn lsn;
-            r.r_last_apply <- Unix.gettimeofday ();
+            r.r_last_apply <- Clock.now_ns ();
             r.r_status <- "bootstrapped");
         Ok lsn
       | exception Wcodec.Corrupt msg -> Error ("corrupt snapshot: " ^ msg))
@@ -1080,7 +1082,7 @@ let replica_ingest t ~leader_lsn blob =
                   if i < n then r.r_applied_lsn <- max r.r_applied_lsn lsn)
                 pairs;
               r.r_frames <- r.r_frames + n;
-              r.r_last_apply <- Unix.gettimeofday ();
+              r.r_last_apply <- Clock.now_ns ();
               applied := !applied + n;
               pending_rev := List.rev (List.filteri (fun i _ -> i >= n) pairs)
             end
@@ -1097,7 +1099,7 @@ let replica_ingest t ~leader_lsn blob =
                 Catalog.register t.catalog ~uri ~root ~bytes;
                 r.r_applied_lsn <- max r.r_applied_lsn lsn;
                 r.r_frames <- r.r_frames + 1;
-                r.r_last_apply <- Unix.gettimeofday ();
+                r.r_last_apply <- Clock.now_ns ();
                 incr applied)
             fresh;
           flush ();
@@ -1114,8 +1116,8 @@ let replica_lag r =
     List.fold_left (fun acc (_, _, size) -> acc + size) 0 r.r_pending
   in
   let lag_ms =
-    if lag > 0 && r.r_last_apply > 0. then
-      (Unix.gettimeofday () -. r.r_last_apply) *. 1e3
+    if lag > 0 && r.r_last_apply > 0 then
+      secs_since r.r_last_apply *. 1e3
     else 0.
   in
   (lag, lag_bytes, lag_ms)
@@ -1137,8 +1139,8 @@ let replica_stat_json t =
           r.r_applied_lsn r.r_received_lsn r.r_leader_lsn lag lag_bytes lag_ms
           r.r_frames
           (List.length r.r_pending)
-          (if r.r_last_apply = 0. then "null"
-           else Printf.sprintf "%.3f" (Unix.gettimeofday () -. r.r_last_apply)))
+          (if r.r_last_apply = 0 then "null"
+           else Printf.sprintf "%.3f" (secs_since r.r_last_apply)))
 
 (* [JOURNAL STAT]: in-memory journal length + the canonical store
    digest — the cross-node consistency check (leader, replicas and a
@@ -1911,7 +1913,7 @@ let process_json t =
     (Unix.getpid ())
     (Xqb_obs.Procstat.rss_bytes ())
     (Xqb_obs.Procstat.fd_count ())
-    (Unix.gettimeofday () -. t.boot_wall)
+    (secs_since t.boot_ns)
     build_version Sys.ocaml_version
 
 (* Deterministic store operation counts for STATS / METRICS PROM:
@@ -2053,7 +2055,7 @@ let metrics_prometheus t =
     (Xqb_obs.Procstat.fd_count ());
   Prom.gauge p ~help:"Seconds since service boot."
     "xqbang_process_uptime_seconds"
-    (Unix.gettimeofday () -. t.boot_wall);
+    (secs_since t.boot_ns);
   Prom.gauge_i p
     ~help:"Continuous profiler state: 1 = sampling, 0 = stopped."
     "xqbang_profile_running"

@@ -44,7 +44,7 @@ type t
     (default 256) degrades health when a replica falls that far
     behind (4× = critical; 0 disables). [telemetry] (default true)
     switches the event log, rolling windows and monitor thread on;
-    [false] is bench E22's baseline. [events_cap] bounds the
+    [false] is the [overhead] bench's telemetry-off side. [events_cap] bounds the
     in-memory event ring (default 512). *)
 val create :
   ?domains:int ->

@@ -23,6 +23,7 @@
 module S = Xqb_store.Store
 module J = Xqb_store.Journal
 module Hist = Xqb_obs.Hist
+module Clock = Xqb_obs.Clock
 
 type config = {
   dir : string;
@@ -40,7 +41,7 @@ type t = {
   wal : Wal.t;
   m : Mutex.t;
   mutable ckpt_lsn : int;  (* LSN covered by the newest snapshot *)
-  mutable ckpt_time : float;
+  mutable ckpt_ns : int;  (* Clock.now_ns at the last checkpoint, or boot *)
   mutable ckpt_wal_bytes : int;  (* Wal.bytes_appended at last checkpoint *)
   mutable checkpoints : int;  (* snapshots written this run *)
   recovered_lsn : int;
@@ -243,7 +244,7 @@ let recover cfg =
       wal;
       m = Mutex.create ();
       ckpt_lsn = snapshot_lsn;
-      ckpt_time = Unix.gettimeofday ();
+      ckpt_ns = Clock.now_ns ();
       ckpt_wal_bytes = 0;
       checkpoints = 0;
       recovered_lsn = lsn;
@@ -286,7 +287,7 @@ let checkpoint t ~docs store =
   Wal.truncate_after_checkpoint t.wal;
   locked t (fun () ->
       t.ckpt_lsn <- lsn;
-      t.ckpt_time <- Unix.gettimeofday ();
+      t.ckpt_ns <- Clock.now_ns ();
       t.ckpt_wal_bytes <- Wal.bytes_appended t.wal;
       t.checkpoints <- t.checkpoints + 1);
   (* keep the two newest snapshots as recovery fallbacks *)
@@ -295,6 +296,11 @@ let checkpoint t ~docs store =
       if i >= 2 then try Sys.remove path with Sys_error _ -> ())
     (list_snapshots t.cfg.dir);
   lsn
+
+(* Seconds since the last checkpoint (or boot), on the monotonic
+   clock so a wall-clock step cannot stall the [checkpoint_secs]
+   trigger. Caller holds [t.m]. *)
+let ckpt_age_s t = float_of_int (Clock.now_ns () - t.ckpt_ns) /. 1e9
 
 let maybe_checkpoint t ~docs store =
   let due =
@@ -305,7 +311,7 @@ let maybe_checkpoint t ~docs store =
              && Wal.bytes_appended t.wal - t.ckpt_wal_bytes
                 >= t.cfg.checkpoint_bytes)
            || (t.cfg.checkpoint_secs > 0.
-              && Unix.gettimeofday () -. t.ckpt_time >= t.cfg.checkpoint_secs)))
+              && ckpt_age_s t >= t.cfg.checkpoint_secs)))
   in
   if due then Some (checkpoint t ~docs store) else None
 
@@ -325,7 +331,7 @@ let config t = t.cfg
 let stats_json t =
   let ckpt_lsn, ckpt_age, checkpoints =
     locked t (fun () ->
-        (t.ckpt_lsn, Unix.gettimeofday () -. t.ckpt_time, t.checkpoints))
+        (t.ckpt_lsn, ckpt_age_s t, t.checkpoints))
   in
   let hist_fields =
     Wal.with_stats_lock t.wal (fun () ->
@@ -345,7 +351,7 @@ let stats_json t =
 let stats_prom t (p : Xqb_obs.Prom.t) =
   let ckpt_lsn, ckpt_age, checkpoints =
     locked t (fun () ->
-        (t.ckpt_lsn, Unix.gettimeofday () -. t.ckpt_time, t.checkpoints))
+        (t.ckpt_lsn, ckpt_age_s t, t.checkpoints))
   in
   let q v =
     Wal.with_stats_lock t.wal (fun () ->

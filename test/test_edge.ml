@@ -107,14 +107,14 @@ let fiber_tests =
 (* ------------------------------------------------------------------ *)
 
 let with_edge ?(domains = 1) ?max_queue ?(max_conns = 0)
-    ?(idle_timeout_ms = 0) f =
+    ?(idle_timeout_ms = 0) ?(backlog = Edge.default_config.backlog) f =
   let svc = Svc.create ~domains ?max_queue () in
   Fun.protect
     ~finally:(fun () -> Svc.shutdown svc)
     (fun () ->
       let edge =
         Edge.start svc
-          { Edge.default_config with max_conns; idle_timeout_ms }
+          { Edge.default_config with max_conns; idle_timeout_ms; backlog }
       in
       Fun.protect ~finally:(fun () -> Edge.stop edge) (fun () -> f svc edge))
 
@@ -167,6 +167,44 @@ let block_worker svc =
   eventually "worker picked up the blocker" (fun () ->
       Sched.queue_depth (Svc.scheduler svc) = 0);
   (m, fut)
+
+(* [n] connections open at once, each with [pipeline] queries sent in
+   one segment before any reply is read: every reply must be [OK 2],
+   and the edge's peak-open gauge must have seen all [n]. *)
+let many_connections n () =
+  let pipeline = 8 in
+  with_edge ~domains:2 ~backlog:512 (fun _svc edge ->
+      let conns = Array.init n (fun _ -> connect edge) in
+      Fun.protect
+        ~finally:(fun () -> Array.iter close_client conns)
+        (fun () ->
+          let sids =
+            Array.map
+              (fun c ->
+                send c "OPEN\n";
+                Scanf.sscanf (line c) "OK %d" Fun.id)
+              conns
+          in
+          Array.iteri
+            (fun i c ->
+              send c
+                (String.concat ""
+                   (List.init pipeline (fun _ ->
+                        Printf.sprintf "QUERY %d 1+1\n" sids.(i)))))
+            conns;
+          let bad = ref [] in
+          Array.iter
+            (fun c ->
+              for _ = 1 to pipeline do
+                let l = line c in
+                if l <> "OK 2" then bad := l :: !bad
+              done)
+            conns;
+          check Alcotest.(list string) "every pipelined reply is OK 2" []
+            !bad;
+          let peak = (Edge.gauges edge).Svc.eg_peak in
+          if peak < n then
+            Alcotest.failf "edge held %d concurrent connections (< %d)" peak n))
 
 (* ------------------------------------------------------------------ *)
 (* Edge behavior                                                       *)
@@ -328,6 +366,10 @@ let edge_tests =
                     send c1 "OPEN\n";
                     check Alcotest.bool "other conn alive" true
                       (starts_with "OK " (line c1))))));
+    tc "fiber edge: 200 pipelined connections open at once" `Quick
+      (many_connections 200);
+    tc "fiber edge: 1000 pipelined connections open at once" `Slow
+      (many_connections 1000);
     tc "fiber edge: STATS exposes the edge gauge block" `Quick (fun () ->
         with_edge (fun svc edge ->
             with_client edge (fun c ->

@@ -342,7 +342,31 @@ let governance =
                     {|(snap insert {<probe/>} into {doc("d")/r}, %s)|}
                     slow_pure));
             check Alcotest.string "probe rolled back" "0"
-              (ok (Svc.query svc s {|count(doc("d")//probe)|}))));
+              (ok (Svc.query svc s {|count(doc("d")//probe)|})));
+        (* The same under a mix: poison updates (a never-matching
+           nested loop whose every iteration would insert) submitted
+           between tiny pure reads. Each poison dies as [Timeout],
+           every read succeeds, and no poison insert survives. Four
+           domains keep two free for the reads while the two poisons
+           hold theirs. *)
+        with_service ~domains:4 ~deadline_ms:100 (fun svc ->
+            let s = Svc.open_session svc in
+            Svc.load_document svc s ~uri:"d" doc_xml;
+            Svc.load_document svc s ~uri:"log" "<log/>";
+            let poison =
+              {|for $i in 1 to 3000 for $j in 1 to 3000 where $j lt 0
+                return insert {<z/>} into {doc("log")/log}|}
+            in
+            let poisons = ref [] in
+            for i = 1 to 20 do
+              if i mod 10 = 1 then
+                poisons := Svc.submit svc s poison :: !poisons;
+              check Alcotest.string "good read" "3"
+                (ok (Svc.query svc s {|count(doc("d")//a) + count(doc("d")//b)|}))
+            done;
+            List.iter (fun f -> errk "poison" SE.Timeout (Svc.await f)) !poisons;
+            check Alcotest.string "no poison insert" "0"
+              (ok (Svc.query svc s {|count(doc("log")/log/z)|}))));
     tc "a dynamic-URI update killed after its first apply rolls back" `Quick
       (fun () ->
         (* No explicit snap, but the URI is only known at run time:
