@@ -160,10 +160,10 @@ let run_cmd =
         if profile_out <> None then ignore (Xqb_obs.Profile.start ());
         (* --trace PATH: record the whole run (compile phases,
            evaluation, snap application) and write Chrome trace JSON *)
-        let tracer =
-          match trace_out with
-          | Some _ -> Some (Xqb_obs.Trace.create ())
-          | None -> None
+        let job =
+          Option.map
+            (fun _ -> Xqb_obs.Stage.create ~tracer:(Xqb_obs.Trace.create ()) ())
+            trace_out
         in
         (* Conflicts are reported with store-aware node paths; with
            --explain-conflicts both offending requests are also shown
@@ -178,7 +178,7 @@ let run_cmd =
           failwith ("update conflict: " ^ Core.Conflict.explain ~store c)
         in
         (try
-        Core.Engine.with_tracer eng tracer (fun () ->
+        Core.Engine.with_job eng job (fun () ->
             let value =
               Core.Engine.with_budget eng (make_budget deadline_ms fuel)
                 (fun () ->
@@ -200,7 +200,7 @@ let run_cmd =
             in
             print_endline (Core.Engine.serialize eng value))
         with Core.Conflict.Conflict_error c -> on_conflict c);
-        (match (trace_out, tracer) with
+        (match (trace_out, Option.bind job Xqb_obs.Stage.tracer) with
         | Some path, Some tr ->
           write_file path (Xqb_obs.Trace.to_chrome_json tr);
           Printf.eprintf "trace written to %s (%d spans)\n%!" path
@@ -539,7 +539,7 @@ let serve_cmd =
   in
   let slow_apply_arg =
     Arg.(value & opt int 10 & info [ "slow-apply-ms" ] ~docv:"MS"
-           ~doc:"Slow-effect log threshold: write-side jobs whose Delta-apply phase exceeds MS are recorded with their Delta summary and trace id, retrievable via the SLOWLOG request.")
+           ~doc:"Slow-effect log threshold: write-side jobs whose snap-apply stage reaches MS are recorded with their Delta summary, stage split and trace id, retrievable via the SLOWLOG request.")
   in
   let data_dir_arg =
     Arg.(value & opt (some string) None & info [ "data-dir" ] ~docv:"DIR"

@@ -31,7 +31,8 @@ type run_result = {
 
 let prepare ?var_docs engine source =
   let compiled = Engine.compile ?var_docs engine source in
-  Core.Context.span ~cat:"compile" (Engine.context engine) "algebra.compile"
+  Xqb_obs.Stage.with_ ~cat:"compile" (Engine.context engine).Core.Context.job
+    "algebra.compile"
   @@ fun () ->
   let purity = Core.Static.purity_oracle compiled.Engine.prog in
   let body = Option.value compiled.Engine.prog.Core.Normalize.body ~default:C.Empty in

@@ -49,10 +49,10 @@ let apply_permuted store rand_state (delta : Update.delta) =
 
 (* Apply [delta] to [store] under [mode]. Raises [Conflict.Conflict]
    or [Store.Update_error]; in both cases the store is rolled back.
-   When [tracer] is given, the conflict-detection check gets its own
+   Under a traced [job], the conflict-detection check gets its own
    span (it is the one application phase whose cost scales with |∆|²
    worst-case conflict classes, so it is worth seeing separately). *)
-let apply ?rand_state ?tracer store mode (delta : Update.delta) =
+let apply ?rand_state ?job store mode (delta : Update.delta) =
   let rand_state =
     match rand_state with Some r -> r | None -> Random.State.make [| 0x5eed |]
   in
@@ -61,11 +61,8 @@ let apply ?rand_state ?tracer store mode (delta : Update.delta) =
       | Ordered -> apply_ordered store delta
       | Nondeterministic -> apply_permuted store rand_state delta
       | Conflict_detection ->
-        (match tracer with
-        | Some tr when Xqb_obs.Trace.enabled tr ->
-          Xqb_obs.Trace.with_span ~cat:"snap"
-            ~args:[ ("requests", string_of_int (List.length delta)) ]
-            tr "conflict.check"
-            (fun () -> Conflict.check ~store delta)
-        | _ -> Conflict.check ~store delta);
+        Xqb_obs.Stage.with_ ~cat:"snap"
+          ~args:[ ("requests", string_of_int (List.length delta)) ]
+          job "conflict.check"
+          (fun () -> Conflict.check ~store delta);
         apply_permuted store rand_state delta)

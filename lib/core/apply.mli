@@ -20,11 +20,11 @@ val mode_of_snap : Core_ast.snap_mode -> mode
 val mode_to_string : mode -> string
 
 (** @raise Conflict.Conflict or @raise Xqb_store.Store.Update_error;
-    the store is rolled back in both cases. [tracer] records the
-    conflict-detection check as its own span. *)
+    the store is rolled back in both cases. [job]'s tracer records
+    the conflict-detection check as its own span. *)
 val apply :
   ?rand_state:Random.State.t ->
-  ?tracer:Xqb_obs.Trace.t ->
+  ?job:Xqb_obs.Stage.t ->
   Xqb_store.Store.t ->
   mode ->
   Update.delta ->

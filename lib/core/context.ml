@@ -51,18 +51,17 @@ type t = {
     (* resource budget charged by the evaluator (and, via the
        domain-local mirror, by store axis iteration); None = ungoverned.
        Installed around a run by [Engine.with_budget]. *)
-  mutable tracer : Xqb_obs.Trace.t option;
-    (* per-query span tracer; None = tracing off, so every
-       instrumentation point costs one option match. Installed around
-       a run by [Engine.with_tracer]. *)
+  mutable job : Xqb_obs.Stage.t option;
+    (* the served job's stage record (and tracer); None outside a
+       job, so every instrumentation point costs one option match.
+       Installed around a run by [Engine.with_job]. *)
   delta_stats : Update.stats;
     (* ∆ introspection: per-evaluation counters of applied snaps,
        requests by kind, snap-depth histogram, conflict checks —
        behind the DELTA wire command and --show-delta *)
   mutable apply_ns : int;
     (* cumulative wall time this evaluation spent applying ∆s (the
-       apply phase of every snap), feeding the service's slow-effect
-       log *)
+       snap-apply bracket of every snap), feeding the DELTA command *)
 }
 
 let create ?(seed = 0x5eed) ?store () =
@@ -81,7 +80,7 @@ let create ?(seed = 0x5eed) ?store () =
     steps_evaluated = 0;
     ddo_elided = 0;
     budget = None;
-    tracer = None;
+    job = None;
     delta_stats = Update.stats_create ();
     apply_ns = 0;
   }
@@ -109,7 +108,7 @@ let fork_read ctx =
     steps_evaluated = 0;
     ddo_elided = 0;
     budget = ctx.budget;  (* a governed session's forks inherit its budget *)
-    tracer = ctx.tracer;  (* spans from the fork land in the same trace *)
+    job = ctx.job;  (* the fork's stages and spans are the same job's *)
     delta_stats = Update.stats_create ();  (* forks are read-only anyway *)
     apply_ns = 0;
   }
@@ -138,32 +137,6 @@ let resolve_doc ctx uri =
         let n = Xqb_store.Store.load_string ctx.store xml in
         Hashtbl.replace ctx.docs uri n;
         n))
-
-(* Run [f] under a tracing span when a tracer is installed — one
-   option match when not, which is the whole cost of disabled
-   tracing. On a governed context the span is annotated with the
-   budget fuel consumed while it was open, giving the per-phase fuel
-   breakdown without a second accounting mechanism. *)
-let span ?cat ctx name f =
-  match ctx.tracer with
-  | None -> f ()
-  | Some tr ->
-    let fuel_before =
-      match ctx.budget with
-      | Some b -> Xqb_governor.Budget.steps_used b
-      | None -> -1
-    in
-    let id = Xqb_obs.Trace.begin_span ?cat tr name in
-    Fun.protect
-      ~finally:(fun () ->
-        let args =
-          match ctx.budget with
-          | Some b when fuel_before >= 0 ->
-            [ ("fuel", string_of_int (Xqb_governor.Budget.steps_used b - fuel_before)) ]
-          | _ -> []
-        in
-        Xqb_obs.Trace.end_span ~args tr id)
-      f
 
 let empty_env : env = SMap.empty
 

@@ -53,18 +53,19 @@ type t = {
           ungoverned. Install via {!Engine.with_budget}, which also
           mirrors it into the domain-local slot the store layer
           reads. Copied by {!fork_read}. *)
-  mutable tracer : Xqb_obs.Trace.t option;
-      (** per-query span tracer; [None] = off (one option match per
-          instrumentation point). Install via {!Engine.with_tracer}.
-          Copied by {!fork_read} so fork spans land in the same
-          trace. *)
+  mutable job : Xqb_obs.Stage.t option;
+      (** the served job's stage record, which carries its tracer;
+          [None] outside a job (one option match per instrumentation
+          point). Install via {!Engine.with_job}. Copied by
+          {!fork_read} so a fork's stages and spans are the job's. *)
   delta_stats : Update.stats;
       (** ∆ introspection counters (applied snaps, requests by kind,
           snap-depth histogram, conflict checks) — behind the DELTA
           wire command and [--show-delta]. Fresh in {!fork_read}. *)
   mutable apply_ns : int;
-      (** cumulative wall time spent applying ∆s (every snap's apply
-          phase), feeding the service's slow-effect log *)
+      (** cumulative wall time spent applying ∆s (every snap's
+          snap-apply bracket, {!Xqb_obs.Stage.timed}), reported by
+          the service's DELTA command *)
 }
 
 (** Fresh context; [seed] drives the nondeterministic application
@@ -87,11 +88,6 @@ val register_doc : t -> string -> Xqb_store.Store.node_id -> unit
 (** Registry lookup, falling back to [doc_lookup] then
     [doc_resolver]; raises FODC0002 when unresolvable. *)
 val resolve_doc : t -> string -> Xqb_store.Store.node_id
-
-(** [span ctx name f] runs [f] under a tracing span when a tracer is
-    installed (one option match when not). Governed contexts get a
-    [fuel] arg on the span: budget steps charged while it was open. *)
-val span : ?cat:string -> t -> string -> (unit -> 'a) -> 'a
 
 val empty_env : env
 val bind : env -> string -> Xqb_xdm.Value.t -> env

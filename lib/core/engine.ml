@@ -10,6 +10,7 @@ module Value = Xqb_xdm.Value
 module Item = Xqb_xdm.Item
 module Store = Xqb_store.Store
 module Qname = Xqb_xml.Qname
+module Stage = Xqb_obs.Stage
 
 type t = { ctx : Context.t }
 
@@ -101,8 +102,8 @@ let install_functions t (c : compiled) =
    queries can call them too. The effects footprint is inferred here,
    once, against [var_docs] (see {!footprint}). *)
 let compile ?(simplify = true) ?(elide_ddo = true) ?var_docs t source : compiled =
-  Xqb_obs.Profile.with_phase "compile" @@ fun () ->
-  Context.span ~cat:"compile" t.ctx "compile" @@ fun () ->
+  let job = t.ctx.Context.job in
+  Stage.with_ ~stage:Stage.Compile ~cat:"compile" job "compile" @@ fun () ->
   let extra_fns =
     Hashtbl.fold
       (fun (name, arity) _ acc -> (Qname.of_string name, arity) :: acc)
@@ -111,10 +112,10 @@ let compile ?(simplify = true) ?(elide_ddo = true) ?var_docs t source : compiled
   let prog =
     try
       let ast =
-        Context.span ~cat:"compile" t.ctx "parse" (fun () ->
+        Stage.with_ ~cat:"compile" job "parse" (fun () ->
             Xqb_syntax.Parser.parse_prog source)
       in
-      Context.span ~cat:"compile" t.ctx "normalize" (fun () ->
+      Stage.with_ ~cat:"compile" job "normalize" (fun () ->
           Normalize.normalize_prog ~extra_fns ~is_builtin:Functions.is_builtin ast)
     with
     | (Xqb_syntax.Parser.Error _ | Xqb_syntax.Lexer.Error _ | Normalize.Static_error _)
@@ -125,7 +126,7 @@ let compile ?(simplify = true) ?(elide_ddo = true) ?var_docs t source : compiled
     Context.SMap.fold (fun k _ acc -> k :: acc) t.ctx.Context.globals []
   in
   (try
-     Context.span ~cat:"compile" t.ctx "static.check" (fun () ->
+     Stage.with_ ~cat:"compile" job "static.check" (fun () ->
          Static.check_prog ~initial:host_bound prog)
    with Normalize.Static_error m -> raise (Compile_error ("static error: " ^ m)));
   (* §4.2 syntactic rewriting, guarded by the purity judgement. *)
@@ -133,7 +134,7 @@ let compile ?(simplify = true) ?(elide_ddo = true) ?var_docs t source : compiled
   let prog =
     if not simplify then prog
     else
-      Context.span ~cat:"compile" t.ctx "simplify" @@ fun () ->
+      Stage.with_ ~cat:"compile" job "simplify" @@ fun () ->
       let purity = Static.purity_oracle prog in
       let simp e =
         let e', stats = Rewrite.simplify ~purity e in
@@ -156,7 +157,7 @@ let compile ?(simplify = true) ?(elide_ddo = true) ?var_docs t source : compiled
   let prog =
     if not elide_ddo then prog
     else
-      Context.span ~cat:"compile" t.ctx "ddo-elide" @@ fun () ->
+      Stage.with_ ~cat:"compile" job "ddo-elide" @@ fun () ->
       let purity = Static.purity_oracle prog in
       let elided = ref 0 in
       let el e =
@@ -180,7 +181,7 @@ let compile ?(simplify = true) ?(elide_ddo = true) ?var_docs t source : compiled
       prog
   in
   let type_warnings =
-    Context.span ~cat:"compile" t.ctx "typing" (fun () -> Typing.check_prog prog)
+    Stage.with_ ~cat:"compile" job "typing" (fun () -> Typing.check_prog prog)
   in
   let footprint = Static.Footprint.of_prog ?var_docs prog in
   let c = { prog; source; rewrites = !rewrites; type_warnings; footprint } in
@@ -219,8 +220,8 @@ let eval_exec body : exec =
 
 (* Run a compiled program's body under the implicit top-level snap. *)
 let run_compiled ?(mode = Core_ast.Snap_ordered) ?exec t (c : compiled) : Value.t =
-  Xqb_obs.Profile.with_phase "run" @@ fun () ->
-  Context.span ~cat:"exec" t.ctx "eval" @@ fun () ->
+  Stage.with_ ~stage:Stage.Run ~cat:"exec" t.ctx.Context.job "eval"
+  @@ fun () ->
   eval_globals ~mode t c;
   match c.prog.Normalize.body with
   | None -> []
@@ -269,14 +270,15 @@ let with_budget t budget f =
     ~finally:(fun () -> ctx.Context.budget <- saved)
     (fun () -> Xqb_governor.Budget.with_current budget f)
 
-(* Run [f] with [tracer] installed on the engine's context (inherited
-   by read forks via [Context.fork_read]). Restored on exit for the
-   same reason as [with_budget]: worker domains outlive jobs. *)
-let with_tracer t tracer f =
+(* Run [f] with [job]'s stage record installed on the engine's
+   context (inherited by read forks via [Context.fork_read]). Restored
+   on exit for the same reason as [with_budget]: worker domains
+   outlive jobs. *)
+let with_job t job f =
   let ctx = t.ctx in
-  let saved = ctx.Context.tracer in
-  ctx.Context.tracer <- tracer;
-  Fun.protect ~finally:(fun () -> ctx.Context.tracer <- saved) f
+  let saved = ctx.Context.job in
+  ctx.Context.job <- job;
+  Fun.protect ~finally:(fun () -> ctx.Context.job <- saved) f
 
 (* Purity of a compiled body (E7's instrumentation). *)
 let body_purity (c : compiled) =
@@ -308,8 +310,8 @@ let run_readonly ?exec t (c : compiled) : Value.t =
   if not (parallel_safe c) then
     invalid_arg "Engine.run_readonly: program is not parallel-safe";
   let ctx = Context.fork_read t.ctx in
-  Xqb_obs.Profile.with_phase "run" @@ fun () ->
-  Context.span ~cat:"exec" ctx "eval.readonly" @@ fun () ->
+  Stage.with_ ~stage:Stage.Run ~cat:"exec" ctx.Context.job "eval.readonly"
+  @@ fun () ->
   let env =
     List.fold_left
       (fun env (v, ty, e) ->

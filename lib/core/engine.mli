@@ -112,11 +112,12 @@ val serialize_with : Xqb_store.Store.t -> Xqb_xdm.Value.t -> string
     inside {!Xqb_store.Store.transactionally} to get rollback. *)
 val with_budget : t -> Xqb_governor.Budget.t option -> (unit -> 'a) -> 'a
 
-(** [with_tracer t tr f] runs [f ()] with span tracer [tr] installed
-    on the engine's context; {!compile}, evaluation, snap application
-    and conflict detection record spans into it. Inherited by
-    {!fork_read} / {!run_readonly} forks; restored on exit. *)
-val with_tracer : t -> Xqb_obs.Trace.t option -> (unit -> 'a) -> 'a
+(** [with_job t job f] runs [f ()] with a served job's stage record
+    installed on the engine's context: {!compile}, evaluation and snap
+    application charge their stages to it, and record spans into its
+    tracer (conflict detection too). Inherited by {!fork_read} /
+    {!run_readonly} forks; restored on exit. *)
+val with_job : t -> Xqb_obs.Stage.t option -> (unit -> 'a) -> 'a
 
 (** §5 classification of a compiled body (E7 instrumentation). *)
 val body_purity : compiled -> Static.purity

@@ -97,9 +97,8 @@ let emit_request ctx ?(loc = C.no_loc) op =
       src_col = loc.C.col;
       snap_depth = Snap_stack.depth ctx.Context.snaps;
       trace_id =
-        (match ctx.Context.tracer with
-        | None -> None
-        | Some tr -> Some (Xqb_obs.Trace.id tr));
+        Option.map Xqb_obs.Trace.id
+          (Option.bind ctx.Context.job Xqb_obs.Stage.tracer);
     }
   in
   Snap_stack.emit ctx.Context.snaps (Update.make ~prov op);
@@ -136,23 +135,19 @@ let snap_frame ctx mode body =
     ~conflict_checked:(amode = Apply.Conflict_detection)
     delta;
   let apply_inline () =
-    Xqb_obs.Profile.with_phase "snap-apply" @@ fun () ->
-    let t0 = Xqb_obs.Clock.now_ns () in
-    (match ctx.Context.tracer with
-    | None ->
-      Apply.apply ~rand_state:ctx.Context.rand ctx.Context.store amode delta
-    | Some tr ->
-      Xqb_obs.Trace.with_span ~cat:"snap"
-        ~args:
-          [
-            ("requests", string_of_int (List.length delta));
-            ("mode", Apply.mode_to_string amode);
-          ]
-        tr "snap.apply"
-        (fun () ->
-          Apply.apply ~rand_state:ctx.Context.rand ~tracer:tr ctx.Context.store
-            amode delta));
-    ctx.Context.apply_ns <- ctx.Context.apply_ns + (Xqb_obs.Clock.now_ns () - t0)
+    let job = ctx.Context.job in
+    ctx.Context.apply_ns <-
+      ctx.Context.apply_ns
+      + Xqb_obs.Stage.timed ~cat:"snap"
+          ~args:
+            [
+              ("requests", string_of_int (List.length delta));
+              ("mode", Apply.mode_to_string amode);
+            ]
+          Xqb_obs.Stage.Snap_apply job "snap.apply"
+          (fun () ->
+            Apply.apply ~rand_state:ctx.Context.rand ?job ctx.Context.store amode
+              delta)
   in
   (match ctx.Context.apply_wrap with
   | Some wrap when delta <> [] -> wrap apply_inline

@@ -20,9 +20,11 @@ val eval :
     every evaluator shares (this module's [Snap], the algebra
     executor's Snap operator, the engine's implicit top-level snap):
     push a ∆ frame, run [body], pop the frame, run [ctx]'s [on_apply]
-    hook, record [delta_stats], and apply the ∆ (in the ["snap-apply"]
-    profiler phase, timed into [apply_ns], through [apply_wrap] when
-    the ∆ is non-empty). On error the frame is abandoned.
+    hook, record [delta_stats], and apply the ∆ in one
+    {!Xqb_obs.Stage.timed} ["snap-apply"] bracket, called through
+    [apply_wrap] when the ∆ is non-empty: the bracket's time is
+    charged to the job's snap-apply stage and added to [apply_ns]
+    from the same clock readings. On error the frame is abandoned.
     [Snap_atomic] additionally runs the whole scope inside
     {!Xqb_store.Store.transactionally}, so an error rolls back nested
     snaps that already applied. *)

@@ -68,7 +68,8 @@ let record t v =
   t.sum <- t.sum +. v;
   if v > t.max_v then t.max_v <- v;
   if v < t.min_v then t.min_v <- v;
-  t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1
+  let b = bucket_of v in
+  t.counts.(b) <- t.counts.(b) + 1
 
 let count t = t.count
 let sum t = t.sum

@@ -145,17 +145,11 @@ let prev_handler : Sys.signal_behavior option ref = ref None
 let phase_key = Domain.DLS.new_key (fun () -> ref "")
 let op_key = Domain.DLS.new_key (fun () -> ref (-1))
 
-let with_phase name f =
+let swap_phase name =
   let r = Domain.DLS.get phase_key in
   let prev = !r in
   r := name;
-  match f () with
-  | v ->
-    r := prev;
-    v
-  | exception e ->
-    r := prev;
-    raise e
+  prev
 
 let with_op id f =
   let r = Domain.DLS.get op_key in

@@ -10,10 +10,10 @@
     stack table — memory stays bounded no matter how long the
     profiler runs.
 
-    Labels are domain-local: {!with_phase} tags the query phases
-    (compile / run / snap-apply / wal), {!with_op} nests a plan
-    operator id beneath the phase while [Exec] runs a physical
-    operator. Both save and restore, so they compose.
+    Labels are domain-local: {!swap_phase} tags the query phases
+    (the {!Stage} names: compile / run / snap-apply / wal / ...,
+    set by {!Stage.with_}), {!with_op} nests a plan operator id
+    beneath the phase while [Exec] runs a physical operator.
 
     All entry points are safe to call from any thread; the signal
     handler itself never blocks (it drops the sample when the
@@ -67,10 +67,10 @@ val reset : unit -> unit
 
 (** {1 Labels} *)
 
-(** [with_phase name f] runs [f] with this domain's sample label set
-    to [name]; nested calls shadow and restore. One DLS store each
-    way — cheap enough to leave on permanently. *)
-val with_phase : string -> (unit -> 'a) -> 'a
+(** [swap_phase name] sets this domain's sample label to [name] and
+    returns the label it replaces, for the caller to restore. One DLS
+    load and store — cheap enough to leave on permanently. *)
+val swap_phase : string -> string
 
 (** [with_op id f]: tag samples inside [f] with plan operator [id]
     (rendered as an ["op<id>"] frame under the current phase). Call

@@ -8,7 +8,7 @@
    instrumentation point, which is the "compiled out" feel the
    service needs to keep overhead at ~0 when tracing is off.
 
-   Spans form a tree via [parent] links: [begin_span]/[with_span]
+   Spans form a tree via [parent] links: [begin_span]/[end_span]
    maintain an explicit stack of open spans, so nesting is recorded
    even when Chrome's duration-based nesting inference would be
    ambiguous. Timestamps are monotonic ({!Clock}), relative to the
@@ -122,18 +122,10 @@ let end_span ?(args = []) t id =
           if args <> [] then s.args <- s.args @ args)
   end
 
-let with_span ?cat ?(args = []) t name f =
-  if not t.enabled then f ()
-  else begin
-    let id = begin_span ?cat t name in
-    Fun.protect ~finally:(fun () -> end_span ~args t id) f
-  end
-
-(* Record a span after the fact, with explicit timestamps — queue
-   wait is only known at dequeue time, from a different thread than
-   the one that submitted. *)
-let add_span ?(cat = "phase") ?(parent = -1) ?(args = []) t ~name ~start_ns
-    ~dur_ns () =
+(* Record a span after the fact, with explicit timestamps — a queue
+   or gate wait is only known when it ends, often on a different
+   thread than the one that began it ({!Stage.switch}). *)
+let add_span ?(cat = "phase") ?(args = []) t ~name ~start_ns ~dur_ns () =
   if t.enabled then
     locked t (fun () ->
         let id = t.next_id in
@@ -141,7 +133,7 @@ let add_span ?(cat = "phase") ?(parent = -1) ?(args = []) t ~name ~start_ns
         record t
           {
             id;
-            parent;
+            parent = -1;
             name;
             cat;
             tid = (Domain.self () :> int);
@@ -150,30 +142,10 @@ let add_span ?(cat = "phase") ?(parent = -1) ?(args = []) t ~name ~start_ns
             args;
           })
 
-let instant ?(cat = "mark") ?(args = []) t name =
-  add_span ~cat ~args t ~name ~start_ns:(Clock.now_ns ()) ~dur_ns:0 ()
-
 let span_count t = locked t (fun () -> t.n)
 let dropped t = locked t (fun () -> t.dropped)
 
 let spans t = locked t (fun () -> List.rev t.spans)
-
-(* Total closed-span nanoseconds per span name, insertion-ordered by
-   first occurrence — the service folds this into the per-phase
-   latency histograms. *)
-let phase_totals t =
-  let sl = spans t in
-  let order = ref [] in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      if s.dur_ns >= 0 then begin
-        if not (Hashtbl.mem tbl s.name) then order := s.name :: !order;
-        Hashtbl.replace tbl s.name
-          (s.dur_ns + Option.value ~default:0 (Hashtbl.find_opt tbl s.name))
-      end)
-    sl;
-  List.rev_map (fun name -> (name, Hashtbl.find tbl name)) !order
 
 (* -- Chrome trace-event export -------------------------------------- *)
 

@@ -34,16 +34,11 @@ val begin_span : ?cat:string -> t -> string -> int
     tracer are ignored. *)
 val end_span : ?args:(string * string) list -> t -> int -> unit
 
-(** [with_span t name f] = begin / [f ()] / end (exception-safe). *)
-val with_span :
-  ?cat:string -> ?args:(string * string) list -> t -> string -> (unit -> 'a) -> 'a
-
-(** Record a span retroactively with explicit timestamps (queue wait
-    is only known at dequeue time). [start_ns] is on the {!Clock}
-    scale. *)
+(** Record a root span retroactively with explicit timestamps (a
+    queue or gate wait is only known when it ends). [start_ns] is on
+    the {!Clock} scale. Lexical brackets go through {!Stage.with_}. *)
 val add_span :
   ?cat:string ->
-  ?parent:int ->
   ?args:(string * string) list ->
   t ->
   name:string ->
@@ -51,9 +46,6 @@ val add_span :
   dur_ns:int ->
   unit ->
   unit
-
-(** Zero-duration marker (e.g. a plan-cache hit). *)
-val instant : ?cat:string -> ?args:(string * string) list -> t -> string -> unit
 
 val span_count : t -> int
 
@@ -73,10 +65,6 @@ type span = {
 
 (** All recorded spans, oldest first. *)
 val spans : t -> span list
-
-(** Total closed-span nanoseconds per span name (first-occurrence
-    order) — feeds the service's per-phase latency histograms. *)
-val phase_totals : t -> (string * int) list
 
 (** Serialize as Chrome trace-event JSON (ph:"X" complete events,
     microsecond timestamps, parent links in [args]). Loadable in

@@ -8,12 +8,15 @@
    ([Xqb_obs.Hist]) rather than a growing reservoir: a long-lived
    server no longer accumulates one float per query forever, and
    percentiles are exact for the first 512 samples, ~19%-bucketed
-   after. The same histogram type backs the per-phase breakdowns fed
-   from each traced job's span totals. *)
+   after. The same histogram type backs the per-stage breakdown:
+   every job, traced or not, records its exclusive ns in each
+   [Xqb_obs.Stage] slot, and its latency is the sum of those slots,
+   so the stage histograms' sums add up to the latency histogram's. *)
 
 module Hist = Xqb_obs.Hist
 module Window = Xqb_obs.Window
 module Prom = Xqb_obs.Prom
+module Stage = Xqb_obs.Stage
 
 (* The three health windows: 1s (10×100ms) answers "is it on fire",
    10s and 60s (1s slots) smooth burn-rate alerting. *)
@@ -36,10 +39,8 @@ type t = {
   mutable effecting : int;
   (* per-query wall time, ns *)
   lat : Hist.t;
-  (* per-pipeline-phase wall time, ns, keyed by span name; fed from
-     traced jobs' [Trace.phase_totals] *)
-  phases : (string, Hist.t) Hashtbl.t;
-  mutable phase_order : string list;  (* first-recorded order, reversed *)
+  (* per-stage exclusive wall time, ns, indexed by [Stage.index] *)
+  stages : Hist.t array;
   (* scheduler queue depth sampled at each submit *)
   mutable depth_sum : int;
   mutable depth_samples : int;
@@ -71,8 +72,7 @@ let create ?(windows = true) ?(slo_p99_ms = 250.) ?(slo_err_pct = 1.0) () =
     updating = 0;
     effecting = 0;
     lat = Hist.create ();
-    phases = Hashtbl.create 16;
-    phase_order = [];
+    stages = Array.of_list (List.map (fun _ -> Hist.create ()) Stage.all);
     depth_sum = 0;
     depth_samples = 0;
     depth_max = 0;
@@ -104,7 +104,8 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let record_query t ~purity ~parallel ~ok ~latency_ns =
+let record_query t ~purity ~parallel ~ok ~stages =
+  let latency_ns = float_of_int (Array.fold_left ( + ) 0 stages) in
   locked t (fun () ->
       t.queries <- t.queries + 1;
       if parallel then t.parallel <- t.parallel + 1
@@ -114,27 +115,9 @@ let record_query t ~purity ~parallel ~ok ~latency_ns =
       | Core.Static.Pure -> t.pure <- t.pure + 1
       | Core.Static.Updating -> t.updating <- t.updating + 1
       | Core.Static.Effecting -> t.effecting <- t.effecting + 1);
-      Hist.record t.lat latency_ns);
+      Hist.record t.lat latency_ns;
+      Array.iteri (fun i ns -> Hist.record t.stages.(i) (float_of_int ns)) stages);
   record_windows t ~ok latency_ns
-
-(* One pipeline-phase observation (span name, summed ns within one
-   job). Histograms are created on first sight of a phase name. *)
-let record_phase t name ns =
-  locked t (fun () ->
-      let h =
-        match Hashtbl.find_opt t.phases name with
-        | Some h -> h
-        | None ->
-          let h = Hist.create () in
-          Hashtbl.add t.phases name h;
-          t.phase_order <- name :: t.phase_order;
-          h
-      in
-      Hist.record h ns)
-
-(* Fold a traced job's span totals ([Trace.phase_totals]) in. *)
-let record_phase_totals t totals =
-  List.iter (fun (name, ns) -> record_phase t name (float_of_int ns)) totals
 
 (* A submission that failed before reaching the scheduler (parse or
    static error): counts as a query and an error, no purity class. *)
@@ -229,11 +212,11 @@ let to_json ?(cache : Plan_cache.stats option)
              Printf.sprintf "\"latency_ns\":{%s}" (Hist.to_json_fields t.lat);
              Printf.sprintf "\"phases_ns\":%s"
                (obj
-                  (List.rev_map
-                     (fun name ->
-                       Printf.sprintf "\"%s\":{%s}" (json_escape name)
-                         (Hist.to_json_fields (Hashtbl.find t.phases name)))
-                     t.phase_order));
+                  (List.map
+                     (fun st ->
+                       Printf.sprintf "\"%s\":{%s}" (Stage.name st)
+                         (Hist.to_json_fields t.stages.(Stage.index st)))
+                     Stage.all));
              Printf.sprintf "\"queue_depth\":%s"
                (obj
                   [
@@ -282,7 +265,7 @@ let to_json ?(cache : Plan_cache.stats option)
 
    The same counters as [to_json], rendered through the shared
    [Xqb_obs.Prom] emitter (format 0.0.4): counters as _total with
-   # HELP/# TYPE lines, latency and per-phase distributions as
+   # HELP/# TYPE lines, latency and per-stage distributions as
    summaries with quantile labels, and the rolling windows as
    gauges. The service composes this page with the WAL, gate,
    trace-ring and replica contributions on one emitter, so family
@@ -374,16 +357,13 @@ let to_prom ?(cache : Plan_cache.stats option) t p =
           c.Plan_cache.size);
       prom_summary p "xqbang_query_latency_ns"
         ~help:"Per-query wall time (ns)." t.lat;
-      (* declared even with no phases yet (tracing off, or before the
-         first job) so the family is always present on the page *)
-      Prom.declare p ~name:"xqbang_phase_ns" ~typ:"summary"
-        ~help:"Per-pipeline-phase wall time (ns).";
       List.iter
-        (fun name ->
-          prom_summary p "xqbang_phase_ns" ~help:"Per-pipeline-phase wall time (ns)."
-            ~labels:[ ("phase", name) ]
-            (Hashtbl.find t.phases name))
-        (List.rev t.phase_order));
+        (fun st ->
+          prom_summary p "xqbang_phase_ns"
+            ~help:"Per-stage exclusive wall time (ns); stages sum to the latency."
+            ~labels:[ ("phase", Stage.name st) ]
+            t.stages.(Stage.index st))
+        Stage.all);
   (* windows carry their own locks; snapshot outside [t.mutex] *)
   windows_to_prom t p
 

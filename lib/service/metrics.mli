@@ -1,8 +1,8 @@
 (** Service observability: query counts by purity class and
     scheduling side, latency percentiles (fixed-footprint log-bucketed
-    histograms, exact for the first 512 samples), per-phase latency
-    breakdowns, scheduler queue depth, applied-∆ accounting.
-    Thread-safe; dumped as JSON. *)
+    histograms, exact for the first 512 samples), per-stage latency
+    breakdowns ({!Xqb_obs.Stage}, recorded for every job), scheduler
+    queue depth, applied-∆ accounting. Thread-safe; dumped as JSON. *)
 
 type t
 
@@ -19,13 +19,15 @@ val create :
 (** [(slo_p99_ms, slo_err_pct)]. *)
 val slo : t -> float * float
 
-(** [parallel]: the job ran on the fork (read) route. *)
+(** One finished job. [parallel]: it ran on the fork (read) route.
+    [stages] is its {!Xqb_obs.Stage.finish} array: each slot feeds
+    that stage's histogram and their sum is the job's latency. *)
 val record_query :
   t ->
   purity:Core.Static.purity ->
   parallel:bool ->
   ok:bool ->
-  latency_ns:float ->
+  stages:int array ->
   unit
 
 (** A submission rejected at compile time (no purity class). *)
@@ -40,13 +42,6 @@ val record_error : t -> Service_error.kind -> unit
 val errors_by_kind : t -> (Service_error.kind * int) list
 
 val record_queue_depth : t -> int -> unit
-
-(** One pipeline-phase observation: span name, nanoseconds. *)
-val record_phase : t -> string -> float -> unit
-
-(** Fold a traced job's {!Xqb_obs.Trace.phase_totals} into the
-    per-phase histograms. *)
-val record_phase_totals : t -> (string * int) list -> unit
 
 (** Wire into a session engine's [Context.on_apply]. *)
 val record_delta : t -> Core.Update.delta -> unit
@@ -69,7 +64,7 @@ val to_json :
 
 (** Append the same counters to a shared {!Xqb_obs.Prom} page
     (counters as [_total] with [# HELP]/[# TYPE], latency /
-    per-phase distributions as summaries, rolling windows and SLO
+    per-stage distributions as summaries, rolling windows and SLO
     burn rates as gauges). The service composes the full METRICS
     PROM payload from this plus the WAL / gate / replica
     contributions on the same emitter. *)

@@ -31,6 +31,7 @@
 
 module FP = Core.Static.Footprint
 module Clock = Xqb_obs.Clock
+module Stage = Xqb_obs.Stage
 
 exception Overloaded
 exception Shut_down
@@ -53,9 +54,9 @@ type job = {
   deadline : int;  (* absolute queue-time deadline, Clock ns; max_int = none *)
   run : unit -> unit;
   abort : exn -> unit;  (* complete the future without running *)
-  trace : Xqb_obs.Trace.t option;
-    (* the job's tracer, for the two waits only this layer can see:
-       time in the queue and time blocked on the footprint gate *)
+  stages : Stage.t option;
+    (* the job's stage record, for the two waits only this layer can
+       see: time in the queue and time blocked on the footprint gate *)
   submitted_ns : int;
     (* Clock scale; always set — the stall watchdog reads the queue
        head's age through {!oldest_queued_age_ns} *)
@@ -142,45 +143,34 @@ let peek fut =
 
 let expired job = job.deadline <> max_int && Clock.now_ns () > job.deadline
 
-(* Run [job.run] with its footprint admitted. With a tracer, the gap
-   between requesting admission and the body starting is recorded as
-   "lock.wait" — for a conflicting job behind long independent work
-   this is exactly the gate blocking the trace should show. *)
+(* Run [job.run] with its footprint admitted. The job's record moves
+   from the queue to the gate wait at dequeue (closing "queue.wait")
+   and out of it at admission (closing "lock.wait" — for a conflicting
+   job behind long independent work this is exactly the gate blocking
+   the trace should show). *)
 let execute t job =
-  let body =
-    match job.trace with
-    | None -> job.run
-    | Some tr ->
-      let requested_ns = Clock.now_ns () in
-      fun () ->
-        Xqb_obs.Trace.add_span ~cat:"sched"
+  match job.stages with
+  | None -> Rwlock.with_footprint t.rw job.footprint job.run
+  | Some st ->
+    Stage.switch st Stage.Gate;
+    Rwlock.with_footprint t.rw job.footprint (fun () ->
+        Stage.switch st Stage.Other
           ~args:
-            [
-              ( "side",
-                if FP.writes_nothing job.footprint then "read" else "write" );
-            ]
-          tr ~name:"lock.wait" ~start_ns:requested_ns
-          ~dur_ns:(Clock.now_ns () - requested_ns)
-          ();
-        job.run ()
-  in
-  Rwlock.with_footprint t.rw job.footprint body
+            (if FP.writes_nothing job.footprint then [ ("side", "read") ]
+             else [ ("side", "write") ]);
+        job.run ())
 
-(* The dequeue-side deadline check and its trace span. An expired job
-   is aborted without running; its queue.wait span (the only span the
-   job will ever have) is tagged ["expired" = "true"] so traces can't
-   be read as phantom execution of work that never ran. *)
+(* The dequeue-side deadline check. An expired job is aborted without
+   running; its queue.wait span (the last span the job will ever
+   have) is tagged ["expired" = "true"] so traces can't be read as
+   phantom execution of work that never ran. *)
 let run_or_expire t job =
-  let was_expired = expired job in
-  (match job.trace with
-  | Some tr ->
-    Xqb_obs.Trace.add_span ~cat:"sched"
-      ~args:(if was_expired then [ ("expired", "true") ] else [])
-      tr ~name:"queue.wait" ~start_ns:job.submitted_ns
-      ~dur_ns:(Clock.now_ns () - job.submitted_ns)
-      ()
-  | None -> ());
-  if was_expired then (try job.abort Expired_in_queue with _ -> ())
+  if expired job then begin
+    Option.iter
+      (fun st -> Stage.switch ~args:[ ("expired", "true") ] st Stage.Other)
+      job.stages;
+    try job.abort Expired_in_queue with _ -> ()
+  end
   else execute t job
 
 let worker_loop t () =
@@ -264,7 +254,7 @@ let oldest_queued_age_ns t =
    [footprint] is what the gate admits the job against.
    @raise Shut_down after [shutdown] (both pooled and synchronous)
    @raise Overloaded when the queue is at [max_queue]. *)
-let submit t ?(deadline = max_int) ?(on_abort = fun _ -> ()) ?trace ~footprint
+let submit t ?(deadline = max_int) ?(on_abort = fun _ -> ()) ?stages ~footprint
     (f : unit -> 'a) : 'a future =
   let fut = new_future () in
   let run () =
@@ -276,8 +266,11 @@ let submit t ?(deadline = max_int) ?(on_abort = fun _ -> ()) ?trace ~footprint
     fill fut (Error e)
   in
   let job =
-    { footprint; deadline; run; abort; trace; submitted_ns = Clock.now_ns () }
+    { footprint; deadline; run; abort; stages; submitted_ns = Clock.now_ns () }
   in
+  (* the submitter's last change: once enqueued, the record is the
+     worker's *)
+  Option.iter (fun st -> Stage.switch st Stage.Queue) stages;
   if t.domains = 0 then begin
     (* Synchronous path: must agree with the pool on shutdown and on
        deadlines — work submitted after [shutdown] returned must not

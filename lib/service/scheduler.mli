@@ -55,17 +55,20 @@ val apply_held_ns : t -> int
     queue; [on_abort] is called (before the future completes) if the
     job is abandoned without running — queue expiry or shutdown
     drain. [footprint] admits the job against the gate ({!Core.Static.Footprint.top}
-    for a job that must run alone). [trace] makes the
-    scheduler record the two waits only it can see: "queue.wait"
-    (submit → dequeue; tagged ["expired" = "true"] when the job was
-    aborted at dequeue) and "lock.wait" (blocked on the gate).
+    for a job that must run alone). [stages] is the job's
+    {!Xqb_obs.Stage} record: the scheduler moves it through the two
+    waits only it can see, [Queue] (submit → dequeue, span
+    "queue.wait", tagged ["expired" = "true"] when the job was
+    aborted at dequeue) and [Gate] (blocked on the gate, span
+    "lock.wait"), then leaves it in [Other] for the job's own
+    stages.
     @raise Shut_down after {!shutdown}
     @raise Overloaded when the queue is full. *)
 val submit :
   t ->
   ?deadline:int ->
   ?on_abort:(exn -> unit) ->
-  ?trace:Xqb_obs.Trace.t ->
+  ?stages:Xqb_obs.Stage.t ->
   footprint:Core.Static.Footprint.t ->
   (unit -> 'a) ->
   'a future

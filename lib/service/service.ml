@@ -30,7 +30,9 @@
      token always, so [CANCEL] works even on an unlimited service.
      Budget violations surface as structured {!Service_error}s
      ([timeout] / [cancelled]), admission control as [overloaded];
-   - {!Metrics} aggregates per-query latency, queue depth, purity
+   - {!Metrics} aggregates per-query latency and its split over the
+     {!Xqb_obs.Stage}s (every job carries one stage record from
+     submission to completion, traced or not), queue depth, purity
      counts, plan-cache counters, applied-∆ counts and failed
      queries by taxonomy kind.
 
@@ -81,6 +83,7 @@ module Engine = Core.Engine
 module Runner = Xqb_algebra.Runner
 module Budget = Xqb_governor.Budget
 module Trace = Xqb_obs.Trace
+module Stage = Xqb_obs.Stage
 module Durable = Xqb_wal.Durable
 module Wcodec = Xqb_wal.Codec
 module FP = Core.Static.Footprint
@@ -91,6 +94,12 @@ let secs_since ns = float_of_int (Clock.now_ns () - ns) /. 1e9
 module Events = Xqb_obs.Events
 module Window = Xqb_obs.Window
 module Prom = Xqb_obs.Prom
+
+(* Does [needle] occur in [hay]? *)
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 type plan = {
   prep : Runner.prepared;
@@ -188,9 +197,9 @@ type t = {
   peers : (string, peer) Hashtbl.t;
   pmutex : Mutex.t;
   (* effect observability: per-job ∆ statistics (wire DELTA) and the
-     slow-effect log — write-side jobs whose apply phase exceeded
-     [slow_ns] leave a ∆ summary + trace id in a bounded ring (wire
-     SLOWLOG). *)
+     slow-effect log — write-side jobs whose snap-apply stage reached
+     [slow_ns] leave a ∆ summary, their stage split and trace id in a
+     bounded ring (wire SLOWLOG). *)
   slow_ns : int;
   sl_mutex : Mutex.t;
   mutable slowlog : slow_entry list;  (* newest first, bounded *)
@@ -225,7 +234,7 @@ and slow_entry = {
   sl_jid : int;
   sl_sid : int;
   sl_src : string;
-  sl_apply_ns : int;
+  sl_stages : int array;  (* the job's Stage.finish split *)
   sl_snaps : int;
   sl_requests : int;
   sl_trace : string option;
@@ -418,8 +427,7 @@ let health_reasons t =
         else if t.lag_warn_frames > 0 && lag >= t.lag_warn_frames then
           add "replica-lag" `Degraded
             [ ("lag_frames", Events.I lag) ];
-        let pre p = String.length r.r_status >= String.length p
-                    && String.sub r.r_status 0 (String.length p) = p in
+        let pre prefix = String.starts_with ~prefix r.r_status in
         if pre "stale" then
           add "replica-stale" `Critical [ ("status", Events.S r.r_status) ]
         else if pre "disconnected" then
@@ -473,17 +481,13 @@ let health_json t =
     (health_level_string (health_level reasons))
     (String.concat "," (List.map reason_json reasons))
 
-(* The monitor thread: poll the stall signals and the health status,
-   emitting an event on each rising edge / transition (the continuous
-   values are already visible as gauges; events capture the changes).
-   Spawned only when telemetry is on. *)
+(* The monitor thread: poll the health reasons, emitting an event on
+   each stall's rising edge (reason "x-stall" raises "stall.x") and on
+   each status transition (the continuous values are already visible
+   as gauges; events capture the changes). Spawned only when telemetry
+   is on. *)
 let monitor_loop t () =
-  let prev_health = ref "ok" in
-  let prev_apply = ref false and prev_fsync = ref false and prev_queue = ref false in
-  let edge prev now kind data =
-    if now && not !prev then Events.critical t.events ~kind (data ());
-    prev := now
-  in
+  let prev_health = ref "ok" and prev_stalls = ref [] in
   while not t.stopping do
     (* 250ms tick: 4x finer than the 1s stall bound it polices, and
        coarse enough that polling (3 window snapshots + WAL probes)
@@ -492,34 +496,18 @@ let monitor_loop t () =
     if not t.stopping then begin
       (* drain the queued Debug sink backlog off the commit hot path *)
       Events.pump t.events;
-      edge prev_apply
-        (Scheduler.apply_held_ns t.sched > t.stall_ns)
-        "stall.apply"
-        (fun () ->
-          [ ( "held_ms",
-              Events.F (float_of_int (Scheduler.apply_held_ns t.sched) /. 1e6) )
-          ]);
-      edge prev_fsync
-        (match t.durable with
-        | Some d -> Durable.fsync_in_progress_ns d > t.stall_ns
-        | None -> false)
-        "stall.fsync"
-        (fun () ->
-          [ ( "in_progress_ms",
-              Events.F
-                (match t.durable with
-                | Some d -> float_of_int (Durable.fsync_in_progress_ns d) /. 1e6
-                | None -> 0.) )
-          ]);
-      edge prev_queue
-        (Scheduler.oldest_queued_age_ns t.sched > t.stall_ns)
-        "stall.queue"
-        (fun () ->
-          [ ( "oldest_queued_ms",
-              Events.F
-                (float_of_int (Scheduler.oldest_queued_age_ns t.sched) /. 1e6) )
-          ]);
       let reasons = health_reasons t in
+      let stalls =
+        List.filter (fun (code, _, _) -> String.ends_with ~suffix:"-stall" code) reasons
+      in
+      List.iter
+        (fun (code, _, data) ->
+          if not (List.mem code !prev_stalls) then
+            Events.critical t.events
+              ~kind:("stall." ^ String.sub code 0 (String.length code - 6))
+              data)
+        stalls;
+      prev_stalls := List.map (fun (code, _, _) -> code) stalls;
       let status = health_level_string (health_level reasons) in
       if status <> !prev_health then begin
         let log =
@@ -552,11 +540,6 @@ let flight_splice_cap = 512
 
 let events_sink_name = "events.jsonl"
 
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 let read_lines path =
   let ic = open_in path in
   Fun.protect
@@ -577,6 +560,24 @@ let intact_line l =
   let n = String.length l in
   n >= 2 && l.[0] = '{' && l.[n - 1] = '}'
 
+(* Write one flight dump into [dir] as flight-<wall ms>-<pid>.json —
+   ms + pid so rapid restarts never overwrite a prior dump. The path,
+   or [None] when the file cannot be written. *)
+let write_flight_file ~dir content =
+  let path =
+    Filename.concat dir
+      (Printf.sprintf "flight-%d-%d.json"
+         (int_of_float (Unix.gettimeofday () *. 1000.))
+         (Unix.getpid ()))
+  in
+  match open_out path with
+  | oc ->
+    output_string oc content;
+    output_char oc '\n';
+    close_out_noerr oc;
+    Some path
+  | exception Sys_error _ -> None
+
 let detect_unclean_shutdown ~dir (recovered : Durable.recovered option) =
   let path = Filename.concat dir events_sink_name in
   if not (Sys.file_exists path) then None
@@ -587,19 +588,12 @@ let detect_unclean_shutdown ~dir (recovered : Durable.recovered option) =
     let clean =
       match List.rev lines with
       | [] -> true
-      | last :: _ -> contains_substring last "\"kind\":\"lifecycle.shutdown\""
+      | last :: _ -> contains last "\"kind\":\"lifecycle.shutdown\""
     in
     (try Sys.remove path with Sys_error _ -> ());
     if clean then None
     else begin
       let wall = Unix.gettimeofday () in
-      let flight =
-        Filename.concat dir
-          (* ms + pid so rapid restarts never overwrite a prior dump *)
-          (Printf.sprintf "flight-%d-%d.json"
-             (int_of_float (wall *. 1000.))
-             (Unix.getpid ()))
-      in
       let dropped = Stdlib.max 0 (List.length lines - flight_splice_cap) in
       let kept = List.filteri (fun i _ -> i >= dropped) lines in
       let recovery_json =
@@ -611,18 +605,10 @@ let detect_unclean_shutdown ~dir (recovered : Durable.recovered option) =
             r.Durable.lsn r.Durable.snapshot_lsn r.Durable.wal_frames
             r.Durable.truncated_bytes
       in
-      let content =
-        Printf.sprintf
-          "{\"reason\":\"unclean-shutdown\",\"detected_wall_s\":%.3f,\"events_dropped\":%d,\"recovery\":%s,\"events\":[%s]}"
-          wall dropped recovery_json (String.concat "," kept)
-      in
-      match open_out flight with
-      | oc ->
-        output_string oc content;
-        output_char oc '\n';
-        close_out_noerr oc;
-        Some flight
-      | exception Sys_error _ -> None
+      write_flight_file ~dir
+        (Printf.sprintf
+           "{\"reason\":\"unclean-shutdown\",\"detected_wall_s\":%.3f,\"events_dropped\":%d,\"recovery\":%s,\"events\":[%s]}"
+           wall dropped recovery_json (String.concat "," kept))
     end
   end
 
@@ -866,18 +852,32 @@ let log_commit t lsn data =
   if n land commit_event_mask = 0 then
     Events.debug t.events ~kind:"wal.commit" (("lsn", Events.I lsn) :: data)
 
-let durable_commit t =
+(* Append the journal tail since [wal_seq] to the WAL (the wal
+   stage); returns the last LSN and the entry count, [None] when there
+   was nothing to append. Caller excludes every concurrent apply. *)
+let wal_append ?job t d =
+  Stage.with_ ~stage:Stage.Wal job "wal" @@ fun () ->
+  let entries =
+    Xqb_store.Store.journal_entries_from (Catalog.store t.catalog) t.wal_seq
+  in
+  if entries = [] then None
+  else begin
+    let n = List.length entries in
+    t.wal_seq <- t.wal_seq + n;
+    Some (Durable.append_entries d entries, n)
+  end
+
+(* The durability barrier for an appended tail (the fsync stage),
+   then its sampled commit event. *)
+let wal_wait ?job t d (lsn, n) =
+  Stage.with_ ~stage:Stage.Fsync job "fsync" (fun () ->
+      Durable.wait_durable d lsn);
+  log_commit t lsn [ ("entries", Events.I n) ]
+
+let durable_commit ?job t =
   match t.durable with
   | None -> ()
-  | Some d ->
-    Xqb_obs.Profile.with_phase "wal" @@ fun () ->
-    let store = Catalog.store t.catalog in
-    let entries = Xqb_store.Store.journal_entries_from store t.wal_seq in
-    if entries <> [] then begin
-      t.wal_seq <- t.wal_seq + List.length entries;
-      let lsn = Durable.commit_entries d entries in
-      log_commit t lsn [ ("entries", Events.I (List.length entries)) ]
-    end
+  | Some d -> Option.iter (wal_wait ?job t d) (wal_append ?job t d)
 
 (* After a checkpoint the snapshot covers the whole journal: restart
    it so the in-memory list (and the seq counter feeding [wal_seq])
@@ -904,8 +904,8 @@ let durable_maybe_checkpoint t =
    trail complete), then maybe checkpoint. A disk error here surfaces
    as the job's error: the in-memory state has committed, but the
    client is never acknowledged a write the disk didn't take. *)
-let durable_publish t =
-  durable_commit t;
+let durable_publish ?job t =
+  durable_commit ?job t;
   durable_maybe_checkpoint t
 
 (* The concurrent-writer commit path, installed per-job as the
@@ -925,27 +925,14 @@ let durable_publish t =
    which would orphan the allocation entries of writers still
    mid-evaluation. Checkpoints run only under a ⊤ footprint (loads,
    exclusive jobs, CHECKPOINT), where nothing else is in flight. *)
-let writer_apply_wrap t apply =
+let writer_apply_wrap t job apply =
   let pending =
     Scheduler.with_apply t.sched (fun () ->
-        let store = Catalog.store t.catalog in
-        Xqb_store.Store.transactionally store apply;
-        match t.durable with
-        | None -> None
-        | Some d ->
-          Xqb_obs.Profile.with_phase "wal" @@ fun () ->
-          let entries = Xqb_store.Store.journal_entries_from store t.wal_seq in
-          if entries = [] then None
-          else begin
-            t.wal_seq <- t.wal_seq + List.length entries;
-            Some (d, Durable.append_entries d entries)
-          end)
+        Xqb_store.Store.transactionally (Catalog.store t.catalog) apply;
+        Option.bind t.durable (fun d ->
+            Option.map (fun tail -> (d, tail)) (wal_append ?job t d)))
   in
-  match pending with
-  | Some (d, lsn) ->
-    Xqb_obs.Profile.with_phase "wal" (fun () -> Durable.wait_durable d lsn);
-    log_commit t lsn []
-  | None -> ()
+  Option.iter (fun (d, tail) -> wal_wait ?job t d tail) pending
 
 let checkpoint_now t =
   match t.durable with
@@ -1261,16 +1248,10 @@ let replication_loop t r host port () =
               | Error e -> failwith e
             end
           | Error e ->
-            let stale =
-              (* "ERR too-old: ..." — substring match keeps the wire
-                 format free to evolve *)
-              let n = String.length e in
-              let rec find i =
-                i + 7 <= n && (String.sub e i 7 = "too-old" || find (i + 1))
-              in
-              find 0
-            in
-            if stale then raise Repl_stale else failwith ("SHIP: " ^ e)
+            (* "ERR too-old: ..." — substring match keeps the wire
+               format free to evolve *)
+            if contains e "too-old" then raise Repl_stale
+            else failwith ("SHIP: " ^ e)
         done)
   in
   let stale = ref false in
@@ -1408,12 +1389,12 @@ let error_message e = (Service_error.classify e).Service_error.message
    session (cheap), so cross-session hits behave like a local
    compile. Caller holds the session lock. *)
 let prepare t s src =
+  let job = (Engine.context s.engine).Core.Context.job in
+  Stage.with_ ~stage:Stage.Compile ~cat:"compile" job "prepare" @@ fun () ->
   let key = Plan_cache.normalize_key src in
   match Plan_cache.find t.cache key with
   | Some plan ->
-    (match (Engine.context s.engine).Core.Context.tracer with
-    | Some tr -> Trace.instant tr "plan.cache.hit"
-    | None -> ());
+    Stage.with_ ~cat:"mark" job "plan.cache.hit" ignore;
     Engine.install_functions s.engine plan.prep.Runner.compiled;
     plan
   | None ->
@@ -1436,13 +1417,15 @@ let prepare t s src =
 
 (* -- the in-flight registry ----------------------------------------- *)
 
+(* Query source as shown in STATS and SLOWLOG: the first 120 bytes. *)
+let clip_src src =
+  if String.length src <= 120 then src else String.sub src 0 120 ^ "…"
+
 let register_job t sid ~deadline ~cancel ~started src =
   locked t.jmutex (fun () ->
       let jid = t.next_jid in
       t.next_jid <- jid + 1;
-      let src =
-        if String.length src <= 120 then src else String.sub src 0 120 ^ "…"
-      in
+      let src = clip_src src in
       Hashtbl.replace t.jobs jid
         { jid; jsid = sid; cancel; started; job_deadline = deadline; src };
       jid)
@@ -1506,10 +1489,6 @@ let delta_stats_json ~jid ~apply_ns (st : Core.Update.stats) =
        (Array.to_list (Array.map string_of_int st.Core.Update.depth_hist)))
     apply_ns
 
-(* Called right after a write-side job finishes (session lock held):
-   snapshot the job's ∆ statistics for the wire DELTA command, and
-   ring-buffer a slow-effect entry when the apply phase crossed the
-   threshold. *)
 (* Per-job attribution bracket: GC pause delta (poll-lagged; short
    jobs read 0) and profiler samples by phase, captured around the
    job body for SLOWLOG and EXPLAIN ANALYZE. *)
@@ -1546,41 +1525,45 @@ let attribution_suffix t att =
       (Printf.sprintf "\n-- gc: pause_ms=%.2f" (float_of_int gc_ns /. 1e6));
   Buffer.contents buf
 
-let note_effects t ~jid ~sid ~src ~trace ?(gc_ns = 0) ?(samples = []) ctx =
+(* Called right after a write-side job's session work (session lock
+   held): snapshot its ∆ statistics for the wire DELTA command, and
+   return its slow-effect entry, which [note_slow] completes with the
+   stage split once the job has finished. *)
+let note_effects t ~jid ~sid ~src ~trace ~att ctx =
   let st = ctx.Core.Context.delta_stats in
-  let apply_ns = ctx.Core.Context.apply_ns in
-  let snaps = st.Core.Update.snaps in
-  let requests = Core.Update.stats_requests st in
-  let json = delta_stats_json ~jid ~apply_ns st in
-  let slow = apply_ns >= t.slow_ns && snaps > 0 in
-  locked t.sl_mutex (fun () ->
-      t.last_delta <- Some json;
-      if slow then begin
-        let entry =
-          {
-            sl_jid = jid;
-            sl_sid = sid;
-            sl_src =
-              (if String.length src <= 120 then src
-               else String.sub src 0 120 ^ "…");
-            sl_apply_ns = apply_ns;
-            sl_snaps = snaps;
-            sl_requests = requests;
-            sl_trace = trace;
-            sl_gc_ns = gc_ns;
-            sl_samples = samples;
-          }
-        in
+  let json = delta_stats_json ~jid ~apply_ns:ctx.Core.Context.apply_ns st in
+  locked t.sl_mutex (fun () -> t.last_delta <- Some json);
+  let gc_ns, samples = attribution_end att in
+  {
+    sl_jid = jid;
+    sl_sid = sid;
+    sl_src = clip_src src;
+    sl_stages = [||];
+    sl_snaps = st.Core.Update.snaps;
+    sl_requests = Core.Update.stats_requests st;
+    sl_trace = trace;
+    sl_gc_ns = gc_ns;
+    sl_samples = samples;
+  }
+
+let snap_apply_ns stages = stages.(Stage.index Stage.Snap_apply)
+
+(* Ring-buffer a finished job's slow-effect entry when its snap-apply
+   stage crossed the threshold. *)
+let note_slow t stages e =
+  let apply_ns = snap_apply_ns stages in
+  if e.sl_snaps > 0 && apply_ns >= t.slow_ns then begin
+    let e = { e with sl_stages = stages } in
+    locked t.sl_mutex (fun () ->
         t.slowlog <-
-          entry :: List.filteri (fun i _ -> i < slowlog_cap - 1) t.slowlog
-      end);
-  if slow then
+          e :: List.filteri (fun i _ -> i < slowlog_cap - 1) t.slowlog);
     Events.warn t.events ~kind:"query.slow"
       [
-        ("jid", Events.I jid);
+        ("jid", Events.I e.sl_jid);
         ("apply_ms", Events.F (float_of_int apply_ns /. 1e6));
-        ("snaps", Events.I snaps);
+        ("snaps", Events.I e.sl_snaps);
       ]
+  end
 
 (* Last write-side job's ∆ statistics; [None] before any updating
    query ran. *)
@@ -1588,19 +1571,25 @@ let delta_json t = locked t.sl_mutex (fun () -> t.last_delta)
 
 let slowlog_json t =
   let entries = locked t.sl_mutex (fun () -> t.slowlog) in
+  let pairs l =
+    String.concat ","
+      (List.map
+         (fun (k, n) -> Printf.sprintf "\"%s\":%d" (Metrics.json_escape k) n)
+         l)
+  in
   "["
   ^ String.concat ","
       (List.map
          (fun e ->
            Printf.sprintf
-             "{\"jid\":%d,\"sid\":%d,\"apply_ns\":%d,\"snaps\":%d,\"requests\":%d,\"gc_pause_ns\":%d,\"profile_samples\":{%s},\"trace\":%s,\"src\":\"%s\"}"
-             e.sl_jid e.sl_sid e.sl_apply_ns e.sl_snaps e.sl_requests
-             e.sl_gc_ns
-             (String.concat ","
+             "{\"jid\":%d,\"sid\":%d,\"apply_ns\":%d,\"latency_ns\":%d,\"stages_ns\":{%s},\"snaps\":%d,\"requests\":%d,\"gc_pause_ns\":%d,\"profile_samples\":{%s},\"trace\":%s,\"src\":\"%s\"}"
+             e.sl_jid e.sl_sid (snap_apply_ns e.sl_stages)
+             (Array.fold_left ( + ) 0 e.sl_stages)
+             (pairs
                 (List.map
-                   (fun (k, n) ->
-                     Printf.sprintf "\"%s\":%d" (Metrics.json_escape k) n)
-                   e.sl_samples))
+                   (fun st -> (Stage.name st, e.sl_stages.(Stage.index st)))
+                   Stage.all))
+             e.sl_snaps e.sl_requests e.sl_gc_ns (pairs e.sl_samples)
              (match e.sl_trace with
              | Some id -> Printf.sprintf "\"%s\"" (Metrics.json_escape id)
              | None -> "null")
@@ -1638,14 +1627,20 @@ let await fut =
    bookkeeping every outcome goes through) and [on_session] (execution
    on the session engine, for the two write routes). *)
 
-(* Submit [body ~jid budget] as a governed job. [t0] (Clock ns) is
-   when the request arrived: it stamps the registry entry (STATS
-   running_ms) and the latency handed to [record ~ok ~latency_ns], the
-   caller's completion step. [record] runs once on every outcome —
-   success, failure, queue expiry, shutdown drain, overload — right
-   before the job's trace (if any) is folded into the phase histograms
-   and kept for [TRACE]. *)
-let submit_governed t sid ~t0 ~label ~tr ~footprint ~record body =
+(* A job's stage record, its clock started now; it carries the job's
+   tracer when tracing is on. *)
+let job_stages t =
+  Stage.create ?tracer:(if t.tracing then Some (Trace.create ()) else None) ()
+
+(* Submit [body ~jid ~effects budget] as a governed job whose stage
+   record is [st]. [t0] (Clock ns, the request's arrival) stamps the
+   registry entry (STATS running_ms). [record ~ok ~stages], the
+   caller's completion step, runs once on every outcome — success,
+   failure, queue expiry, shutdown drain, overload — with the job's
+   finished stage split; then a write-side job's slow-effect entry
+   (left in [effects] by [on_session]) is judged, and its trace (if
+   any) kept for [TRACE]. *)
+let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
   (* one deadline scale, one boundary: the budget's polls, the
      scheduler queue check and the watchdog all use the same absolute
      monotonic Clock ns derived from --deadline-ms right here —
@@ -1661,17 +1656,17 @@ let submit_governed t sid ~t0 ~label ~tr ~footprint ~record body =
       ?deadline_ns:(if deadline_ns = max_int then None else Some deadline_ns)
       ?fuel:t.fuel ?max_delta:t.max_delta ()
   in
+  Stage.set_steps st (fun () -> Budget.steps_used budget);
   let jid =
     register_job t sid ~deadline:deadline_ns
       ~cancel:(Budget.cancel_token budget) ~started:t0 label
   in
+  let effects = ref None in
   let finish ok =
-    record ~ok ~latency_ns:(float_of_int (Clock.now_ns () - t0));
-    match tr with
-    | Some tr ->
-      Metrics.record_phase_totals t.metrics (Trace.phase_totals tr);
-      push_trace t jid tr
-    | None -> ()
+    let stages = Stage.finish st in
+    record ~ok ~stages;
+    Option.iter (note_slow t stages) !effects;
+    Option.iter (push_trace t jid) (Stage.tracer st)
   in
   let fail e =
     finish false;
@@ -1681,7 +1676,7 @@ let submit_governed t sid ~t0 ~label ~tr ~footprint ~record body =
   in
   let job () =
     Fun.protect ~finally:(fun () -> unregister_job t jid) @@ fun () ->
-    match body ~jid budget with
+    match body ~jid ~effects budget with
     | out ->
       finish true;
       Ok out
@@ -1701,7 +1696,7 @@ let submit_governed t sid ~t0 ~label ~tr ~footprint ~record body =
     ignore (fail e)
   in
   match
-    Scheduler.submit t.sched ~deadline:deadline_ns ~on_abort ?trace:tr
+    Scheduler.submit t.sched ~deadline:deadline_ns ~on_abort ~stages:st
       ~footprint job
   with
   | fut -> (jid, fut)
@@ -1718,9 +1713,9 @@ let submit_governed t sid ~t0 ~label ~tr ~footprint ~record body =
     (jid, Scheduler.ready (Error (Service_error.classify e)))
 
 (* The write routes run on the session engine itself, under the
-   session lock, with the job's tracer and budget installed and fresh
-   ∆ statistics (snapshotted for DELTA and the slow-effect log on the
-   way out, even when the job fails), bracketed by GC/profiler
+   session lock, with the job's stage record and budget installed and
+   fresh ∆ statistics (snapshotted for DELTA and the slow-effect log
+   on the way out, even when the job fails), bracketed by GC/profiler
    attribution — [body] gets the attribution token for EXPLAIN
    ANALYZE's footer.
 
@@ -1733,8 +1728,9 @@ let submit_governed t sid ~t0 ~label ~tr ~footprint ~record body =
    apply + WAL append serializes under [writer_apply_wrap]: the
    durable acknowledgment barrier moves inside the wrap, before the
    job's future resolves. *)
-let on_session t s ~jid ~src ~tr ~budget ~route body =
+let on_session t s ~jid ~src ~st ~effects ~budget ~route body =
   let exclusive = route = FP.Exclusive in
+  let job = Some st in
   match
     locked s.slock (fun () ->
         let ctx = Engine.context s.engine in
@@ -1743,28 +1739,29 @@ let on_session t s ~jid ~src ~tr ~budget ~route body =
         let att = attribution_begin () in
         Fun.protect
           ~finally:(fun () ->
-            let gc_ns, samples = attribution_end att in
-            note_effects t ~jid ~sid:s.sid ~src
-              ~trace:(Option.map Trace.id tr)
-              ~gc_ns ~samples ctx)
+            effects :=
+              Some
+                (note_effects t ~jid ~sid:s.sid ~src
+                   ~trace:(Option.map Trace.id (Stage.tracer st))
+                   ~att ctx))
         @@ fun () ->
-        Engine.with_tracer s.engine tr @@ fun () ->
+        Engine.with_job s.engine job @@ fun () ->
         Engine.with_budget s.engine (Some budget) @@ fun () ->
         if exclusive then
           Xqb_store.Store.transactionally (Catalog.store t.catalog) (fun () ->
               body att)
         else begin
-          ctx.Core.Context.apply_wrap <- Some (writer_apply_wrap t);
+          ctx.Core.Context.apply_wrap <- Some (writer_apply_wrap t job);
           Fun.protect
             ~finally:(fun () -> ctx.Core.Context.apply_wrap <- None)
             (fun () -> body att)
         end)
   with
   | out ->
-    if exclusive then durable_publish t;
+    if exclusive then durable_publish ?job t;
     out
   | exception e ->
-    if exclusive then (try durable_publish t with _ -> ());
+    if exclusive then (try durable_publish ?job t with _ -> ());
     raise e
 
 (* Submit a query; returns the job id (usable with [cancel]) and a
@@ -1777,12 +1774,12 @@ let submit_job t sid src :
   let s = find_session t sid in
   let t0 = Clock.now_ns () in
   Metrics.record_queue_depth t.metrics (Scheduler.queue_depth t.sched);
-  (* One tracer per job. Installed on the session engine only while
-     the session lock is held (prepare + fork); a fork copies it, so
-     spans recorded by the fork on a worker domain land in this job's
-     trace without the session ever sharing a tracer between two
-     jobs. *)
-  let tr = if t.tracing then Some (Trace.create ()) else None in
+  (* One stage record per job. Installed on the session engine only
+     while the session lock is held (prepare + fork); a fork copies
+     it, so the stages and spans the fork records on a worker domain
+     land in this job's record without the session ever sharing one
+     between two jobs. *)
+  let st = job_stages t in
   let reject e =
     let err = Service_error.classify e in
     Metrics.record_error t.metrics err.Service_error.kind;
@@ -1790,7 +1787,7 @@ let submit_job t sid src :
   in
   match
     locked s.slock (fun () ->
-        Engine.with_tracer s.engine tr (fun () ->
+        Engine.with_job s.engine (Some st) (fun () ->
             let plan = prepare t s src in
             let fork =
               if plan.route = FP.Fork then Some (Engine.fork_read s.engine)
@@ -1809,25 +1806,30 @@ let submit_job t sid src :
       (Failure
          "read-only replica: updating/effecting queries must run on the leader")
   | plan, fork ->
-    let record ~ok ~latency_ns =
+    let record ~ok ~stages =
       Metrics.record_query t.metrics ~purity:plan.purity
-        ~parallel:(plan.route = FP.Fork) ~ok ~latency_ns
+        ~parallel:(plan.route = FP.Fork) ~ok ~stages
     in
     let compiled = plan.prep.Runner.compiled in
     let exec = Runner.exec plan.prep.Runner.algebra.Xqb_algebra.Compile.plan in
-    submit_governed t sid ~t0 ~label:src ~tr
-      ~footprint:compiled.Engine.footprint ~record (fun ~jid budget ->
+    let serialize f =
+      Stage.with_ ~stage:Stage.Serialize (Some st) "serialize" f
+    in
+    submit_governed t sid ~t0 ~st ~label:src
+      ~footprint:compiled.Engine.footprint ~record (fun ~jid ~effects budget ->
         match fork with
         | Some feng ->
           (* snap-free evaluation; [run_readonly] re-forks internally
              and the fork inherits the budget installed here *)
           Engine.with_budget feng (Some budget) (fun () ->
               let v = Engine.run_readonly ~exec feng compiled in
-              Engine.serialize_with (Catalog.store t.catalog) v)
+              serialize (fun () ->
+                  Engine.serialize_with (Catalog.store t.catalog) v))
         | None ->
-          on_session t s ~jid ~src ~tr ~budget ~route:plan.route (fun _ ->
+          on_session t s ~jid ~src ~st ~effects ~budget ~route:plan.route
+            (fun _ ->
               let v = Engine.run_compiled ~exec s.engine compiled in
-              Engine.serialize s.engine v))
+              serialize (fun () -> Engine.serialize s.engine v)))
 
 let submit t sid src = snd (submit_job t sid src)
 
@@ -1856,12 +1858,13 @@ let explain_job t sid src :
     (0, Scheduler.ready (Error err))
   end
   else
-    let tr = if t.tracing then Some (Trace.create ()) else None in
-    submit_governed t sid ~t0:(Clock.now_ns ()) ~label:("EXPLAIN " ^ src) ~tr
+    let st = job_stages t in
+    submit_governed t sid ~t0:(Clock.now_ns ()) ~st ~label:("EXPLAIN " ^ src)
       ~footprint:FP.top
-      ~record:(fun ~ok:_ ~latency_ns:_ -> ())
-      (fun ~jid budget ->
-        on_session t s ~jid ~src ~tr ~budget ~route:FP.Exclusive (fun att ->
+      ~record:(fun ~ok:_ ~stages:_ -> ())
+      (fun ~jid ~effects budget ->
+        on_session t s ~jid ~src ~st ~effects ~budget ~route:FP.Exclusive
+          (fun att ->
             let plan = prepare t s src in
             let r = Runner.execute ~profile:true s.engine plan.prep in
             (* same footer style as the ddo/footprint lines: sampling +
@@ -2151,22 +2154,7 @@ let flight_json t ~reason =
     (Events.events_json (Events.tail t.events flight_splice_cap))
 
 let write_flight t ~reason =
-  match t.data_dir with
-  | None -> None
-  | Some dir -> (
-    let path =
-      Filename.concat dir
-        (Printf.sprintf "flight-%d-%d.json"
-           (int_of_float (Unix.gettimeofday () *. 1000.))
-           (Unix.getpid ()))
-    in
-    match open_out path with
-    | oc ->
-      output_string oc (flight_json t ~reason);
-      output_char oc '\n';
-      close_out_noerr oc;
-      Some path
-    | exception Sys_error _ -> None)
+  Option.bind t.data_dir (fun dir -> write_flight_file ~dir (flight_json t ~reason))
 
 (* Called by `serve` (and only serve: a library embedder owns its own
    signals). The [at_exit] guard fires on any exit path that skipped

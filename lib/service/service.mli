@@ -263,8 +263,9 @@ val profile_command :
 val delta_json : t -> string option
 
 (** The slow-effect log as a JSON array, newest first: write-side
-    jobs whose ∆-apply phase exceeded [slow_apply_ms], each with its
-    ∆ summary and trace id (wire [SLOWLOG]). *)
+    jobs whose snap-apply stage reached [slow_apply_ms], each with its
+    ∆ summary, trace id, [latency_ns] and the [stages_ns] split that
+    sums to it (wire [SLOWLOG]). *)
 val slowlog_json : t -> string
 
 val slowlog_length : t -> int

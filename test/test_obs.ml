@@ -11,6 +11,8 @@ module Hist = Xqb_obs.Hist
 module Trace = Xqb_obs.Trace
 module Window = Xqb_obs.Window
 module Events = Xqb_obs.Events
+module Stage = Xqb_obs.Stage
+module Profile = Xqb_obs.Profile
 
 (* -- Json: strict parser ------------------------------------------- *)
 
@@ -465,13 +467,17 @@ let event_tests =
 
 let span_names tr = List.map (fun s -> s.Trace.name) (Trace.spans tr)
 
+(* A span through the one bracket: [Stage.with_] without a stage. *)
+let with_span ?args tr name f =
+  Stage.with_ ?args (Some (Stage.create ~tracer:tr ())) name f
+
 let trace_tests =
   [
     tc "with_span nests via parent links" `Quick (fun () ->
         let tr = Trace.create () in
-        Trace.with_span tr "outer" (fun () ->
-            Trace.with_span tr "inner" (fun () -> ());
-            Trace.with_span tr "inner2" (fun () -> ()));
+        with_span tr "outer" (fun () ->
+            with_span tr "inner" (fun () -> ());
+            with_span tr "inner2" (fun () -> ()));
         check (Alcotest.list Alcotest.string) "names"
           [ "outer"; "inner"; "inner2" ] (span_names tr);
         match Trace.spans tr with
@@ -492,10 +498,10 @@ let trace_tests =
         check Alcotest.bool "enabled" false (Trace.enabled tr));
     tc "with_span closes the span on exceptions" `Quick (fun () ->
         let tr = Trace.create () in
-        (try Trace.with_span tr "boom" (fun () -> failwith "x")
+        (try with_span tr "boom" (fun () -> failwith "x")
          with Failure _ -> ());
         (* the stack must be unwound: a new span is again a root *)
-        Trace.with_span tr "after" (fun () -> ());
+        with_span tr "after" (fun () -> ());
         match Trace.spans tr with
         | [ boom; after ] ->
           check Alcotest.bool "boom closed" true (boom.Trace.dur_ns >= 0);
@@ -513,27 +519,17 @@ let trace_tests =
     tc "cap drops excess spans and counts them" `Quick (fun () ->
         let tr = Trace.create ~cap:4 () in
         for i = 1 to 10 do
-          Trace.with_span tr (Printf.sprintf "s%d" i) (fun () -> ())
+          with_span tr (Printf.sprintf "s%d" i) (fun () -> ())
         done;
         check Alcotest.int "kept" 4 (Trace.span_count tr);
         check Alcotest.int "dropped" 6 (Trace.dropped tr));
-    tc "phase_totals sums per name in first-occurrence order" `Quick
-      (fun () ->
-        let tr = Trace.create () in
-        Trace.add_span tr ~name:"parse" ~start_ns:0 ~dur_ns:10 ();
-        Trace.add_span tr ~name:"eval" ~start_ns:10 ~dur_ns:100 ();
-        Trace.add_span tr ~name:"parse" ~start_ns:110 ~dur_ns:5 ();
-        check
-          (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-          "totals"
-          [ ("parse", 15); ("eval", 100) ]
-          (Trace.phase_totals tr));
     tc "chrome export is strict JSON with escaped args" `Quick (fun () ->
         let tr = Trace.create () in
-        Trace.with_span tr
+        with_span tr
           ~args:[ ("uri", "he\"llo\\wo\nrld"); ("k\te y", "v") ]
           "load" (fun () -> ());
-        Trace.instant tr "mark";
+        Trace.add_span tr ~name:"mark" ~start_ns:(Xqb_obs.Clock.now_ns ())
+          ~dur_ns:0 ();
         let v = check_json "chrome trace" (Trace.to_chrome_json tr) in
         let events =
           match J.member "traceEvents" v with
@@ -553,12 +549,104 @@ let trace_tests =
         | _ -> Alcotest.fail "args.uri missing");
     tc "dropped count is reported in otherData" `Quick (fun () ->
         let tr = Trace.create ~cap:1 () in
-        Trace.with_span tr "a" (fun () -> ());
-        Trace.with_span tr "b" (fun () -> ());
+        with_span tr "a" (fun () -> ());
+        with_span tr "b" (fun () -> ());
         let v = check_json "trace" (Trace.to_chrome_json tr) in
         match J.path v [ "otherData"; "dropped" ] with
         | Some (J.Num d) -> check (Alcotest.float 0.) "dropped" 1. d
         | _ -> Alcotest.fail "otherData.dropped missing");
+  ]
+
+(* -- Stage: the per-job bracket --------------------------------------- *)
+
+let ns_of ns s = ns.(Stage.index s)
+
+(* The domain's profiler label, read by swapping it out and back. *)
+let label () =
+  let l = Profile.swap_phase "" in
+  ignore (Profile.swap_phase l);
+  l
+
+let stage_tests =
+  [
+    tc "a nested stage's time is charged to it, not to the outer one" `Quick
+      (fun () ->
+        let st = Stage.create () in
+        let inner = ref 0 in
+        let outer =
+          Stage.timed Stage.Run (Some st) "eval" (fun () ->
+              Unix.sleepf 0.001;
+              inner :=
+                Stage.timed Stage.Snap_apply (Some st) "snap.apply" (fun () ->
+                    Unix.sleepf 0.005))
+        in
+        let ns = Stage.finish st in
+        check Alcotest.bool "inner slept" true (!inner >= 5_000_000);
+        check Alcotest.int "snap-apply is the inner bracket" !inner
+          (ns_of ns Stage.Snap_apply);
+        check Alcotest.int "run is the outer bracket minus the inner" (outer - !inner)
+          (ns_of ns Stage.Run);
+        Array.iter (fun n -> check Alcotest.bool "non-negative" true (n >= 0)) ns;
+        check Alcotest.bool "the slots cover both brackets" true
+          (Array.fold_left ( + ) 0 ns >= outer));
+    tc "an exception restores the outer stage and profiler label" `Quick
+      (fun () ->
+        let st = Stage.create () in
+        let before = label () in
+        Stage.with_ ~stage:Stage.Compile (Some st) "compile" (fun () ->
+            (try
+               Stage.with_ ~stage:Stage.Run (Some st) "eval" (fun () ->
+                   check Alcotest.string "inner label" "run" (label ());
+                   failwith "boom")
+             with Failure _ -> ());
+            check Alcotest.string "outer label back" "compile" (label ());
+            (* charged to compile: the outer stage is current again *)
+            Unix.sleepf 0.005);
+        check Alcotest.string "label restored" before (label ());
+        let ns = Stage.finish st in
+        check Alcotest.bool "compile got the time after the exception" true
+          (ns_of ns Stage.Compile >= 5_000_000);
+        check Alcotest.bool "run got none of it" true
+          (ns_of ns Stage.Run < ns_of ns Stage.Compile));
+    tc "no tracer: no spans, time still accumulates" `Quick (fun () ->
+        let bracket st =
+          Stage.switch st Stage.Queue;
+          Stage.switch st Stage.Gate;
+          Stage.switch st Stage.Other;
+          Stage.with_ ~stage:Stage.Run (Some st) "eval" (fun () ->
+              Stage.with_ (Some st) "conflict.check" (fun () -> Unix.sleepf 0.002));
+          Stage.finish st
+        in
+        let off = Trace.disabled in
+        List.iter
+          (fun st ->
+            let ns = bracket st in
+            check Alcotest.bool "run accumulated" true
+              (ns_of ns Stage.Run >= 2_000_000))
+          [ Stage.create (); Stage.create ~tracer:off () ];
+        check Alcotest.int "disabled tracer recorded nothing" 0
+          (Trace.span_count off);
+        (* the same brackets with a tracer: every span, fuel on the
+           bracket spans once a step counter is installed *)
+        let tr = Trace.create () in
+        let st = Stage.create ~tracer:tr () in
+        let steps = ref 0 in
+        Stage.set_steps st (fun () -> !steps);
+        ignore
+          (Stage.with_ (Some st) "parse" (fun () ->
+               steps := 7;
+               bracket st));
+        let spans = Trace.spans tr in
+        check
+          (Alcotest.list Alcotest.string)
+          "span names"
+          [ "parse"; "queue.wait"; "lock.wait"; "eval"; "conflict.check" ]
+          (List.map (fun s -> s.Trace.name) spans);
+        match List.find_opt (fun s -> s.Trace.name = "parse") spans with
+        | Some s ->
+          check Alcotest.(option string) "fuel" (Some "7")
+            (List.assoc_opt "fuel" s.Trace.args)
+        | None -> Alcotest.fail "parse span missing");
   ]
 
 (* -- Metrics / service JSON round-trips ----------------------------- *)
@@ -650,5 +738,6 @@ let suite =
     ("obs: window", window_tests);
     ("obs: events", event_tests);
     ("obs: trace", trace_tests);
+    ("obs: stage", stage_tests);
     ("obs: round-trips", roundtrip_tests);
   ]

@@ -7,6 +7,7 @@
 
 open Helpers
 module Profile = Xqb_obs.Profile
+module Stage = Xqb_obs.Stage
 module Gc_tel = Xqb_obs.Gc_tel
 module Procstat = Xqb_obs.Procstat
 module Svc = Xqb_service.Service
@@ -97,14 +98,24 @@ let lifecycle_tests =
         | started ->
           if started then ignore (Profile.stop ());
           Alcotest.fail "hz:0 accepted");
-    tc "with_phase nests and restores" `Quick (fun () ->
-        (* observable via samples only when running; here we just
-           check the bracket restores cleanly and composes *)
-        let r =
-          Profile.with_phase "compile" (fun () ->
-              Profile.with_phase "run" (fun () -> Profile.with_op 3 (fun () -> 41 + 1)))
+    tc "stage labels nest and restore" `Quick (fun () ->
+        (* the label is what samples are attributed to; read it back
+           by swapping it out and in *)
+        let label () =
+          let l = Profile.swap_phase "" in
+          ignore (Profile.swap_phase l);
+          l
         in
-        check Alcotest.int "result threads through" 42 r);
+        let outer = label () in
+        let r =
+          Stage.with_ ~stage:Stage.Compile None "compile" (fun () ->
+              Stage.with_ ~stage:Stage.Run None "eval" (fun () ->
+                  Profile.with_op 3 (fun () ->
+                      check Alcotest.string "inner label" "run" (label ());
+                      41 + 1)))
+        in
+        check Alcotest.int "result threads through" 42 r;
+        check Alcotest.string "outer label restored" outer (label ()));
   ]
 
 (* -- attribution under load (the wire verb end to end) -------------- *)

@@ -540,13 +540,16 @@ let admission =
           (fun () ->
             let tr_hog = Xqb_obs.Trace.create () in
             let f0 =
-              Sched.submit sched ~trace:tr_hog ~footprint:FP.read_all (fun () ->
+              Sched.submit sched
+                ~stages:(Xqb_obs.Stage.create ~tracer:tr_hog ())
+                ~footprint:FP.read_all (fun () ->
                   Unix.sleepf 0.15)
             in
             wait_for_drain sched;
             let tr = Xqb_obs.Trace.create () in
             let f =
-              Sched.submit sched ~trace:tr
+              Sched.submit sched
+                ~stages:(Xqb_obs.Stage.create ~tracer:tr ())
                 ~deadline:(Xqb_obs.Clock.now_ns () + 20_000_000)
                 ~footprint:FP.read_all
                 (fun () -> ())
@@ -590,6 +593,18 @@ let num_at v path =
   match Option.bind (J.path v path) J.to_float_opt with
   | Some f -> int_of_float f
   | None -> Alcotest.failf "missing %s" (String.concat "." path)
+
+(* A SLOWLOG entry's [stages_ns] object as (stage, ns) pairs. *)
+let stage_split e =
+  match J.member "stages_ns" e with
+  | Some (J.Obj fields) ->
+    List.map
+      (fun (k, v) ->
+        match J.to_float_opt v with
+        | Some f -> (k, int_of_float f)
+        | None -> Alcotest.failf "stages_ns.%s is not a number" k)
+      fields
+  | _ -> Alcotest.fail "stages_ns missing"
 
 let updating_query =
   {|let $x := <x><a/></x>
@@ -692,6 +707,17 @@ let observability =
             | [ e ] ->
               check Alcotest.int "requests" 3 (num_at e [ "requests" ]);
               check Alcotest.int "session" s (num_at e [ "sid" ]);
+              (* the stage split: every stage, none negative, summing
+                 to the job's latency *)
+              let stages = stage_split e in
+              check Alcotest.int "every stage" 9 (List.length stages);
+              List.iter
+                (fun (k, n) ->
+                  check Alcotest.bool ("stage " ^ k ^ " >= 0") true (n >= 0))
+                stages;
+              check Alcotest.int "stages sum to latency_ns"
+                (num_at e [ "latency_ns" ])
+                (List.fold_left (fun a (_, n) -> a + n) 0 stages);
               (match Option.bind (J.member "src" e) J.to_string_opt with
               | Some src ->
                 check Alcotest.bool "src captured" true
@@ -967,6 +993,39 @@ let health =
             check Alcotest.string "degraded" "degraded" (status_of svc);
             check Alcotest.bool "fsync-latency reason" true
               (List.mem "fsync-latency" (reason_codes svc))));
+    tc "EVENTS: one stall.fsync per stalled fsync" `Quick (fun () ->
+        let dir = fresh_dir () in
+        let svc =
+          Svc.create ~domains:0 ~durability:(durable_cfg dir) ~stall_ms:50 ()
+        in
+        Fun.protect
+          ~finally:(fun () -> Svc.shutdown svc)
+          (fun () ->
+            let s = Svc.open_session svc in
+            Svc.load_document svc s ~uri:"d" "<r/>";
+            (* one fsync held 600ms: past the 50ms stall bound across at
+               least two 250ms monitor ticks, one rising edge *)
+            Svc.inject_fsync_delay svc 0.6;
+            ignore (ok (Svc.query svc s {|insert {<a/>} into {doc("d")/r}|}));
+            Svc.inject_fsync_delay svc 0.;
+            (* let the monitor see the stall clear *)
+            Thread.delay 0.3;
+            let stalls =
+              List.filter
+                (fun e ->
+                  Option.bind (J.member "kind" e) J.to_string_opt
+                  = Some "stall.fsync")
+                (J.to_list (check_json "events" (Svc.events_json svc 100)))
+            in
+            match stalls with
+            | [ e ] ->
+              check Alcotest.bool "in_progress_ms past the bound" true
+                (match
+                   Option.bind (J.path e [ "data"; "in_progress_ms" ]) J.to_float_opt
+                 with
+                | Some ms -> ms > 50.
+                | None -> false)
+            | l -> Alcotest.failf "expected one stall.fsync, got %d" (List.length l)));
     tc "HEALTH: a replica falling behind trips the leader's peer check"
       `Quick (fun () ->
         let dir = fresh_dir () in
@@ -1147,6 +1206,134 @@ let health =
               | _ -> Alcotest.fail "flight.health.status missing")));
   ]
 
+(* -- Stage split: every job's latency, stage by stage ----------------- *)
+
+(* The value of the exposition sample [name] (exact line prefix,
+   labels included). *)
+let prom_value body name =
+  let prefix = name ^ " " in
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix l)
+      (String.split_on_char '\n' body)
+  with
+  | Some l ->
+    float_of_string
+      (String.sub l (String.length prefix) (String.length l - String.length prefix))
+  | None -> Alcotest.failf "exposition lacks %S" name
+
+let stage_names = List.map Xqb_obs.Stage.name Xqb_obs.Stage.all
+
+let stage_split_tests =
+  [
+    tc "stages sum exactly to the latency on every route, tracing on and off"
+      `Quick (fun () ->
+        List.iter
+          (fun tracing ->
+            let dir = fresh_dir () in
+            let svc =
+              Svc.create ~domains:1 ~tracing ~slow_apply_ms:0
+                ~durability:(durable_cfg dir) ()
+            in
+            Fun.protect
+              ~finally:(fun () -> Svc.shutdown svc)
+              (fun () ->
+                let s = Svc.open_session svc in
+                Svc.load_document svc s ~uri:"d" "<r/>";
+                (* every job's latency lies inside its caller's wall time *)
+                let total_wall = ref 0 in
+                let timed_query src =
+                  let t0 = Unix.gettimeofday () in
+                  ignore (ok (Svc.query svc s src));
+                  let wall = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+                  total_wall := !total_wall + wall;
+                  wall
+                in
+                (* the two write routes, one job each: per job through
+                   SLOWLOG (threshold 0 keeps every write) *)
+                List.iter
+                  (fun (route, src) ->
+                    let wall_ns = timed_query src in
+                    let e =
+                      match J.to_list (check_json "slowlog" (Svc.slowlog_json svc)) with
+                      | e :: _ -> e
+                      | [] -> Alcotest.failf "%s: no SLOWLOG entry" route
+                    in
+                    let stages = stage_split e in
+                    check (Alcotest.list Alcotest.string) (route ^ ": stage names")
+                      stage_names (List.map fst stages);
+                    List.iter
+                      (fun (k, n) ->
+                        check Alcotest.bool
+                          (Printf.sprintf "%s: %s >= 0" route k)
+                          true (n >= 0))
+                      stages;
+                    let latency = num_at e [ "latency_ns" ] in
+                    check Alcotest.int (route ^ ": sum = latency_ns") latency
+                      (List.fold_left (fun a (_, n) -> a + n) 0 stages);
+                    check Alcotest.bool (route ^ ": within the caller's wall time")
+                      true
+                      (latency > 0 && latency <= wall_ns);
+                    List.iter
+                      (fun k ->
+                        check Alcotest.bool
+                          (Printf.sprintf "%s: %s measured" route k)
+                          true
+                          (List.assoc k stages > 0))
+                      [ "compile"; "run"; "snap-apply"; "wal"; "fsync"; "serialize" ])
+                  [
+                    ("concurrent writer", {|insert {<a/>} into {doc("d")/r}|});
+                    ( "exclusive",
+                      {|declare variable $u := "d"; insert {<b/>} into {doc($u)/r}|} );
+                  ];
+                (* the fork route, in aggregate: every job's stages add
+                   up to its latency, so the stage sums add up to the
+                   latency sum *)
+                for i = 1 to 5 do
+                  ignore (timed_query (Printf.sprintf {|count(doc("d")//*) + %d|} i))
+                done;
+                let body = Svc.metrics_prometheus svc in
+                let latency_sum = prom_value body "xqbang_query_latency_ns_sum" in
+                check Alcotest.bool "latency sum within the callers' wall time" true
+                  (latency_sum > 0. && latency_sum <= float_of_int !total_wall);
+                check Alcotest.(float 0.) "sum of stage sums = latency sum" latency_sum
+                  (List.fold_left
+                     (fun a k ->
+                       a
+                       +. prom_value body
+                            (Printf.sprintf "xqbang_phase_ns_sum{phase=\"%s\"}" k))
+                     0. stage_names);
+                check Alcotest.(float 0.) "seven jobs" 7.
+                  (prom_value body "xqbang_query_latency_ns_count")))
+          [ false; true ]);
+    tc "tracing off: one query fills every stage, nothing else" `Quick
+      (fun () ->
+        with_service (fun svc ->
+            let s = Svc.open_session svc in
+            ignore (ok (Svc.query svc s "1 + 1"));
+            let v = check_json "stats" (Svc.stats_json svc) in
+            (match J.member "phases_ns" v with
+            | Some (J.Obj fields) ->
+              check (Alcotest.list Alcotest.string) "phases_ns keys" stage_names
+                (List.map fst fields);
+              List.iter
+                (fun (k, h) ->
+                  match Option.bind (J.member "count" h) J.to_float_opt with
+                  | Some c -> check Alcotest.(float 0.) (k ^ " count") 1. c
+                  | None -> Alcotest.failf "phases_ns.%s has no count" k)
+                fields
+            | _ -> Alcotest.fail "phases_ns missing");
+            let body = Svc.metrics_prometheus svc in
+            List.iter
+              (fun k ->
+                check Alcotest.(float 0.) (k ^ " in METRICS PROM") 1.
+                  (prom_value body
+                     (Printf.sprintf "xqbang_phase_ns_count{phase=\"%s\"}" k)))
+              stage_names;
+            check Alcotest.bool "no plan.cache.hit phase" false
+              (Re.execp (Re.compile (Re.str "plan.cache.hit")) body)));
+  ]
+
 let suite =
   [
     ("service:sessions", sessions);
@@ -1156,4 +1343,5 @@ let suite =
     ("service:admission", admission);
     ("service:observability", observability);
     ("service:health", health);
+    ("service:stages", stage_split_tests);
   ]
