@@ -118,6 +118,33 @@ let child_ids (p : vplan) : (int * int list) list =
   go_v 0 p;
   List.rev !acc
 
+(* [p] with [f] applied to every embedded core expression. *)
+let rec map_exprs_t f = function
+  | Unit -> Unit
+  | For_tuple (p, v, pos, e) -> For_tuple (map_exprs_t f p, v, pos, f e)
+  | Let_tuple (p, v, e) -> Let_tuple (map_exprs_t f p, v, f e)
+  | Select (p, e) -> Select (map_exprs_t f p, f e)
+  | Join { left; right; lkey; rkey } ->
+    Join { left = map_exprs_t f left; right = map_exprs_t f right; lkey = f lkey; rkey = f rkey }
+  | Outer_join_group { left; right; lkey; rkey; ret; out } ->
+    Outer_join_group
+      {
+        left = map_exprs_t f left;
+        right = map_exprs_t f right;
+        lkey = f lkey;
+        rkey = f rkey;
+        ret = f ret;
+        out;
+      }
+  | Sort (p, specs) -> Sort (map_exprs_t f p, List.map (fun (k, d) -> (f k, d)) specs)
+
+let rec map_exprs f = function
+  | Direct e -> Direct (f e)
+  | Map_from_tuple (t, e) -> Map_from_tuple (map_exprs_t f t, f e)
+  | Seq_v (a, b) -> Seq_v (map_exprs f a, map_exprs f b)
+  | Snap_v (m, p) -> Snap_v (m, map_exprs f p)
+  | Ddo_v { elided; body } -> Ddo_v { elided; body = map_exprs f body }
+
 (* -- Explain --------------------------------------------------------
 
    The renderers take an [annot] callback from pre-order node id to a

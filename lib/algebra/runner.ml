@@ -29,14 +29,32 @@ type run_result = {
        service's disjointness scheduler gates on *)
 }
 
-let prepare ?var_docs engine source =
-  let compiled = Engine.compile ?var_docs engine source in
+let prepare ?var_docs ?hole engine source =
+  let compiled =
+    match hole with
+    | None -> Engine.compile ?var_docs engine source
+    | Some hole -> Engine.compile_holes ?var_docs ~hole engine source
+  in
   Xqb_obs.Stage.with_ ~cat:"compile" (Engine.context engine).Core.Context.job
     "algebra.compile"
   @@ fun () ->
   let purity = Core.Static.purity_oracle compiled.Engine.prog in
   let body = Option.value compiled.Engine.prog.Core.Normalize.body ~default:C.Empty in
   { compiled; algebra = Compile.compile ~purity body }
+
+(* The program a compile of the literal text would have prepared: each
+   parameter hole replaced by its value. *)
+let bind_params values p =
+  let bind = C.bind_params values in
+  let prog = p.compiled.Engine.prog in
+  {
+    compiled =
+      {
+        p.compiled with
+        Engine.prog = { prog with Core.Normalize.body = Option.map bind prog.Core.Normalize.body };
+      };
+    algebra = { p.algebra with Compile.plan = Plan.map_exprs bind p.algebra.Compile.plan };
+  }
 
 (* The plan as executed under [snap]: wrapped in the top-level Snap
    operator when there is one, so the rendered tree is the paper's

@@ -34,11 +34,21 @@ type run_result = {
 }
 
 (** [Core.Engine.compile] ([var_docs] goes to the footprint
-    inference), then the algebra plan of the body. The service calls
+    inference) — {!Core.Engine.compile_holes} with [hole] — then the
+    algebra plan of the body. The service calls
     it once per plan-cache miss.
     @raise Core.Engine.Compile_error. *)
 val prepare :
-  ?var_docs:(string -> string option) -> Core.Engine.t -> string -> prepared
+  ?var_docs:(string -> string option) ->
+  ?hole:(Xqb_syntax.Ast.hole -> start:int -> stop:int -> int option) ->
+  Core.Engine.t ->
+  string ->
+  prepared
+
+(** [bind_params values p]: [p] with each parameter hole replaced by
+    the string literal [values.(i)] — the program and plan a compile
+    of the literal text produces. *)
+val bind_params : string array -> prepared -> prepared
 
 (** The plan executor as a body evaluator for {!Core.Engine.run_compiled}
     and {!Core.Engine.run_readonly}: under a top-level snap it runs

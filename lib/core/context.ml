@@ -55,6 +55,10 @@ type t = {
     (* the served job's stage record (and tracer); None outside a
        job, so every instrumentation point costs one option match.
        Installed around a run by [Engine.with_job]. *)
+  mutable params : Xqb_xdm.Item.t array;
+    (* the running job's parameter values, indexed like the
+       [Core_ast.Param] holes of its shape-keyed plan; empty outside
+       such a job. Installed around a run by [Engine.with_params]. *)
   delta_stats : Update.stats;
     (* ∆ introspection: per-evaluation counters of applied snaps,
        requests by kind, snap-depth histogram, conflict checks —
@@ -81,6 +85,7 @@ let create ?(seed = 0x5eed) ?store () =
     ddo_elided = 0;
     budget = None;
     job = None;
+    params = [||];
     delta_stats = Update.stats_create ();
     apply_ns = 0;
   }
@@ -109,6 +114,7 @@ let fork_read ctx =
     ddo_elided = 0;
     budget = ctx.budget;  (* a governed session's forks inherit its budget *)
     job = ctx.job;  (* the fork's stages and spans are the same job's *)
+    params = ctx.params;  (* and so are its parameter values *)
     delta_stats = Update.stats_create ();  (* forks are read-only anyway *)
     apply_ns = 0;
   }

@@ -58,6 +58,11 @@ type t = {
           [None] outside a job (one option match per instrumentation
           point). Install via {!Engine.with_job}. Copied by
           {!fork_read} so a fork's stages and spans are the job's. *)
+  mutable params : Xqb_xdm.Item.t array;
+      (** the running job's parameter values, indexed like the
+          {!Core_ast.Param} holes of a shape-keyed plan ([[||]] outside
+          such a job). Install via {!Engine.with_params}. Copied by
+          {!fork_read}. *)
   delta_stats : Update.stats;
       (** ∆ introspection counters (applied snaps, requests by kind,
           snap-depth histogram, conflict checks) — behind the DELTA

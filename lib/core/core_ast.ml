@@ -28,6 +28,10 @@ type snap_mode = Xqb_syntax.Ast.snap_mode =
 
 type expr =
   | Scalar of Xqb_xdm.Atomic.t  (* literals after normalization *)
+  | Param of int
+    (* an xs:string literal whose value arrives per run (a shape-keyed
+       compile's hole): typed, routed and planned like [Scalar (String
+       _)], evaluated from the context's [params] *)
   | Var of string
   | Context_item
   | Seq of expr * expr  (* binary comma, Fig. 3 *)
@@ -95,6 +99,7 @@ let rec pp ppf (e : expr) =
   let open Format in
   match e with
   | Scalar a -> fprintf ppf "%s(%s)" (Xqb_xdm.Atomic.type_name a) (Xqb_xdm.Atomic.to_string a)
+  | Param i -> fprintf ppf "xs:string(?%d)" i
   | Var v -> fprintf ppf "$%s" v
   | Context_item -> fprintf ppf "."
   | Empty -> fprintf ppf "()"
@@ -155,11 +160,67 @@ let rec pp ppf (e : expr) =
 
 let to_string e = Format.asprintf "%a" pp e
 
+(* Rebuild [e] with [f] applied to every immediate subexpression. *)
+let rec map_subs f (e : expr) : expr =
+  match e with
+  | Scalar _ | Param _ | Var _ | Context_item | Empty -> e
+  | Seq (a, b) -> Seq (f a, f b)
+  | For (v, pos, a, b) -> For (v, pos, f a, f b)
+  | Let (v, a, b) -> Let (v, f a, f b)
+  | If (a, b, c) -> If (f a, f b, f c)
+  | Sort_flwor (clauses, specs, ret) ->
+    Sort_flwor
+      ( List.map
+          (function
+            | S_for (v, pos, e) -> S_for (v, pos, f e)
+            | S_let (v, e) -> S_let (v, f e)
+            | S_where e -> S_where (f e))
+          clauses,
+        List.map (fun (k, d) -> (f k, d)) specs,
+        f ret )
+  | Some_sat (v, a, b) -> Some_sat (v, f a, f b)
+  | Every_sat (v, a, b) -> Every_sat (v, f a, f b)
+  | Step (a, ax, t) -> Step (f a, ax, t)
+  | Key_step (a, elem, attr, b) -> Key_step (f a, elem, attr, f b)
+  | Map (a, b) -> Map (f a, f b)
+  | Predicate (a, b) -> Predicate (f a, f b)
+  | Binop (op, a, b) -> Binop (op, f a, f b)
+  | Unary_minus a -> Unary_minus (f a)
+  | Call_builtin (n, args) -> Call_builtin (n, List.map f args)
+  | Call_user (n, args) -> Call_user (n, List.map f args)
+  | Instance_of (a, t) -> Instance_of (f a, t)
+  | Cast_as (a, t) -> Cast_as (f a, t)
+  | Castable_as (a, t) -> Castable_as (f a, t)
+  | Treat_as (a, t) -> Treat_as (f a, t)
+  | Elem (ns, c) -> Elem (map_name ns f, f c)
+  | Attr (ns, c) -> Attr (map_name ns f, f c)
+  | Text_node a -> Text_node (f a)
+  | Comment_node a -> Comment_node (f a)
+  | Pi_node (ns, a) -> Pi_node (map_name ns f, f a)
+  | Doc_node a -> Doc_node (f a)
+  | Insert (tgt, a, b, loc) -> Insert (tgt, f a, f b, loc)
+  | Delete (a, loc) -> Delete (f a, loc)
+  | Replace (a, b, loc) -> Replace (f a, f b, loc)
+  | Replace_value (a, b, loc) -> Replace_value (f a, f b, loc)
+  | Rename (a, b, loc) -> Rename (f a, f b, loc)
+  | Copy a -> Copy (f a)
+  | Snap (m, a) -> Snap (m, f a)
+
+and map_name ns f = match ns with Static _ -> ns | Dynamic e -> Dynamic (f e)
+
+(* [e] with each [Param i] replaced by the string literal [values.(i)]:
+   the program a compile of the literal text would have produced
+   (EXPLAIN renders a shape-keyed plan through it). *)
+let rec bind_params values (e : expr) : expr =
+  match e with
+  | Param i -> Scalar (Xqb_xdm.Atomic.String values.(i))
+  | e -> map_subs (bind_params values) e
+
 (* Immediate sub-expressions; used by the static analyses and the
    purity judgement. *)
 let sub_exprs (e : expr) : expr list =
   match e with
-  | Scalar _ | Var _ | Context_item | Empty -> []
+  | Scalar _ | Param _ | Var _ | Context_item | Empty -> []
   | Seq (a, b)
   | Binop (_, a, b)
   | Predicate (a, b)

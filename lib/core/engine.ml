@@ -72,36 +72,39 @@ let merge_counts a b =
    calls it on cache hits, where the parse/normalize/rewrite phases
    are skipped but a fresh session still needs the declarations. *)
 let install_functions t (c : compiled) =
-  let prog = c.prog in
-  let purities = Static.classify_functions prog.Normalize.functions in
-  List.iter
-    (fun (f : Normalize.func) ->
-      let arity = List.length f.Normalize.params in
-      let updating =
-        match
-          List.find_opt
-            (fun (g, m, _) -> Qname.equal f.Normalize.fname g && m = arity)
-            purities
-        with
-        | Some (_, _, Static.Pure) -> false
-        | Some _ -> true
-        | None -> false
-      in
-      Context.declare_function t.ctx f.Normalize.fname arity
-        {
-          Context.params = f.Normalize.params;
-          return_type = f.Normalize.return_type;
-          body = f.Normalize.body;
-          updating;
-        })
-    prog.Normalize.functions
+  match c.prog.Normalize.functions with
+  | [] -> ()  (* the common plan-cache hit: nothing to classify *)
+  | functions ->
+    let purities = Static.classify_functions functions in
+    List.iter
+      (fun (f : Normalize.func) ->
+        let arity = List.length f.Normalize.params in
+        let updating =
+          match
+            List.find_opt
+              (fun (g, m, _) -> Qname.equal f.Normalize.fname g && m = arity)
+              purities
+          with
+          | Some (_, _, Static.Pure) -> false
+          | Some _ -> true
+          | None -> false
+        in
+        Context.declare_function t.ctx f.Normalize.fname arity
+          {
+            Context.params = f.Normalize.params;
+            return_type = f.Normalize.return_type;
+            body = f.Normalize.body;
+            updating;
+          })
+      functions
 
 (* Parse, normalize, statically check and simplify a program (§4.2's
    "phase of syntactic rewriting", with purity guards). Function
    declarations are installed into the engine so later [compile]d
    queries can call them too. The effects footprint is inferred here,
    once, against [var_docs] (see {!footprint}). *)
-let compile ?(simplify = true) ?(elide_ddo = true) ?var_docs t source : compiled =
+let compile_with ~parse ?(simplify = true) ?(elide_ddo = true) ?var_docs t source
+    : compiled =
   let job = t.ctx.Context.job in
   Stage.with_ ~stage:Stage.Compile ~cat:"compile" job "compile" @@ fun () ->
   let extra_fns =
@@ -112,8 +115,7 @@ let compile ?(simplify = true) ?(elide_ddo = true) ?var_docs t source : compiled
   let prog =
     try
       let ast =
-        Stage.with_ ~cat:"compile" job "parse" (fun () ->
-            Xqb_syntax.Parser.parse_prog source)
+        Stage.with_ ~cat:"compile" job "parse" (fun () -> parse source)
       in
       Stage.with_ ~cat:"compile" job "normalize" (fun () ->
           Normalize.normalize_prog ~extra_fns ~is_builtin:Functions.is_builtin ast)
@@ -187,6 +189,16 @@ let compile ?(simplify = true) ?(elide_ddo = true) ?var_docs t source : compiled
   let c = { prog; source; rewrites = !rewrites; type_warnings; footprint } in
   install_functions t c;
   c
+
+let compile ?simplify ?elide_ddo ?var_docs t source =
+  compile_with ~parse:Xqb_syntax.Parser.parse_prog ?simplify ?elide_ddo ?var_docs t
+    source
+
+(* A shape-keyed compile: the parser asks [hole] which literals become
+   parameters ({!Xqb_syntax.Parser.parse_prog_holes}); the rest of the
+   pipeline is [compile]'s, and none of it reads a parameter's value. *)
+let compile_holes ?var_docs ~hole t source =
+  compile_with ~parse:(Xqb_syntax.Parser.parse_prog_holes ~hole) ?var_docs t source
 
 (* Evaluate the global-variable declarations of a compiled program (in
    order, under the implicit top-level snap like the body). *)
@@ -279,6 +291,14 @@ let with_job t job f =
   let saved = ctx.Context.job in
   ctx.Context.job <- job;
   Fun.protect ~finally:(fun () -> ctx.Context.job <- saved) f
+
+(* Run [f] with a job's parameter values installed (inherited by read
+   forks); restored on exit like [with_job]. *)
+let with_params t params f =
+  let ctx = t.ctx in
+  let saved = ctx.Context.params in
+  ctx.Context.params <- params;
+  Fun.protect ~finally:(fun () -> ctx.Context.params <- saved) f
 
 (* Purity of a compiled body (E7's instrumentation). *)
 let body_purity (c : compiled) =

@@ -68,6 +68,21 @@ val compile :
   string ->
   compiled
 
+(** {!compile} of a shape-keyed parse
+    ({!Xqb_syntax.Parser.parse_prog_holes}): each literal [hole]
+    accepts compiles to a {!Core_ast.Param} — an [xs:string] whose
+    value arrives per run ({!with_params}). Nothing the compiler
+    computes reads a parameter's value: the program, the rewrites, the
+    footprint and the typing are those a compile of the literal text
+    would produce, with the holes in place of the string literals.
+    @raise Compile_error. *)
+val compile_holes :
+  ?var_docs:(string -> string option) ->
+  hole:(Xqb_syntax.Ast.hole -> start:int -> stop:int -> int option) ->
+  t ->
+  string ->
+  compiled
+
 (** Install a compiled program's function declarations into the
     engine. [compile] does this itself; the service layer's plan
     cache calls it on cache hits so a session that skipped
@@ -118,6 +133,12 @@ val with_budget : t -> Xqb_governor.Budget.t option -> (unit -> 'a) -> 'a
     tracer (conflict detection too). Inherited by {!fork_read} /
     {!run_readonly} forks; restored on exit. *)
 val with_job : t -> Xqb_obs.Stage.t option -> (unit -> 'a) -> 'a
+
+(** [with_params t values f] runs [f ()] with a shape-keyed program's
+    parameter values installed on the engine's context, indexed like
+    its {!Core_ast.Param} holes. Inherited by {!fork_read} /
+    {!run_readonly} forks; restored on exit. *)
+val with_params : t -> Xqb_xdm.Item.t array -> (unit -> 'a) -> 'a
 
 (** §5 classification of a compiled body (E7 instrumentation). *)
 val body_purity : compiled -> Static.purity

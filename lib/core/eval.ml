@@ -166,6 +166,7 @@ let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option
   tick ctx;
   match e with
   | C.Scalar a -> [ Item.Atomic a ]
+  | C.Param i -> [ ctx.Context.params.(i) ]
   | C.Var v -> Context.lookup env v
   | C.Context_item -> (
     match focus with

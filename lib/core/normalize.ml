@@ -43,6 +43,7 @@ let rec normalize env (e : A.expr) : C.expr =
   | A.Literal (A.Lit_decimal f) -> C.Scalar (Xqb_xdm.Atomic.Decimal f)
   | A.Literal (A.Lit_double f) -> C.Scalar (Xqb_xdm.Atomic.Double f)
   | A.Literal (A.Lit_string s) -> C.Scalar (Xqb_xdm.Atomic.String s)
+  | A.Param i -> C.Param i
   | A.Var v -> C.Var v
   | A.Context_item -> C.Context_item
   | A.Seq [] -> C.Empty
@@ -192,12 +193,14 @@ and normalize_avt env (avts : A.avt list) : C.expr =
   match avts with
   | [] -> C.Scalar (Xqb_xdm.Atomic.String "")
   | [ A.Avt_text s ] -> C.Scalar (Xqb_xdm.Atomic.String s)
+  | [ A.Avt_param i ] -> C.Param i  (* the hole stands where the text did *)
   | [ A.Avt_expr e ] -> C.Call_builtin ("%avt-part", [ normalize env e ])
   | segs ->
     let parts =
       List.map
         (function
           | A.Avt_text s -> C.Scalar (Xqb_xdm.Atomic.String s)
+          | A.Avt_param i -> C.Param i
           | A.Avt_expr e -> C.Call_builtin ("%avt-part", [ normalize env e ]))
         segs
     in

@@ -76,55 +76,7 @@ let rec substitute v replacement (e : C.expr) : C.expr =
     C.Some_sat (w, substitute v replacement e1, body)
   | C.Every_sat (w, e1, body) when String.equal v w ->
     C.Every_sat (w, substitute v replacement e1, body)
-  | _ -> map_subs (substitute v replacement) e
-
-(* Rebuild [e] with [f] applied to every immediate subexpression. *)
-and map_subs f (e : C.expr) : C.expr =
-  match e with
-  | C.Scalar _ | C.Var _ | C.Context_item | C.Empty -> e
-  | C.Seq (a, b) -> C.Seq (f a, f b)
-  | C.For (v, pos, a, b) -> C.For (v, pos, f a, f b)
-  | C.Let (v, a, b) -> C.Let (v, f a, f b)
-  | C.If (a, b, c) -> C.If (f a, f b, f c)
-  | C.Sort_flwor (clauses, specs, ret) ->
-    C.Sort_flwor
-      ( List.map
-          (function
-            | C.S_for (v, pos, e) -> C.S_for (v, pos, f e)
-            | C.S_let (v, e) -> C.S_let (v, f e)
-            | C.S_where e -> C.S_where (f e))
-          clauses,
-        List.map (fun (k, d) -> (f k, d)) specs,
-        f ret )
-  | C.Some_sat (v, a, b) -> C.Some_sat (v, f a, f b)
-  | C.Every_sat (v, a, b) -> C.Every_sat (v, f a, f b)
-  | C.Step (a, ax, t) -> C.Step (f a, ax, t)
-  | C.Key_step (a, elem, attr, b) -> C.Key_step (f a, elem, attr, f b)
-  | C.Map (a, b) -> C.Map (f a, f b)
-  | C.Predicate (a, b) -> C.Predicate (f a, f b)
-  | C.Binop (op, a, b) -> C.Binop (op, f a, f b)
-  | C.Unary_minus a -> C.Unary_minus (f a)
-  | C.Call_builtin (n, args) -> C.Call_builtin (n, List.map f args)
-  | C.Call_user (n, args) -> C.Call_user (n, List.map f args)
-  | C.Instance_of (a, t) -> C.Instance_of (f a, t)
-  | C.Cast_as (a, t) -> C.Cast_as (f a, t)
-  | C.Castable_as (a, t) -> C.Castable_as (f a, t)
-  | C.Treat_as (a, t) -> C.Treat_as (f a, t)
-  | C.Elem (ns, c) -> C.Elem (map_name ns f, f c)
-  | C.Attr (ns, c) -> C.Attr (map_name ns f, f c)
-  | C.Text_node a -> C.Text_node (f a)
-  | C.Comment_node a -> C.Comment_node (f a)
-  | C.Pi_node (ns, a) -> C.Pi_node (map_name ns f, f a)
-  | C.Doc_node a -> C.Doc_node (f a)
-  | C.Insert (tgt, a, b, loc) -> C.Insert (tgt, f a, f b, loc)
-  | C.Delete (a, loc) -> C.Delete (f a, loc)
-  | C.Replace (a, b, loc) -> C.Replace (f a, f b, loc)
-  | C.Replace_value (a, b, loc) -> C.Replace_value (f a, f b, loc)
-  | C.Rename (a, b, loc) -> C.Rename (f a, f b, loc)
-  | C.Copy a -> C.Copy (f a)
-  | C.Snap (m, a) -> C.Snap (m, f a)
-
-and map_name ns f = match ns with C.Static _ -> ns | C.Dynamic e -> C.Dynamic (f e)
+  | _ -> C.map_subs (substitute v replacement) e
 
 (* All variables bound anywhere inside [e] — used to rule out capture
    when inlining. *)
@@ -152,6 +104,12 @@ let rec binders (e : C.expr) : Static.SSet.t =
       subs clauses
   | _ -> subs
 
+(* No rule consults the value of a string literal: a shape-keyed
+   compile turns string literals into parameters ([C.Param]), and the
+   plan it caches must be the plan the literal text would get, so
+   string scalars are as opaque here as parameters are. *)
+let is_string = function C.Scalar (Xqb_xdm.Atomic.String _) -> true | _ -> false
+
 (* Constant EBV of a scalar, when defined. *)
 let const_ebv (e : C.expr) : bool option =
   match e with
@@ -162,7 +120,8 @@ let const_ebv (e : C.expr) : bool option =
     match a with
     | Xqb_xdm.Atomic.Boolean b -> Some b
     | Xqb_xdm.Atomic.Integer i -> Some (i <> 0)
-    | Xqb_xdm.Atomic.String s | Xqb_xdm.Atomic.Untyped s -> Some (s <> "")
+    | Xqb_xdm.Atomic.String _ -> None
+    | Xqb_xdm.Atomic.Untyped s -> Some (s <> "")
     | Xqb_xdm.Atomic.Decimal f | Xqb_xdm.Atomic.Double f ->
       Some (not (f = 0.0 || Float.is_nan f))
     | Xqb_xdm.Atomic.QName _ -> None)
@@ -170,7 +129,7 @@ let const_ebv (e : C.expr) : bool option =
 
 (* One bottom-up pass. *)
 let rec pass ~purity stats (e : C.expr) : C.expr =
-  let e = map_subs (pass ~purity stats) e in
+  let e = C.map_subs (pass ~purity stats) e in
   let pure x = purity x = Static.Pure in
   match e with
   | C.If (c, t, f) -> (
@@ -192,7 +151,7 @@ let rec pass ~purity stats (e : C.expr) : C.expr =
               constructors are pure but not referentially transparent
               (fresh identity per evaluation). Variables and literals
               are immune to both. *)
-           (match e1 with C.Var _ | C.Scalar _ -> true | _ -> false)
+           (match e1 with C.Var _ | C.Scalar _ | C.Param _ -> true | _ -> false)
            && Static.SSet.disjoint (Static.free_vars e1) (binders body) ->
       bump stats "inline-let";
       substitute v e1 body
@@ -200,7 +159,7 @@ let rec pass ~purity stats (e : C.expr) : C.expr =
   | C.For (_, _, C.Empty, _) ->
     bump stats "for-empty";
     C.Empty
-  | C.For (v, None, (C.Scalar _ as item), body) ->
+  | C.For (v, None, ((C.Scalar _ | C.Param _) as item), body) ->
     (* a for over one item binds exactly like a let *)
     bump stats "for-singleton";
     C.Let (v, item, body)
@@ -210,7 +169,8 @@ let rec pass ~purity stats (e : C.expr) : C.expr =
   | C.Seq (a, C.Empty) ->
     bump stats "seq-empty";
     a
-  | C.Binop (op, C.Scalar x, C.Scalar y) -> (
+  | C.Binop (op, (C.Scalar x as a), (C.Scalar y as b))
+    when not (is_string a || is_string b) -> (
     match op with
     | A.Add | A.Sub | A.Mul | A.Div | A.Idiv | A.Mod -> (
       match Xqb_xdm.Atomic.arith (arith_of op) x y with

@@ -10,7 +10,9 @@
     store-reading expressions), for-empty, for-singleton, seq-empty,
     const-fold (only when the folded operation cannot raise),
     pred-true/pred-false (boolean constants only; numeric constants
-    are positional), ddo-ddo. *)
+    are positional), ddo-ddo. No rule reads the value of a string
+    literal, so a shape-keyed compile, whose string literals are
+    {!Core_ast.Param}s, rewrites exactly as the literal text would. *)
 
 (** Simplify to a (bounded) fixpoint. Returns the rewritten expression
     and fire counts per rule name. *)

@@ -342,7 +342,7 @@ let rec order_of (singles : SSet.t) (e : C.expr) : order_info =
   let step_out = { o_bottom with o_node_only = true } in
   match e with
   | C.Empty -> { o_one with o_node_only = true }  (* vacuously *)
-  | C.Scalar _ | C.Context_item -> o_one
+  | C.Scalar _ | C.Param _ | C.Context_item -> o_one
   | C.Var x -> if SSet.mem x singles then o_one else o_bottom
   | C.Elem _ | C.Attr _ | C.Text_node _ | C.Comment_node _ | C.Pi_node _
   | C.Doc_node _ | C.Copy _ ->
@@ -492,7 +492,7 @@ let elide_ddo ~purity (e : C.expr) : C.expr * int =
         ( List.rev rev_clauses,
           List.map (fun (k, d) -> (go singles' k, d)) specs,
           go singles' ret )
-    | C.Scalar _ | C.Var _ | C.Context_item | C.Empty -> e
+    | C.Scalar _ | C.Param _ | C.Var _ | C.Context_item | C.Empty -> e
     | C.Seq (a, b) -> C.Seq (go singles a, go singles b)
     | C.If (c, t, el) -> C.If (go singles c, go singles t, go singles el)
     | C.Step (b, ax, t) -> C.Step (go singles b, ax, t)
@@ -747,7 +747,7 @@ module Footprint = struct
         add_rd rs
       in
       match e with
-      | C.Scalar _ | C.Empty -> []
+      | C.Scalar _ | C.Param _ | C.Empty -> []
       | C.Context_item -> focus
       | C.Var v -> (
         match SMap.find_opt v env with

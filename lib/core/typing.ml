@@ -288,6 +288,7 @@ let builtin_ty name (_args : t list) : t =
 let rec infer env (vars : t SMap.t) (e : C.expr) : t =
   match e with
   | C.Scalar a -> scalar_ty a
+  | C.Param _ -> scalar_ty (Xqb_xdm.Atomic.String "")
   | C.Var v -> ( match SMap.find_opt v vars with Some t -> t | None -> item_star)
   | C.Context_item -> { item = T_item; occ = O_one }
   | C.Empty -> empty_ty

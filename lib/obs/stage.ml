@@ -85,17 +85,21 @@ let with_ ?stage ?cat ?args job name f =
 
 let timed ?cat ?args s job name f = snd (bracket ?cat ?args s job name f)
 
+let wait_span t ~args name ~start ~now =
+  match t.tracer with
+  | Some tr when name <> "" ->
+    Trace.add_span ~cat:"sched" ~args tr ~name ~start_ns:start ~dur_ns:(now - start) ()
+  | _ -> ()
+
 let switch ?(args = []) t s =
   let now = Clock.now_ns () and start = t.since in
   let wait =
     match charge t now s with Queue -> "queue.wait" | Gate -> "lock.wait" | _ -> ""
   in
-  match t.tracer with
-  | Some tr when wait <> "" ->
-    Trace.add_span ~cat:"sched" ~args tr ~name:wait ~start_ns:start
-      ~dur_ns:(now - start) ()
-  | _ -> ()
+  wait_span t ~args wait ~start ~now
 
 let finish t =
-  ignore (charge t (Clock.now_ns ()) t.cur);
+  let now = Clock.now_ns () and start = t.since in
+  (* a job that ends parked on the fsync closes that wait here *)
+  if charge t now t.cur = Fsync then wait_span t ~args:[] "fsync.wait" ~start ~now;
   t.ns

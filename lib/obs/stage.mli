@@ -12,7 +12,9 @@
 
     One thread writes a record at a time: each change happens before
     the job is handed on (the submitter {!switch}es to [Queue] before
-    enqueueing; the worker takes over from the dequeue). *)
+    enqueueing; the worker takes over from the dequeue; a commit that
+    parks for the group-commit fsync {!switch}es to [Fsync] before
+    parking, and the leader that replies for it calls {!finish}). *)
 
 type stage = Queue | Gate | Compile | Run | Snap_apply | Wal | Fsync | Serialize | Other
 
@@ -56,7 +58,9 @@ val timed :
 (** [switch ?args t stage] moves the job to [stage] outside any
     lexical scope, for a wait that starts on one thread and ends on
     another. Leaving [Queue] or [Gate] records span ["queue.wait"] or
-    ["lock.wait"] (cat ["sched"]) with [args]. *)
+    ["lock.wait"] (cat ["sched"]) with [args]; {!finish} records
+    ["fsync.wait"] for a job still in [Fsync] (a commit whose reply
+    waited, parked, for the group-commit fsync). *)
 val switch : ?args:(string * string) list -> t -> stage -> unit
 
 (** Charge the current stage up to now; the ns per stage, indexed by

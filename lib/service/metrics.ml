@@ -242,6 +242,7 @@ let to_json ?(cache : Plan_cache.stats option)
                       fint "evictions" c.Plan_cache.evictions;
                       fint "size" c.Plan_cache.size;
                       fint "capacity" c.Plan_cache.capacity;
+                      fint "shapes" c.Plan_cache.shapes;
                     ]));
              Printf.sprintf "\"documents\":[%s]"
                (String.concat ","
@@ -354,7 +355,9 @@ let to_prom ?(cache : Plan_cache.stats option) t p =
           ~labels:[ ("event", "eviction") ]
           c.Plan_cache.evictions;
         Prom.gauge_i p "xqbang_plan_cache_size" ~help:"Plans resident in the cache."
-          c.Plan_cache.size);
+          c.Plan_cache.size;
+        Prom.gauge_i p "xqbang_plan_cache_shapes"
+          ~help:"Resident plans that take parameter values." c.Plan_cache.shapes);
       prom_summary p "xqbang_query_latency_ns"
         ~help:"Per-query wall time (ns)." t.lat;
       List.iter

@@ -15,18 +15,28 @@
    update interleavings deterministic. Independent jobs overtake
    freely. Deadlock-free: a waiter only ever waits on running jobs
    and strictly earlier tickets, so the wait graph follows ticket
-   order and is acyclic. *)
+   order and is acyclic.
+
+   Bookkeeping is O(1) per job outside the admission check itself:
+   waiters sit in a FIFO queue, running jobs in a table keyed by
+   ticket, and the writer count moves incrementally. A release runs
+   one admission pass over the queue in ticket order and wakes only
+   the waiters it admits, each on its own condition — waiters never
+   rescan the lists themselves. *)
 
 module FP = Core.Static.Footprint
 
-type ticket = { tk : int; fp : FP.t }
+type ticket = { tk : int; fp : FP.t; writes : bool }
+
+(* A blocked job: admitted by a releaser's pass, woken on [cond]. *)
+type waiter = { w : ticket; cond : Condition.t; mutable admitted : bool }
 
 type t = {
   mutex : Mutex.t;
-  turn : Condition.t;
   mutable next : int;
-  mutable running : ticket list;
-  mutable waiting : ticket list;  (* ascending ticket order *)
+  running : (int, ticket) Hashtbl.t;  (* by ticket number *)
+  mutable writers : int;  (* running jobs that write *)
+  mutable waiting : waiter Queue.t;  (* ascending ticket order *)
   mutable peak : int;  (* max simultaneous holders, for metrics *)
   mutable writer_peak : int;  (* same, counting writing holders only *)
 }
@@ -34,43 +44,72 @@ type t = {
 let create () =
   {
     mutex = Mutex.create ();
-    turn = Condition.create ();
     next = 0;
-    running = [];
-    waiting = [];
+    running = Hashtbl.create 16;
+    writers = 0;
+    waiting = Queue.create ();
     peak = 0;
     writer_peak = 0;
   }
 
 let conflicts a b = not (FP.independent a b)
 
+let conflicts_running t fp =
+  Hashtbl.fold (fun _ r acc -> acc || conflicts r.fp fp) t.running false
+
+(* Caller holds [t.mutex]. *)
+let admit t e =
+  Hashtbl.replace t.running e.tk e;
+  if e.writes then t.writers <- t.writers + 1;
+  t.peak <- max t.peak (Hashtbl.length t.running);
+  t.writer_peak <- max t.writer_peak t.writers
+
+(* Admit, in ticket order, every waiter independent of the running
+   jobs and of the earlier waiters still blocked. Caller holds
+   [t.mutex]. *)
+let admission_pass t =
+  if not (Queue.is_empty t.waiting) then begin
+    let still = Queue.create () in
+    Queue.iter
+      (fun wt ->
+        if
+          conflicts_running t wt.w.fp
+          || Queue.fold (fun acc b -> acc || conflicts b.w.fp wt.w.fp) false still
+        then Queue.push wt still
+        else begin
+          admit t wt.w;
+          wt.admitted <- true;
+          Condition.signal wt.cond
+        end)
+      t.waiting;
+    t.waiting <- still
+  end
+
 let acquire t fp =
   Mutex.lock t.mutex;
-  let e = { tk = t.next; fp } in
+  let e = { tk = t.next; fp; writes = not (FP.writes_nothing fp) } in
   t.next <- t.next + 1;
-  t.waiting <- t.waiting @ [ e ];
-  let blocked () =
-    List.exists (fun r -> conflicts r.fp fp) t.running
-    || List.exists (fun w -> w.tk < e.tk && conflicts w.fp fp) t.waiting
+  let blocked =
+    conflicts_running t fp
+    || Queue.fold (fun acc wt -> acc || conflicts wt.w.fp fp) false t.waiting
   in
-  while blocked () do
-    Condition.wait t.turn t.mutex
-  done;
-  t.waiting <- List.filter (fun w -> w.tk <> e.tk) t.waiting;
-  t.running <- e :: t.running;
-  t.peak <- max t.peak (List.length t.running);
-  let writers =
-    List.length (List.filter (fun r -> not (FP.writes_nothing r.fp)) t.running)
-  in
-  t.writer_peak <- max t.writer_peak writers;
+  if blocked then begin
+    let wt = { w = e; cond = Condition.create (); admitted = false } in
+    Queue.push wt t.waiting;
+    while not wt.admitted do
+      Condition.wait wt.cond t.mutex
+    done
+  end
+  else admit t e;
   Mutex.unlock t.mutex;
   e
 
 let release t e =
   Mutex.lock t.mutex;
-  t.running <- List.filter (fun r -> r.tk <> e.tk) t.running;
+  Hashtbl.remove t.running e.tk;
+  if e.writes then t.writers <- t.writers - 1;
   (* waiters blocked on [e] (running or earlier-waiting) may now pass *)
-  Condition.broadcast t.turn;
+  admission_pass t;
   Mutex.unlock t.mutex
 
 let with_footprint t fp f =
@@ -79,15 +118,13 @@ let with_footprint t fp f =
 
 let running t =
   Mutex.lock t.mutex;
-  let n = List.length t.running in
+  let n = Hashtbl.length t.running in
   Mutex.unlock t.mutex;
   n
 
 let running_writers t =
   Mutex.lock t.mutex;
-  let n =
-    List.length (List.filter (fun r -> not (FP.writes_nothing r.fp)) t.running)
-  in
+  let n = t.writers in
   Mutex.unlock t.mutex;
   n
 

@@ -52,7 +52,8 @@ type 'a future = {
 type job = {
   footprint : FP.t;
   deadline : int;  (* absolute queue-time deadline, Clock ns; max_int = none *)
-  run : unit -> unit;
+  run : unit -> unit;  (* under the gate *)
+  settle : unit -> unit;  (* after the gate's release: completes the future *)
   abort : exn -> unit;  (* complete the future without running *)
   stages : Stage.t option;
     (* the job's stage record, for the two waits only this layer can
@@ -88,14 +89,18 @@ let new_future () =
     callbacks = [];
   }
 
+(* First fill wins; a later one is ignored. *)
 let fill fut result =
   Mutex.lock fut.fmutex;
-  fut.state <- Done result;
-  let cbs = List.rev fut.callbacks in
-  fut.callbacks <- [];
-  Condition.broadcast fut.fcond;
-  Mutex.unlock fut.fmutex;
-  List.iter (fun cb -> try cb result with _ -> ()) cbs
+  match fut.state with
+  | Done _ -> Mutex.unlock fut.fmutex
+  | Pending ->
+    fut.state <- Done result;
+    let cbs = List.rev fut.callbacks in
+    fut.callbacks <- [];
+    Condition.broadcast fut.fcond;
+    Mutex.unlock fut.fmutex;
+    List.iter (fun cb -> try cb result with _ -> ()) cbs
 
 (* Register a completion callback. A pending future runs it (outside
    the lock) on the thread that fills it; a completed future runs it
@@ -149,7 +154,7 @@ let expired job = job.deadline <> max_int && Clock.now_ns () > job.deadline
    job behind long independent work this is exactly the gate blocking
    the trace should show). *)
 let execute t job =
-  match job.stages with
+  (match job.stages with
   | None -> Rwlock.with_footprint t.rw job.footprint job.run
   | Some st ->
     Stage.switch st Stage.Gate;
@@ -158,7 +163,8 @@ let execute t job =
           ~args:
             (if FP.writes_nothing job.footprint then [ ("side", "read") ]
              else [ ("side", "write") ]);
-        job.run ())
+        job.run ()));
+  job.settle ()
 
 (* The dequeue-side deadline check. An expired job is aborted without
    running; its queue.wait span (the last span the job will ever
@@ -246,7 +252,8 @@ let oldest_queued_age_ns t =
   Mutex.unlock t.qmutex;
   age
 
-(* Submit [f]; the future completes with its result or exception.
+(* Submit [f]; once the gate is released, [settle] gets its result or
+   exception and completes the future, now or later from any thread.
    [deadline] (absolute, monotonic Clock ns) bounds time *in the
    queue* — an expired job is aborted at dequeue, and [on_abort]
    (called before the future is filled) lets the submitter observe
@@ -254,19 +261,28 @@ let oldest_queued_age_ns t =
    [footprint] is what the gate admits the job against.
    @raise Shut_down after [shutdown] (both pooled and synchronous)
    @raise Overloaded when the queue is at [max_queue]. *)
-let submit t ?(deadline = max_int) ?(on_abort = fun _ -> ()) ?stages ~footprint
-    (f : unit -> 'a) : 'a future =
+let submit_settled t ?(deadline = max_int) ?(on_abort = fun _ -> ()) ?stages
+    ~footprint (f : unit -> 'b)
+    ~(settle : ('b, exn) result -> (('a, exn) result -> unit) -> unit) :
+    'a future =
   let fut = new_future () in
-  let run () =
-    let result = try Ok (f ()) with e -> Error e in
-    fill fut result
-  in
+  let gated = ref (Error Exit) in
+  let run () = gated := try Ok (f ()) with e -> Error e in
+  let settle () = try settle !gated (fill fut) with e -> fill fut (Error e) in
   let abort e =
     (try on_abort e with _ -> ());
     fill fut (Error e)
   in
   let job =
-    { footprint; deadline; run; abort; stages; submitted_ns = Clock.now_ns () }
+    {
+      footprint;
+      deadline;
+      run;
+      settle;
+      abort;
+      stages;
+      submitted_ns = Clock.now_ns ();
+    }
   in
   (* the submitter's last change: once enqueued, the record is the
      worker's *)
@@ -297,6 +313,10 @@ let submit t ?(deadline = max_int) ?(on_abort = fun _ -> ()) ?stages ~footprint
     Mutex.unlock t.qmutex
   end;
   fut
+
+let submit t ?deadline ?on_abort ?stages ~footprint f =
+  submit_settled t ?deadline ?on_abort ?stages ~footprint f
+    ~settle:(fun r complete -> complete r)
 
 (* Direct access to the gate, for operations that bypass the queue
    (the service loads documents under ⊤ synchronously). *)

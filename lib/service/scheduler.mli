@@ -73,6 +73,22 @@ val submit :
   (unit -> 'a) ->
   'a future
 
+(** {!submit} with a completion step after the gate: [f] runs under
+    the gate as usual; once the gate is released, [settle r complete]
+    gets [f]'s outcome and must call [complete] exactly once — at once,
+    or later from any thread (the service hands a durable commit's
+    reply to the group-commit leader this way, returning the worker to
+    the pool meanwhile). {!submit} is [settle = fun r k -> k r]. *)
+val submit_settled :
+  t ->
+  ?deadline:int ->
+  ?on_abort:(exn -> unit) ->
+  ?stages:Xqb_obs.Stage.t ->
+  footprint:Core.Static.Footprint.t ->
+  (unit -> 'b) ->
+  settle:(('b, exn) result -> (('a, exn) result -> unit) -> unit) ->
+  'a future
+
 (** Blocks until the job has run (or was aborted). *)
 val await : 'a future -> ('a, exn) result
 

@@ -6,9 +6,11 @@
      store, so [fn:doc]/bound documents are loaded once and visible
      to all sessions, while functions and globals stay per-session;
    - prepared plans are cached across sessions ({!Plan_cache}),
-     keyed on literal-aware whitespace-normalized source — a hit
-     skips parse → normalize → static-check → rewrite → algebra
-     compile entirely;
+     keyed on the request's shape — whitespace-normalized source with
+     its string literals and literal attribute values holed — so
+     requests that differ only in those literals share one plan and
+     pass their values as per-job parameters; a hit skips parse →
+     normalize → static-check → rewrite → algebra compile entirely;
    - every route executes the cached §4.3 algebra plan
      ([Xqb_algebra.Exec] as the engine's body evaluator); the tree
      interpreter evaluates its [Direct] leaves, and EXPLAIN profiles
@@ -64,8 +66,11 @@
    ({!Scheduler.with_apply}, installed per-job as the context's
    [apply_wrap]), keeping journal transaction spans contiguous and
    WAL order equal to apply order. The [Always]-policy fsync wait
-   happens *outside* the mutex, so concurrent writers share one
-   group-commit fsync instead of queueing full syncs.
+   happens outside everything the job holds: after the mutex, the
+   session lock and the footprint gate are released, only the reply
+   waits for the fsync covering the job's LSN (pipelined group
+   commit, [submit_governed]), so commits that arrive during one
+   fsync share the next.
 
    Exclusive jobs, EXPLAIN, document loads and checkpoints hold a ⊤
    footprint and commit with whole-job [Store.transactionally] plus
@@ -111,7 +116,18 @@ type plan = {
        given URI — documents are load-once) *)
   purity : Core.Static.purity;  (* of the body, for metrics *)
   route : FP.route;  (* the footprint's write set, judged once *)
+  holes : Xqb_syntax.Ast.hole option array;
+    (* per quoted span of the request's shape: the parameter it became,
+       or [None] for a span the plan holds verbatim *)
 }
+
+(* A request's parameter values, indexed like its plan's holes: the
+   strings (EXPLAIN binds them into the plan it renders) and the items
+   the job installs on its context. *)
+type params = { values : string array; items : Xqb_xdm.Item.t array }
+
+(* What a span the plan holds verbatim gets in [items]: never read. *)
+let no_param = Xqb_xdm.Item.Atomic (Xqb_xdm.Atomic.String "")
 
 type session = {
   sid : int;
@@ -794,6 +810,11 @@ let inject_fsync_delay t secs =
   | Some d -> Durable.inject_fsync_delay d secs
   | None -> ()
 
+let inject_fsync_error t on =
+  match t.durable with
+  | Some d -> Durable.inject_fsync_error d on
+  | None -> ()
+
 (* Deterministic gc-pause health (same pattern as
    [inject_fsync_delay]): floor the telemetry's reported 10s p99 at
    [ms] until cleared. No-op when telemetry is off. *)
@@ -912,27 +933,31 @@ let durable_publish ?job t =
    context's [apply_wrap]: each top-level snap's ∆ applies under the
    scheduler's global apply mutex — journal transaction spans stay
    contiguous and WAL byte order equals apply order — with the WAL
-   append in the same critical section, and the [Always]-policy
-   durability wait *outside* it, so writers blocked on fsync(2) share
-   one group-commit leader pass instead of serializing full syncs.
-   The apply runs under [Store.transactionally]: a conflict (§4.1
-   R1–R7) or any other apply-time failure rolls the span back before
-   its entries reach the WAL. Evaluation needs no rollback — it
-   never mutates the store (§3.3); its only traces are fresh node
-   allocations, unreachable from any document.
+   append in the same critical section. The apply runs under
+   [Store.transactionally]: a conflict (§4.1 R1–R7) or any other
+   apply-time failure rolls the span back before its entries reach the
+   WAL. Evaluation needs no rollback — it never mutates the store
+   (§3.3); its only traces are fresh node allocations, unreachable
+   from any document.
+
+   Nothing waits here for the fsync: the append's LSN (and entry
+   count) accumulates in [appended], and the job's reply waits for it
+   after the job has released its session and the gate ([settle] in
+   [submit_governed]) — the WAL order already fixes the commit order.
 
    No checkpoint here: a checkpoint resets the in-memory journal,
    which would orphan the allocation entries of writers still
    mid-evaluation. Checkpoints run only under a ⊤ footprint (loads,
    exclusive jobs, CHECKPOINT), where nothing else is in flight. *)
-let writer_apply_wrap t job apply =
-  let pending =
-    Scheduler.with_apply t.sched (fun () ->
-        Xqb_store.Store.transactionally (Catalog.store t.catalog) apply;
-        Option.bind t.durable (fun d ->
-            Option.map (fun tail -> (d, tail)) (wal_append ?job t d)))
-  in
-  Option.iter (fun (d, tail) -> wal_wait ?job t d tail) pending
+let writer_apply_wrap t job appended apply =
+  Scheduler.with_apply t.sched (fun () ->
+      Xqb_store.Store.transactionally (Catalog.store t.catalog) apply;
+      Option.iter
+        (fun d ->
+          Option.iter
+            (fun (lsn, n) -> appended := (lsn, snd !appended + n))
+            (wal_append ?job t d))
+        t.durable)
 
 let checkpoint_now t =
   match t.durable with
@@ -1383,37 +1408,74 @@ let load_document t sid ~uri xml =
 
 let error_message e = (Service_error.classify e).Service_error.message
 
-(* Prepared plan for [src]: cache hit, or a full compile of the
-   program and its body's algebra plan. On a hit the
+(* Prepared plan for [src] and the request's parameter values: a
+   shape hit, or a compile whose parse turns into parameters exactly
+   the string literals and literal attribute values the shape scan
+   holed (Plan_cache's header says which stay verbatim). On a hit the
    program's function declarations are still installed into the
-   session (cheap), so cross-session hits behave like a local
-   compile. Caller holds the session lock. *)
+   session (cheap), so cross-session hits behave like a local compile.
+   Caller holds the session lock. *)
 let prepare t s src =
   let job = (Engine.context s.engine).Core.Context.job in
   Stage.with_ ~stage:Stage.Compile ~cat:"compile" job "prepare" @@ fun () ->
-  let key = Plan_cache.normalize_key src in
-  match Plan_cache.find t.cache key with
-  | Some plan ->
+  let sh = Plan_cache.shape src in
+  (* the values of [holes]' spans, [None] when one no longer lexes as
+     the literal kind its plan was compiled for *)
+  let bind holes =
+    let n = Array.length holes in
+    let values = Array.make n "" and items = Array.make n no_param in
+    let rec go i =
+      if i = n then Some { values; items }
+      else
+        match holes.(i) with
+        | None -> go (i + 1)
+        | Some kind -> (
+          match Xqb_syntax.Parser.hole_value kind (Plan_cache.span_text sh i) with
+          | Some v ->
+            values.(i) <- v;
+            items.(i) <- Xqb_xdm.Item.Atomic (Xqb_xdm.Atomic.String v);
+            go (i + 1)
+          | None -> None)
+    in
+    go 0
+  in
+  match
+    Plan_cache.find_shape t.cache sh (fun _ plan ->
+        Option.map (fun p -> (plan, p)) (bind plan.holes))
+  with
+  | Some (plan, params) ->
     Stage.with_ ~cat:"mark" job "plan.cache.hit" ignore;
     Engine.install_functions s.engine plan.prep.Runner.compiled;
-    plan
+    (plan, params)
   | None ->
     (* host-bound free variables that name catalog documents: the
        service binds every loaded document to [$uri], so a variable
        that is a catalog URI *is* that document's root. Anything else
        widens to "any document" inside the analysis. *)
     let var_docs v = if Catalog.find t.catalog v <> None then Some v else None in
-    let prep = Runner.prepare ~var_docs s.engine src in
+    let holes = Array.make (Array.length sh.Plan_cache.spans) None in
+    let hole kind ~start ~stop =
+      let i = Plan_cache.span_index sh ~start ~stop in
+      Option.iter (fun i -> holes.(i) <- Some kind) i;
+      i
+    in
+    let prep = Runner.prepare ~var_docs ~hole s.engine src in
     let compiled = prep.Runner.compiled in
     let plan =
       {
         prep;
         purity = Engine.body_purity compiled;
         route = FP.route compiled.Engine.footprint;
+        holes;
       }
     in
-    Plan_cache.add t.cache key plan;
-    plan
+    let params =
+      match bind holes with
+      | Some p -> p
+      | None -> failwith "Service.prepare: a parsed literal does not lex as one"
+    in
+    Plan_cache.add_shape t.cache sh ~holes:(Array.map Option.is_some holes) plan;
+    (plan, params)
 
 (* -- the in-flight registry ----------------------------------------- *)
 
@@ -1632,14 +1694,24 @@ let await fut =
 let job_stages t =
   Stage.create ?tracer:(if t.tracing then Some (Trace.create ()) else None) ()
 
-(* Submit [body ~jid ~effects budget] as a governed job whose stage
-   record is [st]. [t0] (Clock ns, the request's arrival) stamps the
-   registry entry (STATS running_ms). [record ~ok ~stages], the
+(* Submit [body ~jid ~effects ~appended budget] as a governed job whose
+   stage record is [st]. [t0] (Clock ns, the request's arrival) stamps
+   the registry entry (STATS running_ms). [record ~ok ~stages], the
    caller's completion step, runs once on every outcome — success,
    failure, queue expiry, shutdown drain, overload — with the job's
    finished stage split; then a write-side job's slow-effect entry
    (left in [effects] by [on_session]) is judged, and its trace (if
-   any) kept for [TRACE]. *)
+   any) kept for [TRACE].
+
+   The reply never acknowledges what is not durable: in durable mode a
+   successful job completes only once the WAL is durable up to the
+   highest LSN appended before it passed the gate, or its own last
+   append ([appended], left by [writer_apply_wrap]) when later. That
+   wait starts after the gate and the session are released: a job
+   that finds the WAL already synced replies at once, one that finds
+   no fsync in flight leads one, and one that finds an fsync in
+   flight parks — its worker returns to the pool and the group-commit
+   leader replies for it. Parked time is the job's [Fsync] stage. *)
 let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
   (* one deadline scale, one boundary: the budget's polls, the
      scheduler queue check and the watchdog all use the same absolute
@@ -1663,6 +1735,7 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
   in
   let effects = ref None in
   let finish ok =
+    unregister_job t jid;
     let stages = Stage.finish st in
     record ~ok ~stages;
     Option.iter (note_slow t stages) !effects;
@@ -1674,30 +1747,46 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
     Metrics.record_error t.metrics err.Service_error.kind;
     err
   in
+  let failed e =
+    let err = fail e in
+    Events.warn t.events ~kind:"query.error"
+      [
+        ("jid", Events.I jid);
+        ("kind", Events.S (Service_error.kind_to_string err.Service_error.kind));
+      ];
+    Error err
+  in
+  (* under the gate: the durability mark, then the job *)
   let job () =
-    Fun.protect ~finally:(fun () -> unregister_job t jid) @@ fun () ->
-    match body ~jid ~effects budget with
-    | out ->
-      finish true;
-      Ok out
-    | exception e ->
-      let err = fail e in
-      Events.warn t.events ~kind:"query.error"
-        [
-          ("jid", Events.I jid);
-          ("kind", Events.S (Service_error.kind_to_string err.Service_error.kind));
-        ];
-      Error err
+    let mark = match t.durable with Some d -> Durable.last_lsn d | None -> 0 in
+    let appended = ref (0, 0) in
+    let out = body ~jid ~effects ~appended budget in
+    (out, mark, !appended)
+  in
+  let settle r complete =
+    match r with
+    | Error e -> complete (Ok (failed e))
+    | Ok (out, mark, (lsn, entries)) -> (
+      let ack () =
+        finish true;
+        complete (Ok (Ok out))
+      in
+      match t.durable with
+      | Some d when Stdlib.max mark lsn > 0 ->
+        Stage.switch st Stage.Fsync;
+        Durable.await_durable d (Stdlib.max mark lsn) ~commit:(lsn > 0) (function
+          | Ok () ->
+            if lsn > 0 then log_commit t lsn [ ("entries", Events.I entries) ];
+            ack ()
+          | Error e -> complete (Ok (failed e)))
+      | _ -> ack ())
   in
   (* Abandoned without running (queue-time expiry, shutdown drain):
      still counts as a failed query of the appropriate kind. *)
-  let on_abort e =
-    unregister_job t jid;
-    ignore (fail e)
-  in
+  let on_abort e = ignore (fail e) in
   match
-    Scheduler.submit t.sched ~deadline:deadline_ns ~on_abort ~stages:st
-      ~footprint job
+    Scheduler.submit_settled t.sched ~deadline:deadline_ns ~on_abort ~stages:st
+      ~footprint job ~settle
   with
   | fut -> (jid, fut)
   | exception ((Scheduler.Overloaded | Scheduler.Shut_down) as e) ->
@@ -1713,22 +1802,23 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
     (jid, Scheduler.ready (Error (Service_error.classify e)))
 
 (* The write routes run on the session engine itself, under the
-   session lock, with the job's stage record and budget installed and
-   fresh ∆ statistics (snapshotted for DELTA and the slow-effect log
-   on the way out, even when the job fails), bracketed by GC/profiler
-   attribution — [body] gets the attribution token for EXPLAIN
-   ANALYZE's footer.
+   session lock, with the job's stage record, budget and parameter
+   values installed and fresh ∆ statistics (snapshotted for DELTA and
+   the slow-effect log on the way out, even when the job fails),
+   bracketed by GC/profiler attribution — [body] gets the attribution
+   token for EXPLAIN ANALYZE's footer.
 
    Two commit disciplines. The exclusive route (a ⊤ footprint:
    nothing else runs) wraps the whole job in one store transaction —
    a budget kill rolls back even mid-way through nested applies — and
-   publishes to the WAL after, checkpointing if due (on failure it
-   still flushes the aborted span, but its own errors must not mask
-   the job's). On the concurrent-writer route each top-level snap's
-   apply + WAL append serializes under [writer_apply_wrap]: the
-   durable acknowledgment barrier moves inside the wrap, before the
-   job's future resolves. *)
-let on_session t s ~jid ~src ~st ~effects ~budget ~route body =
+   publishes to the WAL after, waiting for the fsync and checkpointing
+   if due (on failure it still flushes the aborted span, but its own
+   errors must not mask the job's). On the concurrent-writer route
+   each top-level snap's apply + WAL append serializes under
+   [writer_apply_wrap], which leaves the job's last LSN in [appended];
+   the session lock and then the gate are released before anyone
+   waits for that LSN's fsync ([submit_governed]). *)
+let on_session t s ~jid ~src ~st ~effects ~appended ~budget ~route ~params body =
   let exclusive = route = FP.Exclusive in
   let job = Some st in
   match
@@ -1747,11 +1837,12 @@ let on_session t s ~jid ~src ~st ~effects ~budget ~route body =
         @@ fun () ->
         Engine.with_job s.engine job @@ fun () ->
         Engine.with_budget s.engine (Some budget) @@ fun () ->
+        Engine.with_params s.engine params @@ fun () ->
         if exclusive then
           Xqb_store.Store.transactionally (Catalog.store t.catalog) (fun () ->
               body att)
         else begin
-          ctx.Core.Context.apply_wrap <- Some (writer_apply_wrap t job);
+          ctx.Core.Context.apply_wrap <- Some (writer_apply_wrap t job appended);
           Fun.protect
             ~finally:(fun () -> ctx.Core.Context.apply_wrap <- None)
             (fun () -> body att)
@@ -1778,7 +1869,8 @@ let submit_job t sid src :
      while the session lock is held (prepare + fork); a fork copies
      it, so the stages and spans the fork records on a worker domain
      land in this job's record without the session ever sharing one
-     between two jobs. *)
+     between two jobs. The parameter values travel the same way: on
+     the fork, or installed on the session engine for the job's run. *)
   let st = job_stages t in
   let reject e =
     let err = Service_error.classify e in
@@ -1788,24 +1880,24 @@ let submit_job t sid src :
   match
     locked s.slock (fun () ->
         Engine.with_job s.engine (Some st) (fun () ->
-            let plan = prepare t s src in
+            let plan, params = prepare t s src in
             let fork =
               if plan.route = FP.Fork then Some (Engine.fork_read s.engine)
               else None
             in
-            (plan, fork)))
+            (plan, params, fork)))
   with
   | exception e ->
     Metrics.record_compile_error t.metrics;
     reject e
-  | plan, _ when t.read_only && plan.route <> FP.Fork ->
+  | plan, _, _ when t.read_only && plan.route <> FP.Fork ->
     (* the write set doubles as the replica's write fence: a program
        that writes nothing — not even fresh nodes — cannot mutate the
        store *)
     reject
       (Failure
          "read-only replica: updating/effecting queries must run on the leader")
-  | plan, fork ->
+  | plan, params, fork ->
     let record ~ok ~stages =
       Metrics.record_query t.metrics ~purity:plan.purity
         ~parallel:(plan.route = FP.Fork) ~ok ~stages
@@ -1816,18 +1908,20 @@ let submit_job t sid src :
       Stage.with_ ~stage:Stage.Serialize (Some st) "serialize" f
     in
     submit_governed t sid ~t0 ~st ~label:src
-      ~footprint:compiled.Engine.footprint ~record (fun ~jid ~effects budget ->
+      ~footprint:compiled.Engine.footprint ~record
+      (fun ~jid ~effects ~appended budget ->
         match fork with
         | Some feng ->
           (* snap-free evaluation; [run_readonly] re-forks internally
-             and the fork inherits the budget installed here *)
+             and the fork inherits the budget and values installed here *)
           Engine.with_budget feng (Some budget) (fun () ->
-              let v = Engine.run_readonly ~exec feng compiled in
-              serialize (fun () ->
-                  Engine.serialize_with (Catalog.store t.catalog) v))
+              Engine.with_params feng params.items (fun () ->
+                  let v = Engine.run_readonly ~exec feng compiled in
+                  serialize (fun () ->
+                      Engine.serialize_with (Catalog.store t.catalog) v)))
         | None ->
-          on_session t s ~jid ~src ~st ~effects ~budget ~route:plan.route
-            (fun _ ->
+          on_session t s ~jid ~src ~st ~effects ~appended ~budget ~route:plan.route
+            ~params:params.items (fun _ ->
               let v = Engine.run_compiled ~exec s.engine compiled in
               serialize (fun () -> Engine.serialize s.engine v)))
 
@@ -1838,9 +1932,11 @@ let query t sid src = await (submit t sid src)
 
 (* EXPLAIN ANALYZE (wire [EXPLAIN]): execute the query's served plan
    — [prepare]'s, so a cached plan is the one profiled — with
-   per-operator profiling, returning the annotated plan tree. Always
-   exclusive — the query runs for real, side effects included, which
-   is the only honest way to report actual cardinalities for a
+   per-operator profiling, returning the annotated plan tree. The
+   request's parameter values are bound into the plan it renders, so
+   a shape hit shows the text a fresh compile of the request would.
+   Always exclusive — the query runs for real, side effects included,
+   which is the only honest way to report actual cardinalities for a
    language with side effects — under the same governance (budget,
    registry, CANCEL) as a normal submission, but outside the query
    counts. *)
@@ -1862,11 +1958,16 @@ let explain_job t sid src :
     submit_governed t sid ~t0:(Clock.now_ns ()) ~st ~label:("EXPLAIN " ^ src)
       ~footprint:FP.top
       ~record:(fun ~ok:_ ~stages:_ -> ())
-      (fun ~jid ~effects budget ->
-        on_session t s ~jid ~src ~st ~effects ~budget ~route:FP.Exclusive
-          (fun att ->
-            let plan = prepare t s src in
-            let r = Runner.execute ~profile:true s.engine plan.prep in
+      (fun ~jid ~effects ~appended budget ->
+        on_session t s ~jid ~src ~st ~effects ~appended ~budget ~route:FP.Exclusive
+          ~params:[||] (fun att ->
+            let plan, params = prepare t s src in
+            let prep =
+              if Array.exists Option.is_some plan.holes then
+                Runner.bind_params params.values plan.prep
+              else plan.prep
+            in
+            let r = Runner.execute ~profile:true s.engine prep in
             (* same footer style as the ddo/footprint lines: sampling +
                GC attribution, present only when the corresponding
                collector is on *)

@@ -240,6 +240,11 @@ val install_crash_hooks : t -> unit
     durability. *)
 val inject_fsync_delay : t -> float -> unit
 
+(** Fault injection for tests: while on, every WAL fsync fails with
+    EIO (see {!Xqb_wal.Wal.inject_fsync_error}); no-op without
+    durability. *)
+val inject_fsync_error : t -> bool -> unit
+
 (** Fault injection for tests: floor the GC telemetry's reported 10s
     p99 pause at [ms], deterministically tripping the [gc-pause]
     health reason; {!clear_gc_pause_injection} reverts it. No-op

@@ -84,8 +84,15 @@ type axis = Xqb_store.Axes.axis
 
 type node_test = Xqb_store.Axes.node_test
 
+(* A parameter hole: a string literal in expression position, or the
+   literal text of a direct attribute value, that a shape-keyed parse
+   ({!Parser.parse_prog_holes}) turned into a per-run parameter. The
+   compiler sees only the index; the value arrives with each run. *)
+type hole = Hole_string | Hole_attr
+
 type expr =
   | Literal of literal
+  | Param of int  (* an xs:string parameter hole *)
   | Var of string
   | Context_item  (* . *)
   | Seq of expr list  (* e1, e2, ...; Seq [] is "()" *)
@@ -144,7 +151,7 @@ and name_spec =
   | Static_name of Qname.t  (* element foo {...} *)
   | Dynamic_name of expr  (* element {e} {...} *)
 
-and avt = Avt_text of string | Avt_expr of expr
+and avt = Avt_text of string | Avt_expr of expr | Avt_param of int
 
 and content =
   | C_text of string

@@ -68,15 +68,19 @@ type t = {
   mutable bol : int;
   mutable tok_line : int;
   mutable tok_col : int;
+  mutable tok_pos : int;  (* byte offset where the last token started *)
 }
 
 exception Error of int * int * string  (* line, col, message *)
 
-let make src = { src; pos = 0; line = 1; bol = 0; tok_line = 1; tok_col = 1 }
+let make src =
+  { src; pos = 0; line = 1; bol = 0; tok_line = 1; tok_col = 1; tok_pos = 0 }
 
 let position lx = (lx.line, lx.pos - lx.bol + 1)
 
 let token_start lx = (lx.tok_line, lx.tok_col)
+let offset lx = lx.pos
+let token_offset lx = lx.tok_pos
 
 let fail lx msg =
   let line, col = position lx in
@@ -195,7 +199,8 @@ let next lx =
   skip_trivia lx;
   (let line, col = position lx in
    lx.tok_line <- line;
-   lx.tok_col <- col);
+   lx.tok_col <- col;
+   lx.tok_pos <- lx.pos);
   if eof lx then Eof
   else
     let c = peek_char lx in

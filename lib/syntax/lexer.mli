@@ -60,6 +60,13 @@ val position : t -> int * int
     consuming the token's first character. *)
 val token_start : t -> int * int
 
+(** Byte offset of the next unread character, and of the start of the
+    most recent token returned by {!next} — the two ends of that
+    token once {!next} returns. *)
+val offset : t -> int
+
+val token_offset : t -> int
+
 (** Next token; skips whitespace and nestable [(: ... :)] comments. *)
 val next : t -> token
 

@@ -15,34 +15,67 @@ exception Error of int * int * string
 
 (* The buffer pairs each lookahead token with its start position so
    effecting expressions can record where their keyword began even
-   though the lexer has since moved on. *)
-type p = { lx : L.t; mutable buf : (L.token * (int * int)) list }
+   though the lexer has since moved on, and with its byte extent, which
+   a shape-keyed parse hands to [hole].
+
+   [hole kind ~start ~stop] (shape-keyed parses only) is asked about
+   each string literal in expression position and each direct
+   attribute value of literal text, with the byte extent of the quoted
+   span; [Some i] turns it into parameter [i]. [holes] switches the
+   asking off where a literal's value is part of the program: the
+   prolog, fn:doc / fn:collection arguments. *)
+type p = {
+  lx : L.t;
+  mutable buf : (L.token * (int * int) * (int * int)) list;
+  hole : (A.hole -> start:int -> stop:int -> int option) option;
+  mutable holes : bool;
+}
 
 let fail p msg =
   let line, col = L.position p.lx in
   raise (Error (line, col, msg))
 
-let make src = { lx = L.make src; buf = [] }
+let make ?hole src = { lx = L.make src; buf = []; hole; holes = false }
 
 let fill p n =
   while List.length p.buf < n do
     let tok = L.next p.lx in
-    p.buf <- p.buf @ [ (tok, L.token_start p.lx) ]
+    p.buf <-
+      p.buf @ [ (tok, L.token_start p.lx, (L.token_offset p.lx, L.offset p.lx)) ]
   done
+
+let tok_of (t, _, _) = t
 
 let peek p =
   fill p 1;
-  fst (List.nth p.buf 0)
+  tok_of (List.nth p.buf 0)
 
 let peek2 p =
   fill p 2;
-  fst (List.nth p.buf 1)
+  tok_of (List.nth p.buf 1)
 
 (* Source location where the current token starts. *)
 let peek_loc p =
   fill p 1;
-  let line, col = snd (List.nth p.buf 0) in
+  let _, (line, col), _ = List.nth p.buf 0 in
   { A.line; col }
+
+(* The parameter the current token's span becomes, if any. *)
+let hole_here p kind ~start ~stop =
+  match p.hole with
+  | Some hole when p.holes -> hole kind ~start ~stop
+  | _ -> None
+
+let peek_hole p =
+  fill p 1;
+  let _, _, (start, stop) = List.nth p.buf 0 in
+  hole_here p A.Hole_string ~start ~stop
+
+(* Run [f] with hole-asking off (literal values the program depends on). *)
+let without_holes p f =
+  let saved = p.holes in
+  p.holes <- false;
+  Fun.protect ~finally:(fun () -> p.holes <- saved) f
 
 let advance p =
   match p.buf with
@@ -858,9 +891,10 @@ and parse_primary p =
   | L.Double f ->
     advance p;
     A.Literal (A.Lit_double f)
-  | L.Str s ->
+  | L.Str s -> (
+    let param = peek_hole p in
     advance p;
-    A.Literal (A.Lit_string s)
+    match param with Some i -> A.Param i | None -> A.Literal (A.Lit_string s))
   | L.Var v ->
     advance p;
     A.Var v
@@ -934,22 +968,29 @@ and parse_comp_attr p =
 and parse_call p =
   let f = qname p in
   eat p L.Lparen;
+  (* a document URI decides the footprint and the route: never a hole *)
+  let keep_literals =
+    (Qname.prefix f = "" || Qname.prefix f = "fn")
+    && (Qname.local f = "doc" || Qname.local f = "collection")
+  in
   let args =
     if peek p = L.Rparen then []
-    else begin
-      let rec more acc =
-        let e = parse_expr_single p in
-        if peek p = L.Comma then begin
-          advance p;
-          more (e :: acc)
-        end
-        else List.rev (e :: acc)
-      in
-      more []
-    end
+    else if keep_literals then without_holes p (fun () -> more_args p)
+    else more_args p
   in
   eat p L.Rparen;
   A.Call (f, args)
+
+and more_args p =
+  let rec more acc =
+    let e = parse_expr_single p in
+    if peek p = L.Comma then begin
+      advance p;
+      more (e :: acc)
+    end
+    else List.rev (e :: acc)
+  in
+  more []
 
 (* -- Direct element constructors (raw lexing) ----------------------- *)
 
@@ -966,13 +1007,26 @@ and parse_direct_constructor p =
       L.raw_skip_space p.lx;
       L.raw_expect p.lx '=';
       L.raw_skip_space p.lx;
+      let start = L.offset p.lx in
       let segs = L.raw_attr_value p.lx in
+      let literal_text = match segs with [] | [ `Text _ ] -> true | _ -> false in
+      let namespace_decl =
+        Qname.prefix an = "xmlns" || (Qname.prefix an = "" && Qname.local an = "xmlns")
+      in
+      let param =
+        if literal_text && not namespace_decl then
+          hole_here p A.Hole_attr ~start ~stop:(L.offset p.lx)
+        else None
+      in
       let avts =
-        List.map
-          (function
-            | `Text s -> A.Avt_text s
-            | `Expr src -> A.Avt_expr (parse_sub src))
-          segs
+        match param with
+        | Some i -> [ A.Avt_param i ]
+        | None ->
+          List.map
+            (function
+              | `Text s -> A.Avt_text s
+              | `Expr src -> A.Avt_expr (parse_sub src))
+            segs
       in
       attrs ((an, avts) :: acc)
   in
@@ -1114,8 +1168,8 @@ let parse_decl p =
     None
   | t -> fail p ("unexpected declaration: " ^ L.token_to_string t)
 
-let parse_prog src =
-  let p = make src in
+let parse_prog_with ?hole src =
+  let p = make ?hole src in
   let rec prolog acc =
     if at_kw p "declare" then begin
       let d = parse_decl p in
@@ -1127,11 +1181,41 @@ let parse_prog src =
     else List.rev acc
   in
   let prolog = prolog [] in
+  p.holes <- true;
   let body = if peek p = L.Eof then None else Some (parse_expr p) in
   (match peek p with
   | L.Eof -> ()
   | t -> fail p ("trailing tokens after query body: " ^ L.token_to_string t));
   { A.prolog; body }
+
+let parse_prog src = parse_prog_with src
+let parse_prog_holes ~hole src = parse_prog_with ~hole src
+
+(* The value of a hole's quoted span, lexed exactly as the parse that
+   made the hole did; [None] when the span is no longer a literal of
+   that kind (an attribute value that now encloses an expression) or
+   does not lex (an unknown entity). *)
+let hole_value kind span =
+  let n = String.length span in
+  let plain c = c <> '&' && c <> span.[0] && not (kind = A.Hole_attr && (c = '{' || c = '}')) in
+  let rec all_plain i = i >= n - 1 || (plain span.[i] && all_plain (i + 1)) in
+  if n >= 2 && span.[n - 1] = span.[0] && all_plain 1 then
+    (* nothing to unescape: the value is the text between the quotes *)
+    Some (String.sub span 1 (n - 2))
+  else
+  let lx = L.make span in
+  match kind with
+  | A.Hole_string -> (
+    match L.next lx with
+    | L.Str s when L.next lx = L.Eof -> Some s
+    | _ -> None
+    | exception L.Error _ -> None)
+  | A.Hole_attr -> (
+    match L.raw_attr_value lx with
+    | [] when L.offset lx = String.length span -> Some ""
+    | [ `Text s ] when L.offset lx = String.length span -> Some s
+    | _ -> None
+    | exception L.Error _ -> None)
 
 let parse_expr_string src =
   let p = make src in

@@ -36,6 +36,7 @@ let rec expr buf (e : A.expr) =
       else add (s ^ "e0")
     end
   | A.Literal (A.Lit_string s) -> add ("\"" ^ escape_string_literal s ^ "\"")
+  | A.Param i -> add ("?" ^ string_of_int i)  (* a hole: not source syntax *)
   | A.Var v -> add ("$" ^ v)
   | A.Context_item -> add "."
   | A.Seq [] -> add "()"
@@ -201,7 +202,8 @@ let rec expr buf (e : A.expr) =
             | A.Avt_expr e ->
               add "{";
               expr buf e;
-              add "}")
+              add "}"
+            | A.Avt_param i -> add ("{?" ^ string_of_int i ^ "}"))
           avts;
         add "\"")
       attrs;

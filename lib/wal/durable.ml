@@ -272,6 +272,7 @@ let append_entries t entries =
   Wal.append t.wal (List.map (fun e -> Codec.R_entry e) entries)
 
 let wait_durable t lsn = Wal.wait_durable t.wal lsn
+let await_durable t lsn ~commit k = Wal.await_durable t.wal lsn ~commit k
 
 let commit_doc t ~uri ~root ~bytes =
   ignore (Wal.commit t.wal [ Codec.R_doc { uri; root; bytes } ])
@@ -338,12 +339,13 @@ let stats_json t =
         Hist.to_json_fields (Wal.fsync_hist t.wal))
   in
   Printf.sprintf
-    "{\"fsync_policy\":\"%s\",\"last_lsn\":%d,\"recovered_lsn\":%d,\"wal_bytes_appended\":%d,\"wal_frames_appended\":%d,\"fsyncs\":%d,\"fsync_ns\":{%s},\"checkpoints\":%d,\"checkpoint_lsn\":%d,\"checkpoint_age_s\":%.3f}"
+    "{\"fsync_policy\":\"%s\",\"last_lsn\":%d,\"recovered_lsn\":%d,\"wal_bytes_appended\":%d,\"wal_frames_appended\":%d,\"fsyncs\":%d,\"commits\":%d,\"fsync_ns\":{%s},\"checkpoints\":%d,\"checkpoint_lsn\":%d,\"checkpoint_age_s\":%.3f}"
     (Wal.fsync_policy_to_string t.cfg.fsync)
     (Wal.last_lsn t.wal) t.recovered_lsn
     (Wal.bytes_appended t.wal)
     (Wal.frames_appended t.wal)
     (Wal.fsync_count t.wal)
+    (Wal.commit_count t.wal)
     hist_fields checkpoints ckpt_lsn ckpt_age
 
 (* Durability gauges onto the service's shared Prometheus page (the
@@ -365,6 +367,8 @@ let stats_prom t (p : Xqb_obs.Prom.t) =
     (Wal.frames_appended t.wal);
   P.counter p ~help:"WAL fsync(2) calls." "xqbang_wal_fsync_total"
     (Wal.fsync_count t.wal);
+  P.counter p ~help:"Commits acknowledged as durable." "xqbang_wal_commits_total"
+    (Wal.commit_count t.wal);
   P.summary p ~help:"WAL fsync(2) latency."
     ~fmt:(fun v -> Printf.sprintf "%.9f" v)
     "xqbang_wal_fsync_seconds"
@@ -389,4 +393,5 @@ let stats_prom t (p : Xqb_obs.Prom.t) =
 let fsync_in_progress_ns t = Wal.fsync_in_progress_ns t.wal
 let fsync_p99_ns t = Wal.fsync_p99_ns t.wal
 let inject_fsync_delay t secs = Wal.inject_fsync_delay t.wal secs
+let inject_fsync_error t on = Wal.inject_fsync_error t.wal on
 let close t = Wal.close t.wal

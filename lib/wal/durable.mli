@@ -59,6 +59,12 @@ val append_entries : t -> Xqb_store.Store.mj_entry list -> int
 
 val wait_durable : t -> int -> unit
 
+(** {!Wal.await_durable} on the underlying log: the pipelined
+    durability wait of the concurrent-writer path, where a commit that
+    finds an fsync in flight parks instead of blocking its thread. *)
+val await_durable :
+  t -> int -> commit:bool -> ((unit, exn) result -> unit) -> unit
+
 (** Persist a catalog registration (after the document's node
     allocations committed via {!commit_entries}). *)
 val commit_doc : t -> uri:string -> root:int -> bytes:int -> unit
@@ -105,6 +111,9 @@ val fsync_in_progress_ns : t -> int
 
 val fsync_p99_ns : t -> float
 val inject_fsync_delay : t -> float -> unit
+
+(** {!Wal.inject_fsync_error}: while on, every fsync fails with EIO. *)
+val inject_fsync_error : t -> bool -> unit
 
 (** Final fsync and close. *)
 val close : t -> unit

@@ -7,6 +7,15 @@
    group; committers that arrived while the leader was in fsync(2)
    are covered by the next leader's pass.
 
+   Waiting comes in two forms. [wait_durable] blocks its thread.
+   [await_durable] never blocks on someone else's fsync: it answers
+   through a callback, and a caller that finds an fsync in flight
+   parks the callback and returns (flush pipelining, after Aether).
+   Every leader — blocking or not — completes the parked commits its
+   fsync covers, and keeps leading while parked commits remain that
+   arrived during its fsync, so commits that arrive during one fsync
+   share the next. A failed fsync fails every parked commit.
+
    The in-memory [tail] mirrors the file (frame bytes keyed by LSN)
    so journal shipping never reads the file concurrently with the
    writer; it is cleared when a checkpoint truncates the log, after
@@ -40,6 +49,10 @@ let fsync_policy_to_string = function
   | Never -> "never"
   | Interval_ms ms -> Printf.sprintf "interval-ms:%d" ms
 
+(* An [await_durable] callback waiting for its LSN; [commit] when it
+   acknowledges the caller's own append. *)
+type parked = { lsn : int; commit : bool; k : (unit, exn) result -> unit }
+
 type t = {
   fd : Unix.file_descr;
   path : string;
@@ -57,6 +70,10 @@ type t = {
   mutable fsync_delay : float;
     (* fault injection (tests only): seconds slept inside [do_fsync]
        before the real fsync, to simulate a stalled device *)
+  mutable fsync_fails : bool;
+    (* fault injection (tests only): [do_fsync] raises EIO *)
+  mutable parked : parked list;  (* newest first *)
+  mutable commits : int;  (* acknowledged durable commits *)
   mutable tail : (int * string) list;  (* newest first *)
   mutable tail_start : int;  (* lowest LSN the tail covers *)
   mutable bytes_appended : int;
@@ -81,19 +98,37 @@ let write_all fd s =
   done
 
 (* fsync under the stats it feeds; called OUTSIDE [t.m] (fsync can
-   take milliseconds — holding the mutex would stall appenders). *)
+   take milliseconds — holding the mutex would stall appenders).
+   Profiler samples taken meanwhile carry the fsync stage's label, even
+   on a leader that is fsyncing for other jobs' parked commits. *)
 let do_fsync t =
   let t0 = Clock.now_ns () in
   t.sync_started_ns <- t0;
+  let label = Xqb_obs.Profile.swap_phase (Xqb_obs.Stage.name Xqb_obs.Stage.Fsync) in
   Fun.protect
-    ~finally:(fun () -> t.sync_started_ns <- 0)
+    ~finally:(fun () ->
+      t.sync_started_ns <- 0;
+      ignore (Xqb_obs.Profile.swap_phase label))
     (fun () ->
       (match t.fsync_delay with d when d > 0. -> Unix.sleepf d | _ -> ());
+      if t.fsync_fails then raise (Unix.Unix_error (Unix.EIO, "fsync", "injected"));
       Unix.fsync t.fd);
   let dt = float_of_int (Clock.now_ns () - t0) in
   locked t (fun () ->
       t.fsyncs <- t.fsyncs + 1;
       Hist.record t.fsync_hist dt)
+
+(* Raise the durable high-water mark to [lsn] and take the parked
+   commits it covers, oldest LSN first. Caller holds [t.m]; it runs
+   the callbacks after releasing it. *)
+let covered_locked t lsn =
+  t.synced_lsn <- max t.synced_lsn lsn;
+  let ready, rest = List.partition (fun p -> p.lsn <= t.synced_lsn) t.parked in
+  t.parked <- rest;
+  List.iter (fun p -> if p.commit then t.commits <- t.commits + 1) ready;
+  List.stable_sort (fun a b -> compare a.lsn b.lsn) (List.rev ready)
+
+let complete ready r = List.iter (fun p -> try p.k r with _ -> ()) ready
 
 let interval_loop t ms () =
   let delay = float_of_int ms /. 1000. in
@@ -108,7 +143,7 @@ let interval_loop t ms () =
     if need then begin
       let target = locked t (fun () -> t.written_lsn) in
       do_fsync t;
-      locked t (fun () -> t.synced_lsn <- max t.synced_lsn target)
+      complete (locked t (fun () -> covered_locked t target)) (Ok ())
     end
   done
 
@@ -131,6 +166,9 @@ let openw ~dir ~policy ~next_lsn ~tail () =
       syncing = false;
       sync_started_ns = 0;
       fsync_delay = 0.;
+      fsync_fails = false;
+      parked = [];
+      commits = 0;
       tail = List.rev tail;
       tail_start = (match tail with (l, _) :: _ -> l | [] -> next_lsn);
       bytes_appended = 0;
@@ -146,9 +184,38 @@ let openw ~dir ~policy ~next_lsn ~tail () =
   | Always | Never -> ());
   t
 
+(* The group-commit leader (caller has set [syncing]): fsync everything
+   written so far, publish it, complete the parked commits it covers,
+   and lead again while parked commits remain — they arrived during the
+   fsync. A failed fsync fails every parked commit and is re-raised. *)
+let rec lead t =
+  let target = locked t (fun () -> t.written_lsn) in
+  match do_fsync t with
+  | () ->
+    let ready, again =
+      locked t (fun () ->
+          let ready = covered_locked t target in
+          let again = t.parked <> [] in
+          if not again then t.syncing <- false;
+          Condition.broadcast t.cond;
+          (ready, again))
+    in
+    complete ready (Ok ());
+    if again then lead t
+  | exception e ->
+    let failed =
+      locked t (fun () ->
+          let failed = List.rev t.parked in
+          t.parked <- [];
+          t.syncing <- false;
+          Condition.broadcast t.cond;
+          failed)
+    in
+    complete failed (Error e);
+    raise e
+
 (* Block until [lsn] is durable: group commit. The first waiter to
-   find no leader becomes one, fsyncs everything written so far and
-   publishes the new high-water mark. *)
+   find no leader becomes one. *)
 let rec sync_upto t lsn =
   let role =
     locked t (fun () ->
@@ -156,7 +223,7 @@ let rec sync_upto t lsn =
         else if t.syncing then `Wait
         else begin
           t.syncing <- true;
-          `Lead t.written_lsn
+          `Lead
         end)
   in
   match role with
@@ -167,19 +234,33 @@ let rec sync_upto t lsn =
           Condition.wait t.cond t.m
         done);
     sync_upto t lsn
-  | `Lead target ->
-    (match do_fsync t with
-    | () ->
-      locked t (fun () ->
-          t.synced_lsn <- max t.synced_lsn target;
-          t.syncing <- false;
-          Condition.broadcast t.cond)
-    | exception e ->
-      locked t (fun () ->
-          t.syncing <- false;
-          Condition.broadcast t.cond);
-      raise e);
+  | `Lead ->
+    lead t;
     sync_upto t lsn
+
+(* Call [k] once [lsn] is durable: at once when it already is (or the
+   policy does not wait), after leading an fsync when none is in
+   flight, or — parked — from the in-flight leader's thread. *)
+let await_durable t lsn ~commit k =
+  let role =
+    locked t (fun () ->
+        if t.synced_lsn >= lsn || t.policy <> Always then begin
+          if commit then t.commits <- t.commits + 1;
+          `Done
+        end
+        else begin
+          t.parked <- { lsn; commit; k } :: t.parked;
+          if t.syncing then `Parked
+          else begin
+            t.syncing <- true;
+            `Lead
+          end
+        end)
+  in
+  match role with
+  | `Done -> k (Ok ())
+  | `Parked -> ()
+  | `Lead -> ( try lead t with _ -> ())
 
 (* Append frames without waiting for durability (any policy); the
    caller pairs it with [wait_durable]. This is the scheduler's
@@ -217,9 +298,10 @@ let append t records =
    unless the policy is [Always] (interval/never callers accept the
    window by configuration). *)
 let wait_durable t lsn =
-  match t.policy with
+  (match t.policy with
   | Always -> sync_upto t lsn
-  | Interval_ms _ | Never -> ()
+  | Interval_ms _ | Never -> ());
+  locked t (fun () -> t.commits <- t.commits + 1)
 
 let commit t records =
   let last = append t records in
@@ -230,7 +312,7 @@ let sync t =
   let target = locked t (fun () -> t.written_lsn) in
   if locked t (fun () -> t.synced_lsn < target) then begin
     do_fsync t;
-    locked t (fun () -> t.synced_lsn <- max t.synced_lsn target)
+    complete (locked t (fun () -> covered_locked t target)) (Ok ())
   end
 
 let last_lsn t = locked t (fun () -> t.next_lsn - 1)
@@ -254,17 +336,22 @@ let ship t ~from_lsn ~max =
    disk: empty the file (O_APPEND writes restart at offset 0) and
    drop the tail mirror. *)
 let truncate_after_checkpoint t =
-  locked t (fun () ->
-      Unix.ftruncate t.fd 0;
-      t.tail <- [];
-      t.tail_start <- t.next_lsn;
-      t.synced_lsn <- t.next_lsn - 1;
-      t.written_lsn <- t.next_lsn - 1);
+  (* the snapshot is durable: it completes the parked commits it covers *)
+  let ready =
+    locked t (fun () ->
+        Unix.ftruncate t.fd 0;
+        t.tail <- [];
+        t.tail_start <- t.next_lsn;
+        t.written_lsn <- t.next_lsn - 1;
+        covered_locked t (t.next_lsn - 1))
+  in
+  complete ready (Ok ());
   match t.policy with Never -> () | _ -> do_fsync t
 
 let bytes_appended t = locked t (fun () -> t.bytes_appended)
 let frames_appended t = locked t (fun () -> t.frames_appended)
 let fsync_count t = locked t (fun () -> t.fsyncs)
+let commit_count t = locked t (fun () -> t.commits)
 let fsync_hist t = t.fsync_hist
 let with_stats_lock t f = locked t f
 
@@ -275,6 +362,7 @@ let fsync_in_progress_ns t =
 
 let fsync_p99_ns t = locked t (fun () -> Hist.percentile t.fsync_hist 0.99)
 let inject_fsync_delay t secs = t.fsync_delay <- secs
+let inject_fsync_error t on = t.fsync_fails <- on
 
 let close t =
   let th = locked t (fun () -> t.closed <- true; t.interval_thread) in

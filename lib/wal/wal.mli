@@ -43,7 +43,22 @@ val append : t -> Codec.record list -> int
 
 val wait_durable : t -> int -> unit
 
-(** Force an fsync of everything appended so far (any policy). *)
+(** The pipelined form of {!wait_durable}: call [k (Ok ())] once [lsn]
+    is durable under [Always] (at once under the other policies). When
+    it already is, [k] runs in the caller; when no fsync is in flight,
+    the caller leads one (and every fsync after it that parked commits
+    need) and then returns; when one is in flight, [k] is parked and
+    the call returns at once — the in-flight leader runs [k] on its
+    thread after the fsync that covers [lsn]. A failed fsync runs every
+    parked [k] with [Error]. [commit] counts the acknowledgment in
+    {!commit_count} (an append of the caller's own, not a read waiting
+    for others' appends). *)
+val await_durable :
+  t -> int -> commit:bool -> ((unit, exn) result -> unit) -> unit
+
+(** Force an fsync of everything appended so far (any policy);
+    completes the parked commits it covers, as does
+    {!truncate_after_checkpoint}. *)
 val sync : t -> unit
 
 (** Highest assigned LSN (0 before the first append). *)
@@ -70,6 +85,10 @@ val bytes_appended : t -> int
 val frames_appended : t -> int
 val fsync_count : t -> int
 
+(** Durable commit acknowledgments: {!commit}s, {!wait_durable}s and
+    [~commit:true] {!await_durable}s that completed. *)
+val commit_count : t -> int
+
 (** Nanosecond fsync latencies. Synchronize via {!with_stats_lock}
     when reading percentiles concurrently with commits. *)
 val fsync_hist : t -> Xqb_obs.Hist.t
@@ -87,6 +106,9 @@ val fsync_p99_ns : t -> float
 (** Fault injection for tests: sleep [secs] inside every subsequent
     fsync, simulating a stalled device. 0 restores normal service. *)
 val inject_fsync_delay : t -> float -> unit
+
+(** Fault injection for tests: while on, every fsync fails with EIO. *)
+val inject_fsync_error : t -> bool -> unit
 
 (** Final fsync (unless [Never]), stop the interval thread, close. *)
 val close : t -> unit

@@ -24,6 +24,14 @@
    XQBANG_CRASH_ARTIFACT_DIR set, the last dump is copied there (CI
    uploads it).
 
+   A last, pipelined round runs a TCP server on its own data dir: two
+   connections each send 8 concurrent-writer inserts without waiting,
+   read only some of the acknowledgments, and the server is SIGKILLed
+   with the rest in flight. The recovered state must hold every
+   acknowledged insert, each connection's recovered inserts must be a
+   prefix of what it sent, and the flight recorder's LSN check holds
+   as above.
+
    The seed is printed and overridable via XQBANG_CRASH_SEED. *)
 
 module Svc = Xqb_service.Service
@@ -218,13 +226,129 @@ let next_query () =
     Printf.sprintf {|snap rename {(doc("d")/r/*)[1]} to {'m%d'}|} i
   else Printf.sprintf {|snap insert {<n%d/>} into {doc("d")/r}|} i
 
-(* ---------- driver ---------- *)
+(* ---------- the pipelined round ---------- *)
 
 let rm_rf dir =
   if Sys.file_exists dir then begin
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
     Sys.rmdir dir
   end
+
+
+let pipelined_inserts = 8
+
+(* [exe serve --port 0] on [data_dir], stderr to [log]; the port from
+   its "listening on" line. *)
+let spawn_tcp exe data_dir log =
+  let out = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let pid =
+    Unix.create_process exe
+      [| exe; "serve"; "--port"; "0"; "--domains"; "2"; "--data-dir"; data_dir;
+         "--fsync"; "always" |]
+      devnull out out
+  in
+  Unix.close out;
+  Unix.close devnull;
+  let prefix = "listening on 127.0.0.1:" in
+  let rec wait tries =
+    let text = try read_file log with Sys_error _ -> "" in
+    let rec find i =
+      if i + String.length prefix > String.length text then None
+      else if String.sub text i (String.length prefix) = prefix then Some (i + String.length prefix)
+      else find (i + 1)
+    in
+    match find 0 with
+    | Some j ->
+      let k = ref j in
+      while !k < String.length text && text.[!k] >= '0' && text.[!k] <= '9' do incr k done;
+      int_of_string (String.sub text j (!k - j))
+    | None ->
+      if tries = 0 then fail "pipelined round: server never reported its port:\n%s" text;
+      Unix.sleepf 0.01;
+      wait (tries - 1)
+  in
+  (pid, wait 3000)
+
+let pipelined_round exe ~data_dir ~doc_path =
+  rm_rf data_dir;
+  let log = data_dir ^ ".log" in
+  let pid, port = spawn_tcp exe data_dir log in
+  let conns =
+    Array.init 2 (fun k ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        let c =
+          {
+            pid;
+            to_child = Unix.out_channel_of_descr fd;
+            from_child = Unix.in_channel_of_descr fd;
+            devnull = fd;
+          }
+        in
+        send c "OPEN";
+        let sid = String.trim (recv_ok c "OPEN") in
+        send c (Printf.sprintf "LOAD %s p%d %s" sid k doc_path);
+        ignore (recv_ok c "LOAD");
+        (c, sid))
+  in
+  let insert k i = Printf.sprintf {|insert {<s%d_%d/>} into {doc("p%d")/r}|} k i k in
+  (* every insert of both connections goes out before any ack is read *)
+  for i = 0 to pipelined_inserts - 1 do
+    Array.iteri
+      (fun k (c, sid) -> send c (Printf.sprintf "QUERY %s %s" sid (insert k i)))
+      conns
+  done;
+  let acked =
+    Array.mapi
+      (fun k (c, _) ->
+        let n = Random.int (pipelined_inserts + 1) in
+        for i = 0 to n - 1 do
+          ignore (recv_ok c (Printf.sprintf "insert %d of connection %d" i k))
+        done;
+        n)
+      conns
+  in
+  Unix.kill pid Sys.sigkill;
+  ignore (Unix.waitpid [] pid);
+  Array.iter (fun (c, _) -> close_out_noerr c.to_child) conns;
+  (* recovery *)
+  let flights_before = flight_files data_dir in
+  let probe = spawn exe data_dir in
+  let _, recovered_lsn = journal_stat probe in
+  (match List.filter (fun f -> not (List.mem f flights_before)) (flight_files data_dir) with
+  | [] -> fail "pipelined round: no flight dump after a SIGKILL recovery"
+  | fresh -> check_flight ~round:0 ~recovered_lsn (Filename.concat data_dir (List.hd (List.rev fresh))));
+  send probe "OPEN";
+  let sid = String.trim (recv_ok probe "OPEN") in
+  Array.iteri
+    (fun k n ->
+      send probe (Printf.sprintf "LOAD %s p%d %s" sid k doc_path);
+      ignore (recv_ok probe "LOAD");
+      send probe
+        (Printf.sprintf {|QUERY %s string-join(for $e in doc("p%d")/r/* return name($e), ",")|}
+           sid k);
+      let names = String.split_on_char ',' (recv_ok probe "recovered names") in
+      let inserted = List.filter (fun n -> n <> "a") names in
+      let m = List.length inserted in
+      List.iteri
+        (fun i name ->
+          if name <> Printf.sprintf "s%d_%d" k i then
+            fail "pipelined round: connection %d recovered %s, not a prefix of what it sent"
+              k (String.concat "," inserted))
+        inserted;
+      if m < n then
+        fail "pipelined round: connection %d had %d inserts acknowledged, recovery kept %d"
+          k n m;
+      Printf.printf
+        "crash harness: pipelined round, connection %d: %d acked, %d recovered of %d sent\n%!"
+        k n m pipelined_inserts)
+    acked;
+  quit probe;
+  rm_rf data_dir;
+  (try Sys.remove log with Sys_error _ -> ())
+
+(* ---------- driver ---------- *)
 
 let () =
   let exe =
@@ -355,5 +479,6 @@ let () =
   Printf.printf "crash harness: clean shutdown round ok\n%!";
   Svc.shutdown mirror;
   rm_rf data_dir;
+  pipelined_round exe ~data_dir:(data_dir ^ "-pipelined") ~doc_path;
   Sys.remove doc_path;
   print_endline "crash harness: all rounds passed"

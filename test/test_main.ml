@@ -43,4 +43,6 @@ let () =
          Test_footprint.suite;
          Test_edge.suite;
          Test_profile.suite;
+         Test_shape_cache.suite;
+         Test_group_commit.suite;
        ])
