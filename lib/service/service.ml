@@ -65,16 +65,19 @@
    serializes on the scheduler's global apply mutex
    ({!Scheduler.with_apply}, installed per-job as the context's
    [apply_wrap]), keeping journal transaction spans contiguous and
-   WAL order equal to apply order. The [Always]-policy fsync wait
-   happens outside everything the job holds: after the mutex, the
-   session lock and the footprint gate are released, only the reply
-   waits for the fsync covering the job's LSN (pipelined group
-   commit, [submit_governed]), so commits that arrive during one
-   fsync share the next.
+   WAL order equal to apply order. Every write route commits the same
+   way: the WAL append happens under the gate, and the
+   [Always]-policy fsync wait happens outside everything the job
+   holds — after the mutex, the session lock and the footprint gate
+   are released, only the reply waits for the fsync covering the
+   job's LSN (pipelined group commit, [settle] in [submit_governed]),
+   so commits that arrive during one fsync share the next. Document
+   loads are not jobs: a load appends its entries and then waits once
+   for its catalog registration, which covers them.
 
    Exclusive jobs, EXPLAIN, document loads and checkpoints hold a ⊤
-   footprint and commit with whole-job [Store.transactionally] plus
-   an inline durable flush, so a query killed mid-update leaves the
+   footprint; exclusive jobs and EXPLAIN run as one whole-job
+   [Store.transactionally], so a query killed mid-update leaves the
    store exactly as it found it even if nested snaps (or snap-wrapped
    globals) had already applied. On the concurrent-writer route the
    rollback unit shrinks to one top-level snap: the apply itself is
@@ -849,13 +852,8 @@ let profile_command t (cmd : [ `Start | `Stop | `Dump | `Dump_json | `Stat ])
 
 (* -- durability (leader side) --------------------------------------- *)
 
-(* Append the in-memory journal tail to the WAL and, under the Always
-   policy, block until durable — this is the acknowledgment barrier:
-   it runs after the snap applied but before the client sees OK, so
-   recovery reproduces every acknowledged commit. Caller holds a ⊤
-   footprint (exclusive jobs, loads, checkpoints), which excludes
-   every concurrent apply — so [wal_seq] is stable. The concurrent-
-   writer path commits through [writer_apply_wrap] instead. *)
+let error_message e = (Service_error.classify e).Service_error.message
+
 (* wal.commit events are emitted only after the durability barrier:
    the flight recorder's consistency check relies on every logged
    lsn being recoverable under fsync=always. At full load that is
@@ -875,7 +873,10 @@ let log_commit t lsn data =
 
 (* Append the journal tail since [wal_seq] to the WAL (the wal
    stage); returns the last LSN and the entry count, [None] when there
-   was nothing to append. Caller excludes every concurrent apply. *)
+   was nothing to append. Caller excludes every concurrent apply: it
+   holds the apply mutex or a ⊤ footprint, so [wal_seq] is stable.
+   Nothing here waits for the fsync — a job's reply does ([settle]),
+   after the recovery-relevant order is already fixed by the append. *)
 let wal_append ?job t d =
   Stage.with_ ~stage:Stage.Wal job "wal" @@ fun () ->
   let entries =
@@ -888,46 +889,37 @@ let wal_append ?job t d =
     Some (Durable.append_entries d entries, n)
   end
 
-(* The durability barrier for an appended tail (the fsync stage),
-   then its sampled commit event. *)
-let wal_wait ?job t d (lsn, n) =
-  Stage.with_ ~stage:Stage.Fsync job "fsync" (fun () ->
-      Durable.wait_durable d lsn);
-  log_commit t lsn [ ("entries", Events.I n) ]
+(* Append the journal tail and add its last LSN and entry count to
+   [appended]: the job's [settle] waits for that LSN's fsync. *)
+let append_tail ?job t appended =
+  Option.iter
+    (fun d ->
+      Option.iter
+        (fun (lsn, n) -> appended := (lsn, snd !appended + n))
+        (wal_append ?job t d))
+    t.durable
 
-let durable_commit ?job t =
-  match t.durable with
-  | None -> ()
-  | Some d -> Option.iter (wal_wait ?job t d) (wal_append ?job t d)
-
-(* After a checkpoint the snapshot covers the whole journal: restart
-   it so the in-memory list (and the seq counter feeding [wal_seq])
-   doesn't grow without bound. Write lock held. *)
-let after_checkpoint t =
-  Xqb_store.Store.journal_start (Catalog.store t.catalog);
-  t.wal_seq <- 0
+(* Checkpoint — when due, or now when [forced] — then restart the
+   journal: the snapshot covers all of it, so the in-memory list (and
+   the seq counter feeding [wal_seq]) need not grow without bound.
+   Caller holds a ⊤ footprint and has appended the tail. *)
+let checkpoint ?(forced = false) t d =
+  let docs = Catalog.roots t.catalog and store = Catalog.store t.catalog in
+  let lsn =
+    if forced then Some (Durable.checkpoint d ~docs store)
+    else Durable.maybe_checkpoint d ~docs store
+  in
+  Option.iter
+    (fun lsn ->
+      Xqb_store.Store.journal_start store;
+      t.wal_seq <- 0;
+      Events.info t.events ~kind:"wal.checkpoint"
+        (("lsn", Events.I lsn) :: (if forced then [ ("forced", Events.B true) ] else [])))
+    lsn;
+  lsn
 
 let durable_maybe_checkpoint t =
-  match t.durable with
-  | None -> ()
-  | Some d -> (
-    match
-      Durable.maybe_checkpoint d ~docs:(Catalog.roots t.catalog)
-        (Catalog.store t.catalog)
-    with
-    | Some lsn ->
-      after_checkpoint t;
-      Events.info t.events ~kind:"wal.checkpoint" [ ("lsn", Events.I lsn) ]
-    | None -> ())
-
-(* The per-write-job durability hook: flush the journal tail (even on
-   failure — an aborted span is a no-op on replay but keeps the audit
-   trail complete), then maybe checkpoint. A disk error here surfaces
-   as the job's error: the in-memory state has committed, but the
-   client is never acknowledged a write the disk didn't take. *)
-let durable_publish ?job t =
-  durable_commit ?job t;
-  durable_maybe_checkpoint t
+  Option.iter (fun d -> ignore (checkpoint t d)) t.durable
 
 (* The concurrent-writer commit path, installed per-job as the
    context's [apply_wrap]: each top-level snap's ∆ applies under the
@@ -952,27 +944,17 @@ let durable_publish ?job t =
 let writer_apply_wrap t job appended apply =
   Scheduler.with_apply t.sched (fun () ->
       Xqb_store.Store.transactionally (Catalog.store t.catalog) apply;
-      Option.iter
-        (fun d ->
-          Option.iter
-            (fun (lsn, n) -> appended := (lsn, snd !appended + n))
-            (wal_append ?job t d))
-        t.durable)
+      append_tail ?job t appended)
 
+(* The snapshot is durable and covers the appended tail, so nothing
+   here waits for the WAL's fsync. *)
 let checkpoint_now t =
   match t.durable with
   | None -> Error "service is not durable (started without --data-dir)"
   | Some d ->
     Scheduler.with_footprint t.sched FP.top (fun () ->
-        durable_commit t;
-        let lsn =
-          Durable.checkpoint d ~docs:(Catalog.roots t.catalog)
-            (Catalog.store t.catalog)
-        in
-        after_checkpoint t;
-        Events.info t.events ~kind:"wal.checkpoint"
-          [ ("lsn", Events.I lsn); ("forced", Events.B true) ];
-        Ok lsn)
+        ignore (wal_append t d);
+        Ok (Option.get (checkpoint ~forced:true t d)))
 
 (* Committed WAL frames for a replica, as one concatenated blob. A
    [replica_id] (the optional third SHIP argument) updates the
@@ -1023,15 +1005,22 @@ let peers_json t =
   in
   "[" ^ String.concat "," entries ^ "]"
 
+(* The blob and its LSN are taken under ⊤; the blob is handed out only
+   once that LSN is durable, so a replica never holds what the leader
+   could lose. *)
 let snapshot_blob t =
   match t.durable with
   | None -> Error "service is not durable (started without --data-dir)"
-  | Some d ->
-    Ok
-      (Scheduler.with_footprint t.sched FP.top (fun () ->
-           durable_commit t;
-           Durable.snapshot_blob d ~docs:(Catalog.roots t.catalog)
-             (Catalog.store t.catalog)))
+  | Some d -> (
+    let lsn, blob =
+      Scheduler.with_footprint t.sched FP.top (fun () ->
+          ignore (wal_append t d);
+          Durable.snapshot_blob d ~docs:(Catalog.roots t.catalog)
+            (Catalog.store t.catalog))
+    in
+    match Durable.wait_durable d lsn with
+    | () -> Ok (lsn, blob)
+    | exception e -> Error (error_message e))
 
 (* -- replication (replica side) ------------------------------------- *)
 
@@ -1391,9 +1380,10 @@ let load_document t sid ~uri xml =
               (fun () -> Catalog.load t.catalog ~uri xml)
           in
           ignore (Catalog.acquire t.catalog uri);
+          (* the registration's wait covers the load's entries too *)
           (match t.durable with
           | Some d ->
-            durable_commit t;
+            ignore (wal_append t d);
             Durable.commit_doc d ~uri ~root ~bytes:(String.length xml);
             durable_maybe_checkpoint t
           | None -> ());
@@ -1405,8 +1395,6 @@ let load_document t sid ~uri xml =
       Engine.bind_node s.engine uri root)
 
 (* -- query submission ----------------------------------------------- *)
-
-let error_message e = (Service_error.classify e).Service_error.message
 
 (* Prepared plan for [src] and the request's parameter values: a
    shape hit, or a compile whose parse turns into parameters exactly
@@ -1706,7 +1694,7 @@ let job_stages t =
    The reply never acknowledges what is not durable: in durable mode a
    successful job completes only once the WAL is durable up to the
    highest LSN appended before it passed the gate, or its own last
-   append ([appended], left by [writer_apply_wrap]) when later. That
+   append ([appended], left by either write route) when later. That
    wait starts after the gate and the session are released: a job
    that finds the WAL already synced replies at once, one that finds
    no fsync in flight leads one, and one that finds an fsync in
@@ -1808,19 +1796,26 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
    bracketed by GC/profiler attribution — [body] gets the attribution
    token for EXPLAIN ANALYZE's footer.
 
-   Two commit disciplines. The exclusive route (a ⊤ footprint:
-   nothing else runs) wraps the whole job in one store transaction —
-   a budget kill rolls back even mid-way through nested applies — and
-   publishes to the WAL after, waiting for the fsync and checkpointing
-   if due (on failure it still flushes the aborted span, but its own
-   errors must not mask the job's). On the concurrent-writer route
-   each top-level snap's apply + WAL append serializes under
-   [writer_apply_wrap], which leaves the job's last LSN in [appended];
-   the session lock and then the gate are released before anyone
-   waits for that LSN's fsync ([submit_governed]). *)
+   One commit path, two rollback units. Both write routes append
+   their journal tail to the WAL under the gate and leave its last LSN
+   in [appended]; the session lock and then the gate are released
+   before anyone waits for that LSN's fsync ([settle] in
+   [submit_governed]). The exclusive route (a ⊤ footprint: nothing
+   else runs) wraps the whole job in one store transaction — a budget
+   kill rolls back even mid-way through nested applies — and appends
+   after it, on failure too (the aborted span keeps the audit trail,
+   and its own errors must not mask the job's), then checkpoints if
+   due. On the concurrent-writer route each top-level snap's apply +
+   WAL append serializes under [writer_apply_wrap]. *)
 let on_session t s ~jid ~src ~st ~effects ~appended ~budget ~route ~params body =
   let exclusive = route = FP.Exclusive in
   let job = Some st in
+  let publish () =
+    if exclusive then begin
+      append_tail ?job t appended;
+      durable_maybe_checkpoint t
+    end
+  in
   match
     locked s.slock (fun () ->
         let ctx = Engine.context s.engine in
@@ -1849,10 +1844,10 @@ let on_session t s ~jid ~src ~st ~effects ~appended ~budget ~route ~params body 
         end)
   with
   | out ->
-    if exclusive then durable_publish ?job t;
+    publish ();
     out
   | exception e ->
-    if exclusive then (try durable_publish ?job t with _ -> ());
+    (try publish () with _ -> ());
     raise e
 
 (* Submit a query; returns the job id (usable with [cancel]) and a
@@ -2259,23 +2254,34 @@ let write_flight t ~reason =
 
 (* Called by `serve` (and only serve: a library embedder owns its own
    signals). The [at_exit] guard fires on any exit path that skipped
-   {!shutdown} — including an uncaught exception unwinding main. *)
+   {!shutdown} — including an uncaught exception unwinding main. The
+   SIGTERM handler runs on whichever thread the signal lands on, which
+   may hold a mutex the dump needs, so it only wakes a dedicated thread
+   (one byte down a pipe); that thread writes the dump and exits 143. *)
 let install_crash_hooks t =
-  let dumped = ref false in
+  let dumped = Atomic.make false in
   let dump reason =
-    if (not !dumped) && not t.stopping then begin
-      dumped := true;
+    if (not t.stopping) && not (Atomic.exchange dumped true) then
       ignore (write_flight t ~reason)
-    end
   in
   at_exit (fun () -> dump "exit-without-shutdown");
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  let rec sleep () =
+    try ignore (Unix.read wake_r (Bytes.create 1) 0 1)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> sleep ()
+  in
+  ignore
+    (Thread.create
+       (fun () ->
+         sleep ();
+         dump "sigterm";
+         exit 143)
+       ());
   try
     ignore
       (Sys.signal Sys.sigterm
          (Sys.Signal_handle
-            (fun _ ->
-              dump "sigterm";
-              exit 143)))
+            (fun _ -> ignore (Unix.single_write_substring wake_w "t" 0 1))))
   with Invalid_argument _ | Sys_error _ -> ()
 
 (* Stop the service. Without [deadline], drain: queued jobs still

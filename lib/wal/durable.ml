@@ -4,13 +4,14 @@
      wal.log            frames since the last checkpoint
      snap-<lsn>.snap    checkpoint snapshots (two most recent kept)
 
-   Commit protocol (the service calls these with its write lock
-   held): the in-memory snap has already applied; [commit_entries]
-   appends the resulting journal span to the WAL and — under the
-   Always policy — blocks until it is durable. Only then does the
-   service acknowledge the client, so recovery always reproduces the
-   last acknowledged state (a crash between the in-memory apply and
-   the WAL append loses only an un-acknowledged commit).
+   Commit protocol: the in-memory snap has already applied; the
+   service appends the resulting journal span to the WAL
+   ([append_entries], with its write lock held) and — under the
+   Always policy — acknowledges the client only once the span is
+   durable ([await_durable]), so recovery always reproduces the last
+   acknowledged state (a crash between the in-memory apply and the
+   WAL append loses only an un-acknowledged commit). [commit_entries]
+   and [commit_doc] are append + blocking wait in one call.
 
    Recovery: newest snapshot that validates (CRC + canonical store
    digest; a mismatch refuses to boot), then the WAL tail — frames
@@ -265,9 +266,9 @@ let recover cfg =
 let commit_entries t entries =
   Wal.commit t.wal (List.map (fun e -> Codec.R_entry e) entries)
 
-(* Group-commit split (the footprint scheduler's commit path):
-   append under the caller's apply mutex, wait for the fsync outside
-   it so concurrent writers overlap their durability latency. *)
+(* Group-commit split (the service's commit path): append under the
+   caller's apply mutex or ⊤ footprint, wait for the fsync outside it
+   so concurrent writers overlap their durability latency. *)
 let append_entries t entries =
   Wal.append t.wal (List.map (fun e -> Codec.R_entry e) entries)
 

@@ -13,10 +13,10 @@
     spans replay through the same rollback machinery the original
     used.
 
-    Threading: {!commit_entries}, {!commit_doc}, {!checkpoint} and
-    {!maybe_checkpoint} must be called with the service's write lock
-    held (single writer); {!ship} / {!stats_json} are safe from any
-    thread. *)
+    Threading: {!append_entries}, {!commit_entries}, {!commit_doc},
+    {!checkpoint} and {!maybe_checkpoint} must be called with the
+    service's write lock held (single writer); the durability waits,
+    {!ship} and {!stats_json} are safe from any thread. *)
 
 type config = {
   dir : string;
@@ -65,8 +65,9 @@ val wait_durable : t -> int -> unit
 val await_durable :
   t -> int -> commit:bool -> ((unit, exn) result -> unit) -> unit
 
-(** Persist a catalog registration (after the document's node
-    allocations committed via {!commit_entries}). *)
+(** Persist a catalog registration: append it after the document's
+    node allocations ({!append_entries}) and, under [Always], block
+    until it — and so every frame appended before it — is durable. *)
 val commit_doc : t -> uri:string -> root:int -> bytes:int -> unit
 
 (** Write a snapshot of [store]'s current state covering every LSN
@@ -88,7 +89,8 @@ val ship :
   t -> from_lsn:int -> max:int -> (int * string list, [ `Too_old ]) result
 
 (** Serialized snapshot of the current state for replica bootstrap
-    (not written to disk). Write lock held. *)
+    (not written to disk), with the LSN it covers. Write lock held;
+    the caller hands the blob out only once that LSN is durable. *)
 val snapshot_blob :
   t -> docs:(string * int * int) list -> Xqb_store.Store.t -> int * string
 

@@ -2,25 +2,26 @@
 
    One append-only file (dir/wal.log) of Codec frames. Writers
    serialize on [m]; an [Always] commit then waits until its last LSN
-   is durable, with classic group commit — the first waiter becomes
-   the sync leader, fsyncs everything written so far, and wakes the
-   group; committers that arrived while the leader was in fsync(2)
-   are covered by the next leader's pass.
+   is durable, with group commit and one fsync leader ([lead]).
 
-   Waiting comes in two forms. [wait_durable] blocks its thread.
-   [await_durable] never blocks on someone else's fsync: it answers
-   through a callback, and a caller that finds an fsync in flight
-   parks the callback and returns (flush pipelining, after Aether).
-   Every leader — blocking or not — completes the parked commits its
-   fsync covers, and keeps leading while parked commits remain that
-   arrived during its fsync, so commits that arrive during one fsync
-   share the next. A failed fsync fails every parked commit.
+   Every wait goes through [await]: a caller whose LSN is already
+   durable is answered at once; one that finds no fsync in flight
+   leads one; one that finds an fsync in flight parks its callback and
+   returns (flush pipelining, after Aether). The leader completes the
+   parked commits its fsync covers, and keeps leading while parked
+   commits remain that arrived during its fsync, so commits that
+   arrive during one fsync share the next. A failed fsync fails every
+   parked commit: no waiter of the failed group retries it for frames
+   it may have lost.
+   [await_durable] is [await] under the policy's terms;
+   [wait_durable] and [sync] block on it; the interval thread parks a
+   no-op on it.
 
    The in-memory [tail] mirrors the file (frame bytes keyed by LSN)
    so journal shipping never reads the file concurrently with the
    writer; it is cleared when a checkpoint truncates the log, after
    which replicas older than the checkpoint re-bootstrap from a
-   snapshot. *)
+   snapshot. Under [Always] only durable frames are shipped. *)
 
 module Hist = Xqb_obs.Hist
 module Clock = Xqb_obs.Clock
@@ -58,7 +59,6 @@ type t = {
   path : string;
   policy : fsync_policy;
   m : Mutex.t;
-  cond : Condition.t;
   mutable next_lsn : int;  (* LSN the next appended frame receives *)
   mutable written_lsn : int;  (* highest LSN written to the fd *)
   mutable synced_lsn : int;  (* highest LSN known durable *)
@@ -86,9 +86,11 @@ type t = {
 
 let wal_file dir = Filename.concat dir "wal.log"
 
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
+let locked_m m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+let locked t f = locked_m t.m f
 
 let write_all fd s =
   let n = String.length s in
@@ -130,21 +132,86 @@ let covered_locked t lsn =
 
 let complete ready r = List.iter (fun p -> try p.k r with _ -> ()) ready
 
+let written t = locked t (fun () -> t.written_lsn)
+
+(* The group-commit leader (caller has set [syncing]): fsync everything
+   written so far, publish it, complete the parked commits it covers,
+   and lead again while parked commits remain — they arrived during the
+   fsync. A failed fsync fails every parked commit. *)
+let rec lead t =
+  let target = written t in
+  match do_fsync t with
+  | () ->
+    let ready, again =
+      locked t (fun () ->
+          let ready = covered_locked t target in
+          let again = t.parked <> [] in
+          if not again then t.syncing <- false;
+          (ready, again))
+    in
+    complete ready (Ok ());
+    if again then lead t
+  | exception e ->
+    let failed =
+      locked t (fun () ->
+          let failed = List.rev t.parked in
+          t.parked <- [];
+          t.syncing <- false;
+          failed)
+    in
+    complete failed (Error e)
+
+(* Call [k] once [lsn] is durable, whatever the policy: at once when it
+   already is, after leading an fsync when none is in flight, or —
+   parked — from the in-flight leader's thread. *)
+let await t lsn ~commit k =
+  let role =
+    locked t (fun () ->
+        if t.synced_lsn >= lsn then begin
+          if commit then t.commits <- t.commits + 1;
+          `Done
+        end
+        else begin
+          t.parked <- { lsn; commit; k } :: t.parked;
+          if t.syncing then `Parked
+          else begin
+            t.syncing <- true;
+            `Lead
+          end
+        end)
+  in
+  match role with `Done -> k (Ok ()) | `Parked -> () | `Lead -> lead t
+
+let await_durable t lsn ~commit k =
+  match t.policy with
+  | Always -> await t lsn ~commit k
+  | Interval_ms _ | Never ->
+    if commit then locked t (fun () -> t.commits <- t.commits + 1);
+    k (Ok ())
+
+(* Call [start] with a callback and block until it has run; raise the
+   error it got, which is its group's. *)
+let latch start =
+  let m = Mutex.create () and c = Condition.create () and r = ref None in
+  start (fun v ->
+      locked_m m (fun () ->
+          r := Some v;
+          Condition.signal c));
+  match
+    locked_m m (fun () ->
+        while Option.is_none !r do
+          Condition.wait c m
+        done;
+        Option.get !r)
+  with
+  | Ok () -> ()
+  | Error e -> raise e
+
 let interval_loop t ms () =
   let delay = float_of_int ms /. 1000. in
-  let stop = ref false in
-  while not !stop do
+  while not (locked t (fun () -> t.closed)) do
     Thread.delay delay;
-    let need =
-      locked t (fun () ->
-          if t.closed then stop := true;
-          (not t.closed) && t.written_lsn > t.synced_lsn)
-    in
-    if need then begin
-      let target = locked t (fun () -> t.written_lsn) in
-      do_fsync t;
-      complete (locked t (fun () -> covered_locked t target)) (Ok ())
-    end
+    await t (written t) ~commit:false ignore
   done
 
 let openw ~dir ~policy ~next_lsn ~tail () =
@@ -159,7 +226,6 @@ let openw ~dir ~policy ~next_lsn ~tail () =
       path = wal_file dir;
       policy;
       m = Mutex.create ();
-      cond = Condition.create ();
       next_lsn;
       written_lsn = last;
       synced_lsn = last;
@@ -183,84 +249,6 @@ let openw ~dir ~policy ~next_lsn ~tail () =
   | Interval_ms ms -> t.interval_thread <- Some (Thread.create (interval_loop t ms) ())
   | Always | Never -> ());
   t
-
-(* The group-commit leader (caller has set [syncing]): fsync everything
-   written so far, publish it, complete the parked commits it covers,
-   and lead again while parked commits remain — they arrived during the
-   fsync. A failed fsync fails every parked commit and is re-raised. *)
-let rec lead t =
-  let target = locked t (fun () -> t.written_lsn) in
-  match do_fsync t with
-  | () ->
-    let ready, again =
-      locked t (fun () ->
-          let ready = covered_locked t target in
-          let again = t.parked <> [] in
-          if not again then t.syncing <- false;
-          Condition.broadcast t.cond;
-          (ready, again))
-    in
-    complete ready (Ok ());
-    if again then lead t
-  | exception e ->
-    let failed =
-      locked t (fun () ->
-          let failed = List.rev t.parked in
-          t.parked <- [];
-          t.syncing <- false;
-          Condition.broadcast t.cond;
-          failed)
-    in
-    complete failed (Error e);
-    raise e
-
-(* Block until [lsn] is durable: group commit. The first waiter to
-   find no leader becomes one. *)
-let rec sync_upto t lsn =
-  let role =
-    locked t (fun () ->
-        if t.synced_lsn >= lsn then `Done
-        else if t.syncing then `Wait
-        else begin
-          t.syncing <- true;
-          `Lead
-        end)
-  in
-  match role with
-  | `Done -> ()
-  | `Wait ->
-    locked t (fun () ->
-        while t.synced_lsn < lsn && t.syncing do
-          Condition.wait t.cond t.m
-        done);
-    sync_upto t lsn
-  | `Lead ->
-    lead t;
-    sync_upto t lsn
-
-(* Call [k] once [lsn] is durable: at once when it already is (or the
-   policy does not wait), after leading an fsync when none is in
-   flight, or — parked — from the in-flight leader's thread. *)
-let await_durable t lsn ~commit k =
-  let role =
-    locked t (fun () ->
-        if t.synced_lsn >= lsn || t.policy <> Always then begin
-          if commit then t.commits <- t.commits + 1;
-          `Done
-        end
-        else begin
-          t.parked <- { lsn; commit; k } :: t.parked;
-          if t.syncing then `Parked
-          else begin
-            t.syncing <- true;
-            `Lead
-          end
-        end)
-  in
-  match role with
-  | `Done -> k (Ok ())
-  | `Parked -> ()
-  | `Lead -> ( try lead t with _ -> ())
 
 (* Append frames without waiting for durability (any policy); the
    caller pairs it with [wait_durable]. This is the scheduler's
@@ -294,26 +282,14 @@ let append t records =
         t.written_lsn <- !last;
         !last)
 
-(* Block until [lsn] is durable under the policy's terms: a no-op
-   unless the policy is [Always] (interval/never callers accept the
-   window by configuration). *)
-let wait_durable t lsn =
-  (match t.policy with
-  | Always -> sync_upto t lsn
-  | Interval_ms _ | Never -> ());
-  locked t (fun () -> t.commits <- t.commits + 1)
+let wait_durable t lsn = latch (await_durable t lsn ~commit:true)
 
 let commit t records =
   let last = append t records in
   if records <> [] then wait_durable t last;
   last
 
-let sync t =
-  let target = locked t (fun () -> t.written_lsn) in
-  if locked t (fun () -> t.synced_lsn < target) then begin
-    do_fsync t;
-    complete (locked t (fun () -> covered_locked t target)) (Ok ())
-  end
+let sync t = latch (await t (written t) ~commit:false)
 
 let last_lsn t = locked t (fun () -> t.next_lsn - 1)
 let tail_start t = locked t (fun () -> t.tail_start)
@@ -322,14 +298,17 @@ let ship t ~from_lsn ~max =
   locked t (fun () ->
       if from_lsn < t.tail_start then Error `Too_old
       else begin
+        (* under [Always] a replica never holds what the leader could
+           still lose *)
+        let last = if t.policy = Always then t.synced_lsn else t.next_lsn - 1 in
         let frames =
           t.tail
-          |> List.filter (fun (l, _) -> l >= from_lsn)
+          |> List.filter (fun (l, _) -> l >= from_lsn && l <= last)
           |> List.rev
           |> List.filteri (fun i _ -> i < max)
           |> List.map snd
         in
-        Ok (t.next_lsn - 1, frames)
+        Ok (last, frames)
       end)
 
 (* Called after a snapshot covering every LSN so far is durably on

@@ -38,7 +38,9 @@ val commit : t -> Codec.record list -> int
     service's serialized apply + group-commit fsync): [append] writes
     the frames and returns the last LSN without syncing; [wait_durable]
     blocks until that LSN is durable under [Always] (no-op for the
-    other policies, which accept a loss window by configuration). *)
+    other policies, which accept a loss window by configuration). It
+    waits as one of {!await_durable}'s group: when the group's fsync
+    fails it raises that error, with no fsync of its own. *)
 val append : t -> Codec.record list -> int
 
 val wait_durable : t -> int -> unit
@@ -69,8 +71,10 @@ val last_lsn : t -> int
 val tail_start : t -> int
 
 (** Frames with [lsn >= from_lsn], at most [max], as raw frame bytes
-    plus the current last LSN. [Error `Too_old] when [from_lsn] falls
-    before the tail (truncated by a checkpoint). *)
+    plus the last LSN a replica may hold: under [Always] the last
+    durable one (frames past it are not shipped), else the last
+    assigned one. [Error `Too_old] when [from_lsn] falls before the
+    tail (truncated by a checkpoint). *)
 val ship :
   t -> from_lsn:int -> max:int -> (int * string list, [ `Too_old ]) result
 

@@ -25,7 +25,8 @@
    uploads it).
 
    A last, pipelined round runs a TCP server on its own data dir: two
-   connections each send 8 concurrent-writer inserts without waiting,
+   connections each send 8 inserts without waiting (concurrent
+   writers, with every third one an exclusive nested snap),
    read only some of the acknowledgments, and the server is SIGKILLed
    with the rest in flight. The recovered state must hold every
    acknowledged insert, each connection's recovered inserts must be a
@@ -292,7 +293,13 @@ let pipelined_round exe ~data_dir ~doc_path =
         ignore (recv_ok c "LOAD");
         (c, sid))
   in
-  let insert k i = Printf.sprintf {|insert {<s%d_%d/>} into {doc("p%d")/r}|} k i k in
+  (* every third insert nests a snap: an exclusive (⊤) job, so the kill
+     also lands on parked exclusive replies *)
+  let insert k i =
+    Printf.sprintf {|%sinsert {<s%d_%d/>} into {doc("p%d")/r}|}
+      (if i mod 3 = 2 then "snap " else "")
+      k i k
+  in
   (* every insert of both connections goes out before any ack is read *)
   for i = 0 to pipelined_inserts - 1 do
     Array.iteri

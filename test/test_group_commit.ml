@@ -104,34 +104,87 @@ let wal_tests =
         Wal.await_durable w lsn2 ~commit:false (fun _ -> answered := true);
         check Alcotest.bool "synced LSN answers at once" true !answered;
         check Alcotest.int "a read is not a commit" 2 (Wal.commit_count w));
+    tc "wait_durable: a waiter fails with its group's fsync, without one of its own"
+      `Quick (fun () ->
+        let dir = fresh_dir () in
+        Unix.mkdir dir 0o755;
+        let w = Wal.openw ~dir ~policy:Wal.Always ~next_lsn:1 ~tail:[] () in
+        Fun.protect
+          ~finally:(fun () ->
+            Wal.inject_fsync_error w false;
+            Wal.inject_fsync_delay w 0.;
+            Wal.close w)
+        @@ fun () ->
+        let record () = Xqb_wal.Codec.R_doc { uri = "u"; root = 1; bytes = 1 } in
+        let delay = 0.2 in
+        Wal.inject_fsync_delay w delay;
+        Wal.inject_fsync_error w true;
+        let waited lsn =
+          let t0 = now () in
+          match Wal.wait_durable w lsn with
+          | () -> Alcotest.failf "LSN %d acked despite a failed fsync" lsn
+          | exception Unix.Unix_error (Unix.EIO, _, _) -> now () -. t0
+        in
+        let lsn1 = Wal.append w [ record () ] in
+        (* the first waiter leads the failing fsync on its own thread *)
+        let leader = Thread.create (fun () -> ignore (waited lsn1)) () in
+        Thread.delay 0.05;
+        (* appended during that fsync: joins its group *)
+        let dt = waited (Wal.append w [ record () ]) in
+        Thread.join leader;
+        check Alcotest.bool
+          (Printf.sprintf "failed with the group after %.0f ms (< %.0f ms)" (dt *. 1e3)
+             (delay *. 1e3))
+          true (dt < delay);
+        check Alcotest.int "no durable commit" 0 (Wal.commit_count w));
   ]
 
 (* -- the service ---------------------------------------------------------- *)
 
 let service_tests =
   [
-    tc "submit on a session whose writer waits out a 300 ms fsync returns at once"
+    tc "a writer waiting out a 300 ms fsync holds neither the gate nor its session"
       `Quick (fun () ->
-        with_durable (fun svc ->
-            let s = Svc.open_session svc in
-            Svc.load_document svc s ~uri:"log0" "<log/>";
-            Svc.inject_fsync_delay svc 0.3;
-            let _, w = Svc.submit_job svc s (insert 0 1) in
-            (* let the writer append and enter its fsync *)
-            Thread.delay 0.05;
-            let t0 = now () in
-            let _, r = Svc.submit_job svc s {|count(doc("log0")/log/e)|} in
-            let dt = now () -. t0 in
-            check Alcotest.bool
-              (Printf.sprintf "submit took %.1f ms (< 20 ms)" (dt *. 1e3))
-              true (dt < 0.02);
-            check Alcotest.string "insert acked" "" (ok "insert" (Svc.await w));
-            check Alcotest.string "read sees it" "1" (ok "read" (Svc.await r))));
+        (* both write routes: a concurrent writer, and an exclusive
+           (nested-snap, ⊤ footprint) one *)
+        List.iter
+          (fun (route, w) ->
+            with_durable (fun svc ->
+                let s = Svc.open_session svc in
+                Svc.load_document svc s ~uri:"log0" "<log/>";
+                Svc.inject_fsync_delay svc 0.3;
+                let _, w = Svc.submit_job svc s w in
+                (* let the writer append and enter its fsync *)
+                Thread.delay 0.1;
+                let running =
+                  Option.bind
+                    (J.path (J.parse_exn (Svc.stats_json svc)) [ "concurrency"; "running" ])
+                    J.to_float_opt
+                in
+                check Alcotest.(option (float 0.)) (route ^ ": gate empty 100 ms in")
+                  (Some 0.) running;
+                let t0 = now () in
+                let _, r = Svc.submit_job svc s {|count(doc("log0")/log/e)|} in
+                let dt = now () -. t0 in
+                check Alcotest.bool
+                  (Printf.sprintf "%s: submit took %.1f ms (< 20 ms)" route (dt *. 1e3))
+                  true (dt < 0.02);
+                check Alcotest.string (route ^ ": insert acked") "" (ok "insert" (Svc.await w));
+                check Alcotest.string (route ^ ": read sees it") "1" (ok "read" (Svc.await r))))
+          [
+            ("concurrent", insert 0 1);
+            ("exclusive", {|snap insert {<e n="1"/>} into {doc("log0")/log}|});
+          ]);
     tc "16 pipelined inserts on 2 sessions share at most 4 fsyncs" `Quick (fun () ->
         with_durable (fun svc ->
             let s0 = Svc.open_session svc and s1 = Svc.open_session svc in
-            Svc.load_document svc s0 ~uri:"log0" "<log/>";
-            Svc.load_document svc s1 ~uri:"log1" "<log/>";
+            List.iter
+              (fun (s, uri) ->
+                let before = durability svc "fsyncs" in
+                Svc.load_document svc s ~uri "<log/>";
+                check Alcotest.int "a durable LOAD pays one fsync" (before + 1)
+                  (durability svc "fsyncs"))
+              [ (s0, "log0"); (s1, "log1") ];
             let fsyncs0 = durability svc "fsyncs" and commits0 = durability svc "commits" in
             let delay = 0.05 in
             Svc.inject_fsync_delay svc delay;

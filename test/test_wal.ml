@@ -642,6 +642,24 @@ let pump ?(max = 512) leader replica ~from_lsn =
   in
   go from_lsn
 
+(* A leader under fsync=always whose insert failed its fsync (EIO):
+   [f leader lsn] with the device still failing, where [lsn] is the last
+   durable LSN (the load's). *)
+let failed_insert f =
+  with_durable_svc ~fsync:Wal.Always (fresh_dir ()) (fun leader ->
+      let ls = Svc.open_session leader in
+      Svc.load_document leader ls ~uri:"d" "<log/>";
+      let lsn0 =
+        match Svc.ship_frames leader ~from_lsn:1 ~max:512 with
+        | Ok (l, _) -> l
+        | Error e -> Alcotest.failf "ship: %s" e
+      in
+      Svc.inject_fsync_error leader true;
+      Fun.protect ~finally:(fun () -> Svc.inject_fsync_error leader false)
+      @@ fun () ->
+      ignore (err (Svc.query leader ls {|insert {<e/>} into {doc("d")/log}|}));
+      f leader lsn0)
+
 let replication =
   [
     tc "bootstrap + shipping converge the replica, byte for byte" `Quick
@@ -740,6 +758,19 @@ let replication =
                  with
                 | exception Failure _ -> ()
                 | () -> Alcotest.fail "fresh load must fail on a replica"))));
+    tc "SHIP hands out only durable frames" `Quick (fun () ->
+        failed_insert (fun leader lsn0 ->
+            match Svc.ship_frames leader ~from_lsn:(lsn0 + 1) ~max:512 with
+            | Error e -> Alcotest.failf "ship: %s" e
+            | Ok (last, blob) ->
+              check Alcotest.int "last LSN is the durable one" lsn0 last;
+              check Alcotest.int "no frame of the failed insert" 0 (String.length blob)));
+    tc "SNAPSHOT fails when the LSN it covers cannot be made durable" `Quick
+      (fun () ->
+        failed_insert (fun leader _ ->
+            match Svc.snapshot_blob leader with
+            | Error _ -> ()
+            | Ok (lsn, _) -> Alcotest.failf "snapshot at LSN %d handed out" lsn));
     tc "corrupt frame batches are rejected before any apply" `Quick
       (fun () ->
         let replica = Svc.create ~domains:0 ~replica:true () in
