@@ -10,7 +10,7 @@
    The module sits below both [Xqb_store] and [Core] so axis
    iteration deep inside the store can be charged without a
    dependency cycle. Nothing here knows about queries or services;
-   the service layer decides limits and owns the watchdog. *)
+   the service layer decides the limits. *)
 
 type reason = Deadline | Cancelled | Fuel | Delta_limit
 
@@ -23,14 +23,13 @@ let reason_to_string = function
   | Delta_limit -> "pending-update limit exceeded"
 
 (* A cancel token is shared between the running job and whoever may
-   kill it (the wire CANCEL command, the service's deadline
-   watchdog, shutdown). First reason wins; the job observes it at
-   its next poll. *)
+   kill it (the wire CANCEL command, shutdown). First reason wins;
+   the job observes it at its next poll. The deadline needs no
+   token: every poll reads the clock itself. *)
 type cancel = reason option Atomic.t
 
 let token () = Atomic.make None
 let request tok r = ignore (Atomic.compare_and_set tok None (Some r))
-let requested tok = Atomic.get tok
 
 type t = {
   deadline_ns : int;
@@ -63,17 +62,13 @@ let create ?deadline_ns ?fuel ?max_delta ?cancel () =
 let cancel_token t = t.cancel
 let steps_used t = t.used
 
-(* The expensive half of a check: cancel flag, then the clock. A
-   deadline hit also marks the token, so concurrent observers (the
-   watchdog, STATS) agree on why the job died. *)
+(* The expensive half of a check: cancel flag, then the clock. *)
 let poll t =
   (match Atomic.get t.cancel with
   | Some r -> raise (Budget_exceeded r)
   | None -> ());
-  if t.deadline_ns <> max_int && Xqb_obs.Clock.now_ns () > t.deadline_ns then begin
-    request t.cancel Deadline;
+  if t.deadline_ns <> max_int && Xqb_obs.Clock.now_ns () > t.deadline_ns then
     raise (Budget_exceeded Deadline)
-  end
 
 (* Charge [n] units of work. Raises [Budget_exceeded] when the fuel
    runs out, and polls clock/cancel every [poll_every] units. *)

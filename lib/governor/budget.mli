@@ -15,14 +15,15 @@ val reason_to_string : reason -> string
 (** {1 Cancel tokens}
 
     One token per in-flight job, shared with whoever may kill it
-    (wire [CANCEL], deadline watchdog, shutdown). First requested
-    reason wins; the job observes it at its next poll. *)
+    (wire [CANCEL], shutdown). First requested reason wins; the job
+    observes it at its next poll. Deadlines need no token: every
+    poll reads the monotonic clock against the budget's own
+    [deadline_ns]. *)
 
 type cancel = reason option Atomic.t
 
 val token : unit -> cancel
 val request : cancel -> reason -> unit
-val requested : cancel -> reason option
 
 (** {1 Budgets} *)
 

@@ -140,16 +140,12 @@ type session = {
 }
 
 (* One in-flight (queued or running) governed job, registered so the
-   wire [CANCEL], the deadline watchdog and [STATS] can reach it. *)
+   wire [CANCEL], [STATS] and the shutdown drain can reach it. *)
 type inflight = {
   jid : int;
   jsid : int;
   cancel : Budget.cancel;
   started : int;  (* monotonic Clock ns: latency and STATS running_ms *)
-  job_deadline : int;
-    (* absolute, monotonic Clock ns ([max_int] when ungoverned) — the
-       watchdog and the scheduler queue check share one scale that
-       wall-clock steps (NTP, VM suspend) cannot move *)
   src : string;
 }
 
@@ -187,8 +183,6 @@ type t = {
   jobs : (int, inflight) Hashtbl.t;
   jmutex : Mutex.t;
   mutable next_jid : int;
-  (* deadline watchdog (spawned only when a deadline is configured) *)
-  mutable watchdog : Thread.t option;
   mutable stopping : bool;
   (* tracing: when on, every job records a per-query span trace
      (queue wait, lock wait, compile phases, execution, snap apply),
@@ -298,23 +292,6 @@ let slowlog_cap = 64
 let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-(* The watchdog is belt-and-braces on top of the budget's own clock
-   polls: it marks the cancel token of any overdue job, catching
-   jobs that are stuck somewhere that never reaches a poll point
-   (e.g. blocked behind the write lock). First reason wins, so a
-   job that already died of its own deadline is unaffected. *)
-let watchdog_loop t () =
-  while not t.stopping do
-    Thread.delay 0.02;
-    let now = Clock.now_ns () in
-    locked t.jmutex (fun () ->
-        Hashtbl.iter
-          (fun _ j ->
-            if j.job_deadline <> max_int && now > j.job_deadline then
-              Budget.request j.cancel Budget.Deadline)
-          t.jobs)
-  done
 
 (* -- service health -------------------------------------------------
 
@@ -714,7 +691,6 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       jobs = Hashtbl.create 16;
       jmutex = Mutex.create ();
       next_jid = 1;
-      watchdog = None;
       stopping = false;
       tracing;
       tr_mutex = Mutex.create ();
@@ -757,7 +733,6 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
     Xqb_obs.Profile.configure ~hz;
     ignore (Xqb_obs.Profile.start ~hz ())
   | None -> ());
-  if deadline_ms <> None then t.watchdog <- Some (Thread.create (watchdog_loop t) ());
   Events.info events ~kind:"lifecycle.boot"
     [
       ("read_only", Events.B replica);
@@ -1471,13 +1446,13 @@ let prepare t s src =
 let clip_src src =
   if String.length src <= 120 then src else String.sub src 0 120 ^ "…"
 
-let register_job t sid ~deadline ~cancel ~started src =
+let register_job t sid ~cancel ~started src =
   locked t.jmutex (fun () ->
       let jid = t.next_jid in
       t.next_jid <- jid + 1;
       let src = clip_src src in
       Hashtbl.replace t.jobs jid
-        { jid; jsid = sid; cancel; started; job_deadline = deadline; src };
+        { jid; jsid = sid; cancel; started; src };
       jid)
 
 let unregister_job t jid = locked t.jmutex (fun () -> Hashtbl.remove t.jobs jid)
@@ -1701,9 +1676,9 @@ let job_stages t =
    flight parks — its worker returns to the pool and the group-commit
    leader replies for it. Parked time is the job's [Fsync] stage. *)
 let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
-  (* one deadline scale, one boundary: the budget's polls, the
-     scheduler queue check and the watchdog all use the same absolute
-     monotonic Clock ns derived from --deadline-ms right here —
+  (* one deadline scale, one boundary: the budget's polls and the
+     scheduler queue check both use the same absolute monotonic
+     Clock ns derived from --deadline-ms right here —
      wall-clock steps (NTP, VM suspend) can neither expire a job early
      nor keep one alive. *)
   let deadline_ns =
@@ -1718,8 +1693,7 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
   in
   Stage.set_steps st (fun () -> Budget.steps_used budget);
   let jid =
-    register_job t sid ~deadline:deadline_ns
-      ~cancel:(Budget.cancel_token budget) ~started:t0 label
+    register_job t sid ~cancel:(Budget.cancel_token budget) ~started:t0 label
   in
   let effects = ref None in
   let finish ok =
@@ -2305,11 +2279,6 @@ let shutdown ?deadline t =
       Thread.join th;
       r.r_thread <- None
     | None -> ())
-  | None -> ());
-  (match t.watchdog with
-  | Some th ->
-    Thread.join th;
-    t.watchdog <- None
   | None -> ());
   (match t.monitor with
   | Some th ->

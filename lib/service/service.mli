@@ -11,8 +11,7 @@ type t
 (** Session handles are plain ints (they cross the wire protocol).
 
     Governance knobs (all optional; service-wide, applied per query):
-    [deadline_ms] wall-clock budget (also spawns the deadline
-    watchdog), [fuel] evaluation-step budget, [max_delta] cap on one
+    [deadline_ms] wall-clock budget, [fuel] evaluation-step budget, [max_delta] cap on one
     snap frame's pending updates, [max_queue] scheduler admission
     watermark. With none set the service is ungoverned except that
     {!cancel} always works.
