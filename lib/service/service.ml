@@ -613,7 +613,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
     ?durability ?(replica = false) ?replica_of ?slo_p99_ms ?slo_err_pct
     ?(trace_ring = 32) ?(stall_ms = 1000)
     ?(fsync_warn_ms = 100) ?(lag_warn_frames = 256) ?(telemetry = true)
-    ?events_cap ?profile_hz ?(gc_pause_warn_ms = 50) () =
+    ?profile_hz ?(gc_pause_warn_ms = 50) () =
   (match profile_hz with
   | Some hz when hz <= 0 -> invalid_arg "Service.create: profile_hz <= 0"
   | _ -> ());
@@ -651,7 +651,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
   in
   let events =
     if telemetry then
-      Events.create ?cap:events_cap
+      Events.create
         ?sink_path:(Option.map (fun d -> Filename.concat d events_sink_name) data_dir)
         ()
     else Events.disabled ()
@@ -775,7 +775,6 @@ let boot_flight t =
 let catalog t = t.catalog
 let scheduler t = t.sched
 let metrics t = t.metrics
-let read_only t = t.read_only
 let events t = t.events
 let durability_json t = Option.map Durable.stats_json t.durable
 
@@ -826,8 +825,6 @@ let profile_command t (cmd : [ `Start | `Stop | `Dump | `Dump_json | `Stat ])
   | `Stat -> Xqb_obs.Profile.stat_json ()
 
 (* -- durability (leader side) --------------------------------------- *)
-
-let error_message e = (Service_error.classify e).Service_error.message
 
 (* wal.commit events are emitted only after the durability barrier:
    the flight recorder's consistency check relies on every logged
@@ -995,7 +992,7 @@ let snapshot_blob t =
     in
     match Durable.wait_durable d lsn with
     | () -> Ok (lsn, blob)
-    | exception e -> Error (error_message e))
+    | exception e -> Error (Service_error.classify e).Service_error.message)
 
 (* -- replication (replica side) ------------------------------------- *)
 
@@ -1327,8 +1324,6 @@ let close_session t sid =
         List.iter (Catalog.release t.catalog) s.docs_held;
         s.docs_held <- [])
 
-let session_count t = locked t.smutex (fun () -> Hashtbl.length t.sessions)
-
 (* Load a document into the shared catalog (under the scheduler's
    write lock — loading parses XML into the shared store) and attach
    it to the session: registered for [fn:doc(uri)] and bound to
@@ -1466,8 +1461,6 @@ let cancel t jid =
   | Some j ->
     Budget.request j.cancel Budget.Cancelled;
     true
-
-let inflight_count t = locked t.jmutex (fun () -> Hashtbl.length t.jobs)
 
 (* -- the recent-trace ring ------------------------------------------ *)
 

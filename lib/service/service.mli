@@ -43,8 +43,7 @@ type t
     (default 256) degrades health when a replica falls that far
     behind (4× = critical; 0 disables). [telemetry] (default true)
     switches the event log, rolling windows and monitor thread on;
-    [false] is the [overhead] bench's telemetry-off side. [events_cap] bounds the
-    in-memory event ring (default 512). *)
+    [false] is the [overhead] bench's telemetry-off side. *)
 val create :
   ?domains:int ->
   ?cache_capacity:int ->
@@ -65,7 +64,6 @@ val create :
   ?fsync_warn_ms:int ->
   ?lag_warn_frames:int ->
   ?telemetry:bool ->
-  ?events_cap:int ->
   ?profile_hz:int ->
   ?gc_pause_warn_ms:int ->
   unit ->
@@ -81,8 +79,6 @@ val open_session : t -> int
 
 (** Releases the session's catalog references. Idempotent. *)
 val close_session : t -> int -> unit
-
-val session_count : t -> int
 
 (** Load [xml] into the shared catalog under [uri] (load-once;
     subsequent sessions reuse the resident tree) and attach it to the
@@ -145,17 +141,7 @@ val trace_json : t -> int option -> (int * string) option
     budget poll. *)
 val cancel : t -> int -> bool
 
-val inflight_count : t -> int
-
-(** The message part of a classified exception (compat helper). *)
-val error_message : exn -> string
-
 val cache_stats : t -> Plan_cache.stats
-
-(** Footprint-gate gauges as JSON: currently admitted jobs (all /
-    holding write regions) and their high-water marks since boot.
-    Also embedded in {!stats_json} under ["concurrency"]. *)
-val concurrency_json : t -> string
 
 (** Metrics + plan-cache + catalog + in-flight jobs + rolling windows
     + health + telemetry gauges as JSON. *)
@@ -220,9 +206,6 @@ val trace_ring_stats : t -> int * int * int
     directory; [None] without one (or when the write fails). *)
 val write_flight : t -> reason:string -> string option
 
-(** The dump {!write_flight} would write, as JSON. *)
-val flight_json : t -> reason:string -> string
-
 (** Path of the flight dump the boot wrote after detecting an unclean
     prior shutdown (the events sink did not end in
     [lifecycle.shutdown]); [None] on a clean boot. *)
@@ -275,11 +258,6 @@ val slowlog_json : t -> string
 val slowlog_length : t -> int
 
 (** {1 Durability and replication} *)
-
-(** True in replica mode: updating/effecting queries, EXPLAIN and
-    fresh document loads are rejected with a one-line error; reads
-    (and LOAD of an already-replicated URI) serve normally. *)
-val read_only : t -> bool
 
 (** Durability gauges as JSON; [None] without [durability]. *)
 val durability_json : t -> string option
