@@ -196,15 +196,14 @@ type t = {
   (* service health telemetry: the structured event log (ring +
      per-event-flushed JSONL sink when durable — the sink's tail is
      what the crash flight recorder reconstructs from), the stall
-     thresholds the monitor thread and HEALTH check against, and the
-     monitor thread itself (stall rising edges + health transitions;
-     spawned only when telemetry is on). *)
+     thresholds HEALTH checks against, and the health checks no seam
+     owns with the monitor thread ({!Health}). *)
   events : Events.t;
+  health : Health.t;
   data_dir : string option;
   stall_ns : int;  (* no-progress bound: apply held / fsync / queue age *)
   fsync_warn_ns : int;  (* fsync p99 above this degrades health *)
   lag_warn_frames : int;  (* replica lag above this degrades health *)
-  mutable monitor : Thread.t option;
   (* leader-side per-replica tracking, keyed on the id the replica
      sends with SHIP *)
   peers : (string, peer) Hashtbl.t;
@@ -235,11 +234,10 @@ type t = {
      process-global (lib/obs Profile); the service carries its
      configured rate (PROFILE START / serve --profile-hz), whether
      boot armed it (so shutdown disarms it), whether this instance
-     holds a Gc_tel refcount, and the gc-pause health threshold. *)
+     holds a Gc_tel refcount. *)
   profile_hz : int;
   profile_owned : bool;
   gc_tel : bool;
-  gc_pause_warn_ns : int;
   boot_ns : int;  (* monotonic boot instant: uptime *)
 }
 
@@ -293,47 +291,16 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* -- service health -------------------------------------------------
+(* -- service health ---------------------------------------------------
 
-   [health_reasons] is the single source of truth behind the wire
-   HEALTH verb, the monitor thread's transition events and the
-   xqbang_health_status gauge: every check yields a machine-readable
-   reason (code + level + data fields), and the overall status is the
-   worst level present. *)
-
-let field_json = function
-  | Events.S s -> Printf.sprintf "\"%s\"" (Xqb_obs.Json.escape s)
-  | Events.I i -> string_of_int i
-  | Events.F f ->
-    if Float.is_finite f then Printf.sprintf "%g" f
-    else Printf.sprintf "\"%g\"" f
-  | Events.B b -> string_of_bool b
-
-(* Minimum samples before a window's burn rate is trusted: a single
-   failed request on an idle service must not flap health. *)
-let burn_min_count = 5
-
-(* Burn-rate factor separating "degraded" (>= 1: consuming budget
-   faster than sustainable) from "critical" (>= 4: the classic
-   fast-burn page threshold). *)
-let burn_critical = 4.
+   Every seam reports its own reasons ({!Health}); the overall status is
+   the worst level present. *)
 
 let health_reasons t =
-  let reasons = ref [] in
-  let add code level data = reasons := (code, level, data) :: !reasons in
-  (* queue depth against the admission watermark *)
-  let depth = Scheduler.queue_depth t.sched in
-  let deg_q, crit_q =
-    match Scheduler.max_queue t.sched with
-    | Some m -> ((m + 1) / 2, Stdlib.max 1 (m * 9 / 10))
-    | None -> (128, 1024)
+  let reasons =
+    ref (List.rev (Health.reasons t.health ~sched:t.sched ~metrics:t.metrics))
   in
-  if depth >= crit_q then
-    add "queue-depth" `Critical
-      [ ("depth", Events.I depth); ("critical_at", Events.I crit_q) ]
-  else if depth >= deg_q then
-    add "queue-depth" `Degraded
-      [ ("depth", Events.I depth); ("degraded_at", Events.I deg_q) ];
+  let add code level data = reasons := (code, level, data) :: !reasons in
   (* wire edge: connection saturation and read-suspension backpressure *)
   (match t.edge_src with
   | None -> ()
@@ -349,30 +316,8 @@ let health_reasons t =
       add "edge-backpressure" `Degraded
         [
           ("read_suspended", Events.I e.eg_suspended);
-          ("queue_depth", Events.I depth);
+          ("queue_depth", Events.I (Scheduler.queue_depth t.sched));
         ]);
-  (* SLO burn over the 10s window (1s is too twitchy for alerting,
-     60s too slow to notice an incident starting) *)
-  let _, slo_err_pct = Metrics.slo t.metrics in
-  List.iter
-    (fun (name, (s : Window.snap)) ->
-      if name = "10s" && s.Window.count >= burn_min_count then begin
-        let avail =
-          Window.burn ~frac:s.Window.err_frac ~budget_frac:(slo_err_pct /. 100.)
-        in
-        let lat = Window.burn ~frac:s.Window.slow_frac ~budget_frac:0.01 in
-        let burn code frac burn_rate =
-          if burn_rate >= burn_critical then
-            add code `Critical
-              [ ("burn_rate", Events.F burn_rate); ("frac", Events.F frac) ]
-          else if burn_rate >= 1. then
-            add code `Degraded
-              [ ("burn_rate", Events.F burn_rate); ("frac", Events.F frac) ]
-        in
-        burn "error-burn" s.Window.err_frac avail;
-        burn "latency-burn" s.Window.slow_frac lat
-      end)
-    (Metrics.window_snaps t.metrics);
   (* durability: a stuck fsync is critical, a merely slow one degrades *)
   (match t.durable with
   | None -> ()
@@ -387,30 +332,6 @@ let health_reasons t =
         add "fsync-latency" `Degraded
           [ ("p99_ms", Events.F (p99 /. 1e6)) ]
     end);
-  (* GC: a p99 pause over the 10s window past --gc-pause-warn-ms
-     degrades (the latency SLO is being eaten by the collector);
-     4x past it is the classic fast-burn page threshold. *)
-  (if t.gc_tel && Xqb_obs.Gc_tel.enabled () then begin
-     let p99 = Xqb_obs.Gc_tel.pause_p99_10s_ns () in
-     let warn = float_of_int t.gc_pause_warn_ns in
-     let data () =
-       [
-         ("p99_ms", Events.F (p99 /. 1e6));
-         ("warn_ms", Events.F (warn /. 1e6));
-       ]
-     in
-     if p99 >= 4. *. warn then add "gc-pause" `Critical (data ())
-     else if p99 >= warn then add "gc-pause" `Degraded (data ())
-   end);
-  (* no-progress: apply mutex held too long / queue head not started *)
-  let held = Scheduler.apply_held_ns t.sched in
-  if held > t.stall_ns then
-    add "apply-stall" `Critical
-      [ ("held_ms", Events.F (float_of_int held /. 1e6)) ];
-  let age = Scheduler.oldest_queued_age_ns t.sched in
-  if age > t.stall_ns then
-    add "queue-stall" `Critical
-      [ ("oldest_queued_ms", Events.F (float_of_int age /. 1e6)) ];
   (* replica side: apply lag behind the leader, or a dead link *)
   (match t.repl with
   | None -> ()
@@ -447,78 +368,8 @@ let health_reasons t =
   | _ -> ());
   List.rev !reasons
 
-let health_level reasons =
-  if List.exists (fun (_, l, _) -> l = `Critical) reasons then `Critical
-  else if reasons <> [] then `Degraded
-  else `Ok
-
-let health_level_string = function
-  | `Ok -> "ok"
-  | `Degraded -> "degraded"
-  | `Critical -> "critical"
-
-let health_status t = health_level_string (health_level (health_reasons t))
-
-let health_json t =
-  let reasons = health_reasons t in
-  let reason_json (code, level, data) =
-    "{"
-    ^ String.concat ","
-        (Printf.sprintf "\"code\":\"%s\"" code
-         :: Printf.sprintf "\"level\":\"%s\""
-              (health_level_string (level :> [ `Ok | `Degraded | `Critical ]))
-         :: List.map
-              (fun (k, v) ->
-                Printf.sprintf "\"%s\":%s" (Xqb_obs.Json.escape k) (field_json v))
-              data)
-    ^ "}"
-  in
-  Printf.sprintf "{\"status\":\"%s\",\"reasons\":[%s]}"
-    (health_level_string (health_level reasons))
-    (String.concat "," (List.map reason_json reasons))
-
-(* The monitor thread: poll the health reasons, emitting an event on
-   each stall's rising edge (reason "x-stall" raises "stall.x") and on
-   each status transition (the continuous values are already visible
-   as gauges; events capture the changes). Spawned only when telemetry
-   is on. *)
-let monitor_loop t () =
-  let prev_health = ref "ok" and prev_stalls = ref [] in
-  while not t.stopping do
-    (* 250ms tick: 4x finer than the 1s stall bound it polices, and
-       coarse enough that polling (3 window snapshots + WAL probes)
-       stays invisible in the request path even on one core *)
-    Thread.delay 0.25;
-    if not t.stopping then begin
-      (* drain the queued Debug sink backlog off the commit hot path *)
-      Events.pump t.events;
-      let reasons = health_reasons t in
-      let stalls =
-        List.filter (fun (code, _, _) -> String.ends_with ~suffix:"-stall" code) reasons
-      in
-      List.iter
-        (fun (code, _, data) ->
-          if not (List.mem code !prev_stalls) then
-            Events.critical t.events
-              ~kind:("stall." ^ String.sub code 0 (String.length code - 6))
-              data)
-        stalls;
-      prev_stalls := List.map (fun (code, _, _) -> code) stalls;
-      let status = health_level_string (health_level reasons) in
-      if status <> !prev_health then begin
-        let log =
-          match health_level reasons with
-          | `Ok -> Events.info
-          | `Degraded -> Events.warn
-          | `Critical -> Events.error
-        in
-        log t.events ~kind:"health.state"
-          ([ ("from", Events.S !prev_health); ("to", Events.S status) ]
-          @ List.map (fun (code, _, _) -> ("reason", Events.S code)) reasons);
-        prev_health := status
-      end
-    end
-  done
+let health_status t = Health.status (health_reasons t)
+let health_json t = Health.json (health_reasons t)
 
 (* -- the crash flight recorder --------------------------------------
 
@@ -702,7 +553,10 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       stall_ns = stall_ms * 1_000_000;
       fsync_warn_ns = fsync_warn_ms * 1_000_000;
       lag_warn_frames;
-      monitor = None;
+      health =
+        Health.create ~stall_ns:(stall_ms * 1_000_000)
+          ~gc_pause_warn_ns:
+            (if telemetry then Some (gc_pause_warn_ms * 1_000_000) else None);
       peers = Hashtbl.create 4;
       pmutex = Mutex.create ();
       slow_ns = slow_apply_ms * 1_000_000;
@@ -718,7 +572,6 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       profile_hz = Option.value profile_hz ~default:97;
       profile_owned = profile_hz <> None;
       gc_tel = telemetry;
-      gc_pause_warn_ns = gc_pause_warn_ms * 1_000_000;
       boot_ns = Clock.now_ns ();
     }
   in
@@ -755,7 +608,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       [ ("flight", Events.S path) ]
   | None -> ());
   if Events.enabled events then
-    t.monitor <- Some (Thread.create (monitor_loop t) ());
+    Health.start_monitor t.health events (fun () -> health_reasons t);
   t
 
 (* Path of the flight-recorder dump the boot wrote after detecting an
@@ -2139,10 +1992,7 @@ let metrics_prometheus t =
   Prom.gauge_i p
     ~help:"Service health: 0 = ok, 1 = degraded, 2 = critical (see HEALTH)."
     "xqbang_health_status"
-    (match health_level (health_reasons t) with
-    | `Ok -> 0
-    | `Degraded -> 1
-    | `Critical -> 2);
+    (Health.gauge (health_reasons t));
   Prom.contents p
 
 let telemetry_json t =
@@ -2273,11 +2123,7 @@ let shutdown ?deadline t =
       r.r_thread <- None
     | None -> ())
   | None -> ());
-  (match t.monitor with
-  | Some th ->
-    Thread.join th;
-    t.monitor <- None
-  | None -> ());
+  Health.stop_monitor t.health;
   let cancel_inflight () =
     locked t.jmutex (fun () ->
         Hashtbl.iter
