@@ -371,94 +371,6 @@ let health_reasons t =
 let health_status t = Health.status (health_reasons t)
 let health_json t = Health.json (health_reasons t)
 
-(* -- the crash flight recorder --------------------------------------
-
-   The events sink is flushed per event, so its tail survives any
-   crash the page cache survives (SIGKILL included — no handler gets
-   to run, but the already-flushed lines are in the file). On the
-   next durable boot, an events.jsonl whose last record is not
-   lifecycle.shutdown means the previous process died unclean: its
-   events are spliced verbatim into flight-<ts>.json next to what
-   recovery just reconstructed, giving the post-mortem both "what the
-   service was doing" and "what the disk still had". The sink is
-   consumed either way so each run's log starts fresh. *)
-
-let flight_splice_cap = 512
-
-let events_sink_name = "events.jsonl"
-
-let read_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (if String.trim line = "" then acc else line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
-(* Debug sink lines are buffered (see Events), so a SIGKILL can tear
-   the file mid-line; splicing a torn line into flight-<ts>.json would
-   make the whole dump unparseable. An intact line is one full event
-   object: starts with '{', ends with '}'. *)
-let intact_line l =
-  let n = String.length l in
-  n >= 2 && l.[0] = '{' && l.[n - 1] = '}'
-
-(* Write one flight dump into [dir] as flight-<wall ms>-<pid>.json —
-   ms + pid so rapid restarts never overwrite a prior dump. The path,
-   or [None] when the file cannot be written. *)
-let write_flight_file ~dir content =
-  let path =
-    Filename.concat dir
-      (Printf.sprintf "flight-%d-%d.json"
-         (int_of_float (Unix.gettimeofday () *. 1000.))
-         (Unix.getpid ()))
-  in
-  match open_out path with
-  | oc ->
-    output_string oc content;
-    output_char oc '\n';
-    close_out_noerr oc;
-    Some path
-  | exception Sys_error _ -> None
-
-let detect_unclean_shutdown ~dir (recovered : Durable.recovered option) =
-  let path = Filename.concat dir events_sink_name in
-  if not (Sys.file_exists path) then None
-  else begin
-    let lines =
-      List.filter intact_line (try read_lines path with Sys_error _ -> [])
-    in
-    let clean =
-      match List.rev lines with
-      | [] -> true
-      | last :: _ -> contains last "\"kind\":\"lifecycle.shutdown\""
-    in
-    (try Sys.remove path with Sys_error _ -> ());
-    if clean then None
-    else begin
-      let wall = Unix.gettimeofday () in
-      let dropped = Stdlib.max 0 (List.length lines - flight_splice_cap) in
-      let kept = List.filteri (fun i _ -> i >= dropped) lines in
-      let recovery_json =
-        match recovered with
-        | None -> "null"
-        | Some r ->
-          Printf.sprintf
-            "{\"lsn\":%d,\"snapshot_lsn\":%d,\"wal_frames\":%d,\"truncated_bytes\":%d}"
-            r.Durable.lsn r.Durable.snapshot_lsn r.Durable.wal_frames
-            r.Durable.truncated_bytes
-      in
-      write_flight_file ~dir
-        (Printf.sprintf
-           "{\"reason\":\"unclean-shutdown\",\"detected_wall_s\":%.3f,\"events_dropped\":%d,\"recovery\":%s,\"events\":[%s]}"
-           wall dropped recovery_json (String.concat "," kept))
-    end
-  end
-
 let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
     ?fuel ?max_delta ?max_queue ?(tracing = false) ?(slow_apply_ms = 10)
     ?durability ?(replica = false) ?replica_of ?slo_p99_ms ?slo_err_pct
@@ -497,13 +409,13 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
      run's event sink before this run opens its own. *)
   let flight =
     match data_dir with
-    | Some dir when telemetry -> detect_unclean_shutdown ~dir recovered
+    | Some dir when telemetry -> Flight.detect_unclean_shutdown ~dir recovered
     | _ -> None
   in
   let events =
     if telemetry then
       Events.create
-        ?sink_path:(Option.map (fun d -> Filename.concat d events_sink_name) data_dir)
+        ?sink_path:(Option.map Flight.sink_path data_dir)
         ()
     else Events.disabled ()
   in
@@ -611,19 +523,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
     Health.start_monitor t.health events (fun () -> health_reasons t);
   t
 
-(* Path of the flight-recorder dump the boot wrote after detecting an
-   unclean shutdown, surfaced from the unclean-shutdown event. *)
-let boot_flight t =
-  match Events.tail ~level:Events.Warn t.events 64 with
-  | events ->
-    List.find_map
-      (fun (e : Events.event) ->
-        if e.Events.kind = "lifecycle.unclean-shutdown" then
-          List.find_map
-            (function "flight", Events.S p -> Some p | _ -> None)
-            e.Events.data
-        else None)
-      events
+let boot_flight t = Flight.boot_dump t.events
 
 let catalog t = t.catalog
 let scheduler t = t.sched
@@ -2042,64 +1942,36 @@ let stats_json t =
     ~docs:(Catalog.list t.catalog)
     ~extra t.metrics
 
-(* -- the crash flight recorder (live half) --------------------------
-
-   A dump of "what the service is doing right now": the event tail,
-   the in-flight job table, gate + queue state. Written on SIGTERM
-   and from the [at_exit] guard when the process exits without a
-   clean {!shutdown} — the SIGKILL case is covered by the boot half
-   ({!detect_unclean_shutdown}) instead, which reconstructs from the
-   per-event-flushed sink. *)
+(* -- the crash flight recorder (live half) ---------------------------- *)
 
 let flight_json t ~reason =
   let size, cap, evicted = trace_ring_stats t in
   let g = Scheduler.gate t.sched in
-  Printf.sprintf
-    "{\"reason\":\"%s\",\"wall_s\":%.3f,\"queue_depth\":%d,\"gate\":{\"running\":%d,\"running_writers\":%d},\"trace_ring\":{\"size\":%d,\"capacity\":%d,\"evictions\":%d},\"last_lsn\":%s,\"health\":%s,\"inflight\":%s,\"events\":%s}"
-    (Metrics.json_escape reason)
-    (Unix.gettimeofday ())
-    (Scheduler.queue_depth t.sched)
-    (Rwlock.running g) (Rwlock.running_writers g) size cap evicted
-    (match t.durable with
-    | Some d -> string_of_int (Durable.last_lsn d)
-    | None -> "null")
-    (health_json t) (inflight_json t)
-    (Events.events_json (Events.tail t.events flight_splice_cap))
+  Flight.live_json ~reason t.events
+    [
+      ("queue_depth", string_of_int (Scheduler.queue_depth t.sched));
+      ( "gate",
+        Printf.sprintf "{\"running\":%d,\"running_writers\":%d}"
+          (Rwlock.running g) (Rwlock.running_writers g) );
+      ( "trace_ring",
+        Printf.sprintf "{\"size\":%d,\"capacity\":%d,\"evictions\":%d}" size
+          cap evicted );
+      ( "last_lsn",
+        match t.durable with
+        | Some d -> string_of_int (Durable.last_lsn d)
+        | None -> "null" );
+      ("health", health_json t);
+      ("inflight", inflight_json t);
+    ]
 
 let write_flight t ~reason =
-  Option.bind t.data_dir (fun dir -> write_flight_file ~dir (flight_json t ~reason))
+  Option.bind t.data_dir (fun dir -> Flight.write ~dir (flight_json t ~reason))
 
-(* Called by `serve` (and only serve: a library embedder owns its own
-   signals). The [at_exit] guard fires on any exit path that skipped
-   {!shutdown} — including an uncaught exception unwinding main. The
-   SIGTERM handler runs on whichever thread the signal lands on, which
-   may hold a mutex the dump needs, so it only wakes a dedicated thread
-   (one byte down a pipe); that thread writes the dump and exits 143. *)
+(* Called by `serve` only: a library embedder owns its own signals. *)
 let install_crash_hooks t =
-  let dumped = Atomic.make false in
-  let dump reason =
-    if (not t.stopping) && not (Atomic.exchange dumped true) then
-      ignore (write_flight t ~reason)
-  in
-  at_exit (fun () -> dump "exit-without-shutdown");
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  let rec sleep () =
-    try ignore (Unix.read wake_r (Bytes.create 1) 0 1)
-    with Unix.Unix_error (Unix.EINTR, _, _) -> sleep ()
-  in
-  ignore
-    (Thread.create
-       (fun () ->
-         sleep ();
-         dump "sigterm";
-         exit 143)
-       ());
-  try
-    ignore
-      (Sys.signal Sys.sigterm
-         (Sys.Signal_handle
-            (fun _ -> ignore (Unix.single_write_substring wake_w "t" 0 1))))
-  with Invalid_argument _ | Sys_error _ -> ()
+  Flight.install_crash_hooks
+    ~stopping:(fun () -> t.stopping)
+    (fun reason -> ignore (write_flight t ~reason))
 
 (* Stop the service. Without [deadline], drain: queued jobs still
    run to completion. With [deadline] (seconds), give queued +
