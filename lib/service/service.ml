@@ -139,16 +139,6 @@ type session = {
   mutable docs_held : string list;
 }
 
-(* One in-flight (queued or running) governed job, registered so the
-   wire [CANCEL], [STATS] and the shutdown drain can reach it. *)
-type inflight = {
-  jid : int;
-  jsid : int;
-  cancel : Budget.cancel;
-  started : int;  (* monotonic Clock ns: latency and STATS running_ms *)
-  src : string;
-}
-
 (* Wire-edge gauges, pulled (not pushed) from whichever edge is
    serving TCP — see [Edge]. The service only holds a snapshot
    closure so STATS/HEALTH/metrics can surface connection counts and
@@ -179,10 +169,7 @@ type t = {
   deadline_ms : int option;
   fuel : int option;
   max_delta : int option;
-  (* in-flight job registry *)
-  jobs : (int, inflight) Hashtbl.t;
-  jmutex : Mutex.t;
-  mutable next_jid : int;
+  jobs : Jobs.t;
   mutable stopping : bool;
   (* tracing: when on, every job records a per-query span trace
      (queue wait, lock wait, compile phases, execution, snap apply),
@@ -451,9 +438,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       deadline_ms;
       fuel;
       max_delta;
-      jobs = Hashtbl.create 16;
-      jmutex = Mutex.create ();
-      next_jid = 1;
+      jobs = Jobs.create ();
       stopping = false;
       tracing;
       tr_mutex = Mutex.create ();
@@ -1188,32 +1173,14 @@ let prepare t s src =
     Plan_cache.add_shape t.cache sh ~holes:(Array.map Option.is_some holes) plan;
     (plan, params)
 
-(* -- the in-flight registry ----------------------------------------- *)
-
 (* Query source as shown in STATS and SLOWLOG: the first 120 bytes. *)
 let clip_src src =
   if String.length src <= 120 then src else String.sub src 0 120 ^ "…"
 
-let register_job t sid ~cancel ~started src =
-  locked t.jmutex (fun () ->
-      let jid = t.next_jid in
-      t.next_jid <- jid + 1;
-      let src = clip_src src in
-      Hashtbl.replace t.jobs jid
-        { jid; jsid = sid; cancel; started; src };
-      jid)
-
-let unregister_job t jid = locked t.jmutex (fun () -> Hashtbl.remove t.jobs jid)
-
-(* Request cancellation of an in-flight job. True if the job was
-   found (still queued or running); the job itself observes the
-   token at its next budget poll and fails with [cancelled]. *)
-let cancel t jid =
-  match locked t.jmutex (fun () -> Hashtbl.find_opt t.jobs jid) with
-  | None -> false
-  | Some j ->
-    Budget.request j.cancel Budget.Cancelled;
-    true
+(* Request cancellation of an in-flight job (wire CANCEL). True if the
+   job was found (still queued or running); the job itself observes
+   the token at its next budget poll and fails with [cancelled]. *)
+let cancel t jid = Jobs.cancel t.jobs jid
 
 (* -- the recent-trace ring ------------------------------------------ *)
 
@@ -1370,21 +1337,6 @@ let slowlog_json t =
 
 let slowlog_length t = locked t.sl_mutex (fun () -> List.length t.slowlog)
 
-let inflight_json t =
-  let now = Clock.now_ns () in
-  let entries =
-    locked t.jmutex (fun () ->
-        Hashtbl.fold
-          (fun _ j acc ->
-            Printf.sprintf "{\"jid\":%d,\"sid\":%d,\"running_ms\":%.0f,\"src\":\"%s\"}"
-              j.jid j.jsid
-              (float_of_int (now - j.started) /. 1e6)
-              (Metrics.json_escape j.src)
-            :: acc)
-          t.jobs [])
-  in
-  "[" ^ String.concat "," entries ^ "]"
-
 (* -- submission ----------------------------------------------------- *)
 
 (* Map a future's exception side into the structured taxonomy. *)
@@ -1439,11 +1391,12 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
   in
   Stage.set_steps st (fun () -> Budget.steps_used budget);
   let jid =
-    register_job t sid ~cancel:(Budget.cancel_token budget) ~started:t0 label
+    Jobs.register t.jobs ~sid ~cancel:(Budget.cancel_token budget) ~started:t0
+      (clip_src label)
   in
   let effects = ref None in
   let finish ok =
-    unregister_job t jid;
+    Jobs.unregister t.jobs jid;
     let stages = Stage.finish st in
     record ~ok ~stages;
     Option.iter (note_slow t stages) !effects;
@@ -1911,7 +1864,7 @@ let stats_json t =
       ("health", health_json t);
       ("telemetry", telemetry_json t);
       ("concurrency", concurrency_json t);
-      ("inflight", inflight_json t);
+      ("inflight", Jobs.json t.jobs);
       ("process", process_json t);
       ("store", store_json t);
       ("profiler", Xqb_obs.Profile.stat_json ());
@@ -1961,7 +1914,7 @@ let flight_json t ~reason =
         | Some d -> string_of_int (Durable.last_lsn d)
         | None -> "null" );
       ("health", health_json t);
-      ("inflight", inflight_json t);
+      ("inflight", Jobs.json t.jobs);
     ]
 
 let write_flight t ~reason =
@@ -1996,13 +1949,8 @@ let shutdown ?deadline t =
     | None -> ())
   | None -> ());
   Health.stop_monitor t.health;
-  let cancel_inflight () =
-    locked t.jmutex (fun () ->
-        Hashtbl.iter
-          (fun _ j -> Budget.request j.cancel Budget.Cancelled)
-          t.jobs)
-  in
-  Scheduler.shutdown ?deadline ~on_deadline:cancel_inflight t.sched;
+  Scheduler.shutdown ?deadline ~on_deadline:(fun () -> Jobs.cancel_all t.jobs)
+    t.sched;
   (* the pool is drained: one final fsync and the WAL closes *)
   (match t.durable with Some d -> Durable.close d | None -> ());
   (* disarm the profiler this boot armed (a wire PROFILE START on an
