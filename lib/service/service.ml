@@ -171,15 +171,7 @@ type t = {
   max_delta : int option;
   jobs : Jobs.t;
   mutable stopping : bool;
-  (* tracing: when on, every job records a per-query span trace
-     (queue wait, lock wait, compile phases, execution, snap apply),
-     kept in a bounded ring for the wire [TRACE] command. Off = each
-     instrumentation point costs one branch. *)
-  tracing : bool;
-  tr_mutex : Mutex.t;
-  mutable recent_traces : (int * Trace.t) list;  (* newest first, bounded *)
-  trace_cap : int;  (* ring capacity (serve --trace-ring) *)
-  mutable trace_evictions : int;  (* traces dropped off the ring *)
+  traces : Trace_ring.t;
   (* service health telemetry: the structured event log (ring +
      per-event-flushed JSONL sink when durable — the sink's tail is
      what the crash flight recorder reconstructs from), the stall
@@ -372,7 +364,6 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
   let replica = replica || replica_of <> None in
   if replica && durability <> None then
     failwith "a replica has no WAL of its own: --replica-of excludes --data-dir";
-  if trace_ring < 1 then invalid_arg "Service.create: trace_ring < 1";
   (* Durable boot: recover the store (snapshot + WAL tail replay),
      hang the catalog off it, and (re)start the in-memory mutation
      journal — everything replayed is already on disk, so the WAL
@@ -440,11 +431,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       max_delta;
       jobs = Jobs.create ();
       stopping = false;
-      tracing;
-      tr_mutex = Mutex.create ();
-      recent_traces = [];
-      trace_cap = trace_ring;
-      trace_evictions = 0;
+      traces = Trace_ring.create ~tracing ~cap:trace_ring;
       events;
       data_dir;
       stall_ns = stall_ms * 1_000_000;
@@ -1182,34 +1169,8 @@ let clip_src src =
    the token at its next budget poll and fails with [cancelled]. *)
 let cancel t jid = Jobs.cancel t.jobs jid
 
-(* -- the recent-trace ring ------------------------------------------ *)
-
-let push_trace t jid tr =
-  locked t.tr_mutex (fun () ->
-      let others = List.filter (fun (j, _) -> j <> jid) t.recent_traces in
-      let keep = List.filteri (fun i _ -> i < t.trace_cap - 1) others in
-      t.trace_evictions <-
-        t.trace_evictions + (List.length others - List.length keep);
-      t.recent_traces <- (jid, tr) :: keep)
-
-(* (occupancy, capacity, evictions since boot) — the ring gauges. *)
-let trace_ring_stats t =
-  locked t.tr_mutex (fun () ->
-      (List.length t.recent_traces, t.trace_cap, t.trace_evictions))
-
-(* Chrome trace-event JSON for job [jid], or the most recent traced
-   job when [jid] is [None]. *)
-let trace_json t jid =
-  locked t.tr_mutex (fun () ->
-      match jid with
-      | Some j ->
-        Option.map
-          (fun tr -> (j, Trace.to_chrome_json tr))
-          (List.assoc_opt j t.recent_traces)
-      | None -> (
-        match t.recent_traces with
-        | (j, tr) :: _ -> Some (j, Trace.to_chrome_json tr)
-        | [] -> None))
+let trace_ring_stats t = Trace_ring.stats t.traces
+let trace_json t jid = Trace_ring.chrome_json t.traces jid
 
 (* -- effect observability ------------------------------------------- *)
 
@@ -1353,7 +1314,7 @@ let await fut =
 (* A job's stage record, its clock started now; it carries the job's
    tracer when tracing is on. *)
 let job_stages t =
-  Stage.create ?tracer:(if t.tracing then Some (Trace.create ()) else None) ()
+  Stage.create ?tracer:(Trace_ring.tracer t.traces) ()
 
 (* Submit [body ~jid ~effects ~appended budget] as a governed job whose
    stage record is [st]. [t0] (Clock ns, the request's arrival) stamps
@@ -1400,7 +1361,7 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
     let stages = Stage.finish st in
     record ~ok ~stages;
     Option.iter (note_slow t stages) !effects;
-    Option.iter (push_trace t jid) (Stage.tracer st)
+    Option.iter (Trace_ring.push t.traces jid) (Stage.tracer st)
   in
   let fail e =
     finish false;
@@ -1726,13 +1687,7 @@ let metrics_prometheus t =
     "xqbang_gate_inflight_peak" (Rwlock.peak g);
   Prom.gauge_i p ~help:peak ~labels:[ ("side", "writer") ]
     "xqbang_gate_inflight_peak" (Rwlock.writer_peak g);
-  let size, cap, evicted = trace_ring_stats t in
-  Prom.gauge_i p ~help:"Traces resident in the TRACE ring."
-    "xqbang_trace_ring_size" size;
-  Prom.gauge_i p ~help:"TRACE ring capacity (serve --trace-ring)."
-    "xqbang_trace_ring_capacity" cap;
-  Prom.counter p ~help:"Traces evicted from the TRACE ring."
-    "xqbang_trace_ring_evictions_total" evicted;
+  Trace_ring.to_prom t.traces p;
   if Events.enabled t.events then begin
     Prom.counter p ~help:"Events logged since boot." "xqbang_events_total"
       (Events.total t.events);
@@ -1849,13 +1804,12 @@ let metrics_prometheus t =
   Prom.contents p
 
 let telemetry_json t =
-  let size, cap, evicted = trace_ring_stats t in
   Printf.sprintf
-    "{\"events\":{\"enabled\":%b,\"total\":%d,\"warn_or_above\":%d},\"trace_ring\":{\"size\":%d,\"capacity\":%d,\"evictions\":%d}}"
+    "{\"events\":{\"enabled\":%b,\"total\":%d,\"warn_or_above\":%d},\"trace_ring\":%s}"
     (Events.enabled t.events)
     (Events.total t.events)
     (Events.count_at_least t.events Events.Warn)
-    size cap evicted
+    (Trace_ring.json t.traces)
 
 let stats_json t =
   let extra =
@@ -1898,7 +1852,6 @@ let stats_json t =
 (* -- the crash flight recorder (live half) ---------------------------- *)
 
 let flight_json t ~reason =
-  let size, cap, evicted = trace_ring_stats t in
   let g = Scheduler.gate t.sched in
   Flight.live_json ~reason t.events
     [
@@ -1906,9 +1859,7 @@ let flight_json t ~reason =
       ( "gate",
         Printf.sprintf "{\"running\":%d,\"running_writers\":%d}"
           (Rwlock.running g) (Rwlock.running_writers g) );
-      ( "trace_ring",
-        Printf.sprintf "{\"size\":%d,\"capacity\":%d,\"evictions\":%d}" size
-          cap evicted );
+      ("trace_ring", Trace_ring.json t.traces);
       ( "last_lsn",
         match t.durable with
         | Some d -> string_of_int (Durable.last_lsn d)
