@@ -187,14 +187,7 @@ type t = {
      sends with SHIP *)
   peers : (string, peer) Hashtbl.t;
   pmutex : Mutex.t;
-  (* effect observability: per-job ∆ statistics (wire DELTA) and the
-     slow-effect log — write-side jobs whose snap-apply stage reached
-     [slow_ns] leave a ∆ summary, their stage split and trace id in a
-     bounded ring (wire SLOWLOG). *)
-  slow_ns : int;
-  sl_mutex : Mutex.t;
-  mutable slowlog : slow_entry list;  (* newest first, bounded *)
-  mutable last_delta : string option;  (* rendered ∆-stats JSON *)
+  effects : Effect_log.t;
   (* durability (leader side): the WAL/checkpoint manager, plus the
      journal seq of the first in-memory entry not yet appended to
      disk. [wal_seq] is only touched under the scheduler's apply
@@ -218,18 +211,6 @@ type t = {
   profile_owned : bool;
   gc_tel : bool;
   boot_ns : int;  (* monotonic boot instant: uptime *)
-}
-
-and slow_entry = {
-  sl_jid : int;
-  sl_sid : int;
-  sl_src : string;
-  sl_stages : int array;  (* the job's Stage.finish split *)
-  sl_snaps : int;
-  sl_requests : int;
-  sl_trace : string option;
-  sl_gc_ns : int;  (* GC pause observed during the job (poll-lagged) *)
-  sl_samples : (string * int) list;  (* profiler samples by phase *)
 }
 
 (* Replica state. [rm] guards every field; the polling thread and
@@ -263,8 +244,6 @@ and peer = {
   mutable p_shipped : int;
   mutable p_last_seen : int;  (* monotonic ns, for staleness display *)
 }
-
-let slowlog_cap = 64
 
 let locked m f =
   Mutex.lock m;
@@ -443,10 +422,9 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
             (if telemetry then Some (gc_pause_warn_ms * 1_000_000) else None);
       peers = Hashtbl.create 4;
       pmutex = Mutex.create ();
-      slow_ns = slow_apply_ms * 1_000_000;
-      sl_mutex = Mutex.create ();
-      slowlog = [];
-      last_delta = None;
+      effects =
+        Effect_log.create ~slow_ns:(slow_apply_ms * 1_000_000) ~gc:telemetry
+          events;
       durable;
       wal_seq = 0;
       commit_seq = 0;
@@ -1172,131 +1150,9 @@ let cancel t jid = Jobs.cancel t.jobs jid
 let trace_ring_stats t = Trace_ring.stats t.traces
 let trace_json t jid = Trace_ring.chrome_json t.traces jid
 
-(* -- effect observability ------------------------------------------- *)
-
-(* Rendered ∆-statistics JSON for one write-side job: requests by
-   kind, snap-depth histogram, conflicts checked, apply-phase wall
-   time. This is the wire DELTA payload. *)
-let delta_stats_json ~jid ~apply_ns (st : Core.Update.stats) =
-  Printf.sprintf
-    "{\"jid\":%d,\"snaps\":%d,\"requests\":{\"insert\":%d,\"delete\":%d,\"rename\":%d,\"set_value\":%d},\"total_requests\":%d,\"conflicts_checked\":%d,\"max_snap_depth\":%d,\"snap_depth_hist\":[%s],\"apply_ns\":%d}"
-    jid st.Core.Update.snaps st.Core.Update.inserts st.Core.Update.deletes
-    st.Core.Update.renames st.Core.Update.set_values
-    (Core.Update.stats_requests st)
-    st.Core.Update.conflicts_checked st.Core.Update.max_snap_depth
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int st.Core.Update.depth_hist)))
-    apply_ns
-
-(* Per-job attribution bracket: GC pause delta (poll-lagged; short
-   jobs read 0) and profiler samples by phase, captured around the
-   job body for SLOWLOG and EXPLAIN ANALYZE. *)
-let attribution_begin () =
-  ( Xqb_obs.Gc_tel.total_pause_ns (),
-    if Xqb_obs.Profile.running () then Some (Xqb_obs.Profile.phase_counts ())
-    else None )
-
-let attribution_end (gc0, ph0) =
-  ( Stdlib.max 0 (Xqb_obs.Gc_tel.total_pause_ns () - gc0),
-    match ph0 with
-    | Some before ->
-      Xqb_obs.Profile.diff_counts before (Xqb_obs.Profile.phase_counts ())
-    | None -> [] )
-
-(* EXPLAIN ANALYZE footer lines (after the Runner's own ddo/footprint
-   footers): per-phase sample counts while the profiler runs, and the
-   job's GC pause delta while telemetry is on. *)
-let attribution_suffix t att =
-  let gc_ns, samples = attribution_end att in
-  let buf = Buffer.create 64 in
-  if Xqb_obs.Profile.running () then begin
-    Buffer.add_string buf "\n-- profile samples:";
-    (match samples with
-    | [] -> Buffer.add_string buf " none"
-    | l ->
-      List.iter
-        (fun (k, n) -> Buffer.add_string buf (Printf.sprintf " %s=%d" k n))
-        l);
-    Buffer.add_string buf (Printf.sprintf " (%d Hz)" (Xqb_obs.Profile.hz ()))
-  end;
-  if t.gc_tel && Xqb_obs.Gc_tel.enabled () then
-    Buffer.add_string buf
-      (Printf.sprintf "\n-- gc: pause_ms=%.2f" (float_of_int gc_ns /. 1e6));
-  Buffer.contents buf
-
-(* Called right after a write-side job's session work (session lock
-   held): snapshot its ∆ statistics for the wire DELTA command, and
-   return its slow-effect entry, which [note_slow] completes with the
-   stage split once the job has finished. *)
-let note_effects t ~jid ~sid ~src ~trace ~att ctx =
-  let st = ctx.Core.Context.delta_stats in
-  let json = delta_stats_json ~jid ~apply_ns:ctx.Core.Context.apply_ns st in
-  locked t.sl_mutex (fun () -> t.last_delta <- Some json);
-  let gc_ns, samples = attribution_end att in
-  {
-    sl_jid = jid;
-    sl_sid = sid;
-    sl_src = clip_src src;
-    sl_stages = [||];
-    sl_snaps = st.Core.Update.snaps;
-    sl_requests = Core.Update.stats_requests st;
-    sl_trace = trace;
-    sl_gc_ns = gc_ns;
-    sl_samples = samples;
-  }
-
-let snap_apply_ns stages = stages.(Stage.index Stage.Snap_apply)
-
-(* Ring-buffer a finished job's slow-effect entry when its snap-apply
-   stage crossed the threshold. *)
-let note_slow t stages e =
-  let apply_ns = snap_apply_ns stages in
-  if e.sl_snaps > 0 && apply_ns >= t.slow_ns then begin
-    let e = { e with sl_stages = stages } in
-    locked t.sl_mutex (fun () ->
-        t.slowlog <-
-          e :: List.filteri (fun i _ -> i < slowlog_cap - 1) t.slowlog);
-    Events.warn t.events ~kind:"query.slow"
-      [
-        ("jid", Events.I e.sl_jid);
-        ("apply_ms", Events.F (float_of_int apply_ns /. 1e6));
-        ("snaps", Events.I e.sl_snaps);
-      ]
-  end
-
-(* Last write-side job's ∆ statistics; [None] before any updating
-   query ran. *)
-let delta_json t = locked t.sl_mutex (fun () -> t.last_delta)
-
-let slowlog_json t =
-  let entries = locked t.sl_mutex (fun () -> t.slowlog) in
-  let pairs l =
-    String.concat ","
-      (List.map
-         (fun (k, n) -> Printf.sprintf "\"%s\":%d" (Metrics.json_escape k) n)
-         l)
-  in
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun e ->
-           Printf.sprintf
-             "{\"jid\":%d,\"sid\":%d,\"apply_ns\":%d,\"latency_ns\":%d,\"stages_ns\":{%s},\"snaps\":%d,\"requests\":%d,\"gc_pause_ns\":%d,\"profile_samples\":{%s},\"trace\":%s,\"src\":\"%s\"}"
-             e.sl_jid e.sl_sid (snap_apply_ns e.sl_stages)
-             (Array.fold_left ( + ) 0 e.sl_stages)
-             (pairs
-                (List.map
-                   (fun st -> (Stage.name st, e.sl_stages.(Stage.index st)))
-                   Stage.all))
-             e.sl_snaps e.sl_requests e.sl_gc_ns (pairs e.sl_samples)
-             (match e.sl_trace with
-             | Some id -> Printf.sprintf "\"%s\"" (Metrics.json_escape id)
-             | None -> "null")
-             (Metrics.json_escape e.sl_src))
-         entries)
-  ^ "]"
-
-let slowlog_length t = locked t.sl_mutex (fun () -> List.length t.slowlog)
+let delta_json t = Effect_log.delta_json t.effects
+let slowlog_json t = Effect_log.slowlog_json t.effects
+let slowlog_length t = Effect_log.length t.effects
 
 (* -- submission ----------------------------------------------------- *)
 
@@ -1360,7 +1216,7 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
     Jobs.unregister t.jobs jid;
     let stages = Stage.finish st in
     record ~ok ~stages;
-    Option.iter (note_slow t stages) !effects;
+    Option.iter (Effect_log.note_slow t.effects stages) !effects;
     Option.iter (Trace_ring.push t.traces jid) (Stage.tracer st)
   in
   let fail e =
@@ -1455,12 +1311,12 @@ let on_session t s ~jid ~src ~st ~effects ~appended ~budget ~route ~params body 
         let ctx = Engine.context s.engine in
         Core.Update.stats_reset ctx.Core.Context.delta_stats;
         ctx.Core.Context.apply_ns <- 0;
-        let att = attribution_begin () in
+        let att = Effect_log.attribution_begin () in
         Fun.protect
           ~finally:(fun () ->
             effects :=
               Some
-                (note_effects t ~jid ~sid:s.sid ~src
+                (Effect_log.note_effects t.effects ~jid ~sid:s.sid ~src:(clip_src src)
                    ~trace:(Option.map Trace.id (Stage.tracer st))
                    ~att ctx))
         @@ fun () ->
@@ -1600,7 +1456,7 @@ let explain_job t sid src :
             (* same footer style as the ddo/footprint lines: sampling +
                GC attribution, present only when the corresponding
                collector is on *)
-            Runner.render r ^ attribution_suffix t att))
+            Runner.render r ^ Effect_log.attribution_suffix t.effects att))
 
 let explain t sid src = await (snd (explain_job t sid src))
 
