@@ -11,3 +11,6 @@ val now_ns : unit -> int
     reading. Subject to wall-clock steps — never use for
     durations. *)
 val wall_ns : unit -> int
+
+(** Seconds elapsed since a {!now_ns} instant. *)
+val secs_since : int -> float

@@ -180,23 +180,9 @@ type t = {
   events : Events.t;
   health : Health.t;
   data_dir : string option;
-  stall_ns : int;  (* no-progress bound: apply held / fsync / queue age *)
-  fsync_warn_ns : int;  (* fsync p99 above this degrades health *)
   lag_warn_frames : int;  (* replica lag above this degrades health *)
-  (* leader-side per-replica tracking, keyed on the id the replica
-     sends with SHIP *)
-  peers : (string, peer) Hashtbl.t;
-  pmutex : Mutex.t;
   effects : Effect_log.t;
-  (* durability (leader side): the WAL/checkpoint manager, plus the
-     journal seq of the first in-memory entry not yet appended to
-     disk. [wal_seq] is only touched under the scheduler's apply
-     mutex or a ⊤ footprint (catalog loads, checkpoints, exclusive
-     jobs — which exclude every concurrent apply), so it needs no
-     mutex of its own. *)
-  durable : Durable.t option;
-  mutable wal_seq : int;
-  mutable commit_seq : int;  (* commits since boot — wal.commit event sampling *)
+  commit : Commit.t;  (* the leader-side commit path *)
   (* replica side: reject write traffic, apply shipped frames *)
   read_only : bool;
   repl : repl option;
@@ -236,15 +222,6 @@ and repl = {
   mutable r_stop : bool;
 }
 
-(* One replica as the leader sees it: [p_acked] is the LSN the
-   replica's last SHIP request acknowledged (from_lsn - 1 — it asks
-   for what it does not have), [p_shipped] the last LSN we handed it. *)
-and peer = {
-  mutable p_acked : int;
-  mutable p_shipped : int;
-  mutable p_last_seen : int;  (* monotonic ns, for staleness display *)
-}
-
 let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
@@ -276,20 +253,6 @@ let health_reasons t =
           ("read_suspended", Events.I e.eg_suspended);
           ("queue_depth", Events.I (Scheduler.queue_depth t.sched));
         ]);
-  (* durability: a stuck fsync is critical, a merely slow one degrades *)
-  (match t.durable with
-  | None -> ()
-  | Some d ->
-    let inflight = Durable.fsync_in_progress_ns d in
-    if inflight > t.stall_ns then
-      add "fsync-stall" `Critical
-        [ ("in_progress_ms", Events.F (float_of_int inflight /. 1e6)) ]
-    else begin
-      let p99 = Durable.fsync_p99_ns d in
-      if p99 > float_of_int t.fsync_warn_ns then
-        add "fsync-latency" `Degraded
-          [ ("p99_ms", Events.F (p99 /. 1e6)) ]
-    end);
   (* replica side: apply lag behind the leader, or a dead link *)
   (match t.repl with
   | None -> ()
@@ -308,22 +271,7 @@ let health_reasons t =
         else if pre "disconnected" then
           add "replica-disconnected" `Degraded
             [ ("status", Events.S r.r_status) ]));
-  (* leader side: replicas falling behind the WAL head *)
-  (match t.durable with
-  | Some d when t.lag_warn_frames > 0 ->
-    let last = Durable.last_lsn d in
-    locked t.pmutex (fun () ->
-        Hashtbl.iter
-          (fun id p ->
-            let lag = Stdlib.max 0 (last - p.p_acked) in
-            if lag >= 4 * t.lag_warn_frames then
-              add "peer-lag" `Critical
-                [ ("replica", Events.S id); ("lag_frames", Events.I lag) ]
-            else if lag >= t.lag_warn_frames then
-              add "peer-lag" `Degraded
-                [ ("replica", Events.S id); ("lag_frames", Events.I lag) ])
-          t.peers)
-  | _ -> ());
+  List.iter (fun (code, level, data) -> add code level data) (Commit.health t.commit);
   List.rev !reasons
 
 let health_status t = Health.status (health_reasons t)
@@ -395,11 +343,12 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
           r_stop = false;
         }
   in
+  let sched = Scheduler.create ~domains ?max_queue () in
   let t =
     {
       catalog;
       cache = Plan_cache.create ~capacity:cache_capacity ();
-      sched = Scheduler.create ~domains ?max_queue ();
+      sched;
       metrics = Metrics.create ~windows:telemetry ?slo_p99_ms ?slo_err_pct ();
       sessions = Hashtbl.create 16;
       smutex = Mutex.create ();
@@ -413,21 +362,18 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       traces = Trace_ring.create ~tracing ~cap:trace_ring;
       events;
       data_dir;
-      stall_ns = stall_ms * 1_000_000;
-      fsync_warn_ns = fsync_warn_ms * 1_000_000;
       lag_warn_frames;
       health =
         Health.create ~stall_ns:(stall_ms * 1_000_000)
           ~gc_pause_warn_ns:
             (if telemetry then Some (gc_pause_warn_ms * 1_000_000) else None);
-      peers = Hashtbl.create 4;
-      pmutex = Mutex.create ();
       effects =
         Effect_log.create ~slow_ns:(slow_apply_ms * 1_000_000) ~gc:telemetry
           events;
-      durable;
-      wal_seq = 0;
-      commit_seq = 0;
+      commit =
+        Commit.create ?durable ~catalog ~sched ~events
+          ~stall_ns:(stall_ms * 1_000_000)
+          ~fsync_warn_ns:(fsync_warn_ms * 1_000_000) ~lag_warn_frames ();
       read_only = replica;
       repl;
       edge_src = None;
@@ -479,21 +425,14 @@ let catalog t = t.catalog
 let scheduler t = t.sched
 let metrics t = t.metrics
 let events t = t.events
-let durability_json t = Option.map Durable.stats_json t.durable
+let durability_json t = Commit.stats_json t.commit
 
 let events_json ?level t n =
   Events.events_json (Events.tail ?level t.events n)
 
 (* Fault injection for tests (no-op without --data-dir). *)
-let inject_fsync_delay t secs =
-  match t.durable with
-  | Some d -> Durable.inject_fsync_delay d secs
-  | None -> ()
-
-let inject_fsync_error t on =
-  match t.durable with
-  | Some d -> Durable.inject_fsync_error d on
-  | None -> ()
+let inject_fsync_delay t secs = Commit.inject_fsync_delay t.commit secs
+let inject_fsync_error t on = Commit.inject_fsync_error t.commit on
 
 (* Deterministic gc-pause health (same pattern as
    [inject_fsync_delay]): floor the telemetry's reported 10s p99 at
@@ -527,175 +466,11 @@ let profile_command t (cmd : [ `Start | `Stop | `Dump | `Dump_json | `Stat ])
   | `Dump_json -> Xqb_obs.Profile.dump_json ()
   | `Stat -> Xqb_obs.Profile.stat_json ()
 
-(* -- durability (leader side) --------------------------------------- *)
+(* -- durability (leader side): the wire verbs {!Commit} answers ------- *)
 
-(* wal.commit events are emitted only after the durability barrier:
-   the flight recorder's consistency check relies on every logged
-   lsn being recoverable under fsync=always. At full load that is
-   one Debug record per committed write — tens of thousands a second
-   — so sample 1-in-32 (always the first after boot): the sampled
-   lsns carry the same invariant, and the commits in between are
-   visible as xqbang_wal_frames counters rather than events. The
-   counter read/increment may race between concurrent writers; the
-   worst case is an extra or a skipped sample. *)
-let commit_event_mask = 31
-
-let log_commit t lsn data =
-  let n = t.commit_seq in
-  t.commit_seq <- n + 1;
-  if n land commit_event_mask = 0 then
-    Events.debug t.events ~kind:"wal.commit" (("lsn", Events.I lsn) :: data)
-
-(* Append the journal tail since [wal_seq] to the WAL (the wal
-   stage); returns the last LSN and the entry count, [None] when there
-   was nothing to append. Caller excludes every concurrent apply: it
-   holds the apply mutex or a ⊤ footprint, so [wal_seq] is stable.
-   Nothing here waits for the fsync — a job's reply does ([settle]),
-   after the recovery-relevant order is already fixed by the append. *)
-let wal_append ?job t d =
-  Stage.with_ ~stage:Stage.Wal job "wal" @@ fun () ->
-  let entries =
-    Xqb_store.Store.journal_entries_from (Catalog.store t.catalog) t.wal_seq
-  in
-  if entries = [] then None
-  else begin
-    let n = List.length entries in
-    t.wal_seq <- t.wal_seq + n;
-    Some (Durable.append_entries d entries, n)
-  end
-
-(* Append the journal tail and add its last LSN and entry count to
-   [appended]: the job's [settle] waits for that LSN's fsync. *)
-let append_tail ?job t appended =
-  Option.iter
-    (fun d ->
-      Option.iter
-        (fun (lsn, n) -> appended := (lsn, snd !appended + n))
-        (wal_append ?job t d))
-    t.durable
-
-(* Checkpoint — when due, or now when [forced] — then restart the
-   journal: the snapshot covers all of it, so the in-memory list (and
-   the seq counter feeding [wal_seq]) need not grow without bound.
-   Caller holds a ⊤ footprint and has appended the tail. *)
-let checkpoint ?(forced = false) t d =
-  let docs = Catalog.roots t.catalog and store = Catalog.store t.catalog in
-  let lsn =
-    if forced then Some (Durable.checkpoint d ~docs store)
-    else Durable.maybe_checkpoint d ~docs store
-  in
-  Option.iter
-    (fun lsn ->
-      Xqb_store.Store.journal_start store;
-      t.wal_seq <- 0;
-      Events.info t.events ~kind:"wal.checkpoint"
-        (("lsn", Events.I lsn) :: (if forced then [ ("forced", Events.B true) ] else [])))
-    lsn;
-  lsn
-
-let durable_maybe_checkpoint t =
-  Option.iter (fun d -> ignore (checkpoint t d)) t.durable
-
-(* The concurrent-writer commit path, installed per-job as the
-   context's [apply_wrap]: each top-level snap's ∆ applies under the
-   scheduler's global apply mutex — journal transaction spans stay
-   contiguous and WAL byte order equals apply order — with the WAL
-   append in the same critical section. The apply runs under
-   [Store.transactionally]: a conflict (§4.1 R1–R7) or any other
-   apply-time failure rolls the span back before its entries reach the
-   WAL. Evaluation needs no rollback — it never mutates the store
-   (§3.3); its only traces are fresh node allocations, unreachable
-   from any document.
-
-   Nothing waits here for the fsync: the append's LSN (and entry
-   count) accumulates in [appended], and the job's reply waits for it
-   after the job has released its session and the gate ([settle] in
-   [submit_governed]) — the WAL order already fixes the commit order.
-
-   No checkpoint here: a checkpoint resets the in-memory journal,
-   which would orphan the allocation entries of writers still
-   mid-evaluation. Checkpoints run only under a ⊤ footprint (loads,
-   exclusive jobs, CHECKPOINT), where nothing else is in flight. *)
-let writer_apply_wrap t job appended apply =
-  Scheduler.with_apply t.sched (fun () ->
-      Xqb_store.Store.transactionally (Catalog.store t.catalog) apply;
-      append_tail ?job t appended)
-
-(* The snapshot is durable and covers the appended tail, so nothing
-   here waits for the WAL's fsync. *)
-let checkpoint_now t =
-  match t.durable with
-  | None -> Error "service is not durable (started without --data-dir)"
-  | Some d ->
-    Scheduler.with_footprint t.sched FP.top (fun () ->
-        ignore (wal_append t d);
-        Ok (Option.get (checkpoint ~forced:true t d)))
-
-(* Committed WAL frames for a replica, as one concatenated blob. A
-   [replica_id] (the optional third SHIP argument) updates the
-   leader's per-peer lag table: asking from [from_lsn] acknowledges
-   everything below it. *)
-let note_peer t id ~acked ~shipped =
-  locked t.pmutex (fun () ->
-      let p =
-        match Hashtbl.find_opt t.peers id with
-        | Some p -> p
-        | None ->
-          let p = { p_acked = 0; p_shipped = 0; p_last_seen = 0 } in
-          Hashtbl.replace t.peers id p;
-          Events.info t.events ~kind:"replica.peer"
-            [ ("id", Events.S id); ("from_lsn", Events.I (acked + 1)) ];
-          p
-      in
-      p.p_acked <- Stdlib.max p.p_acked acked;
-      p.p_shipped <- Stdlib.max p.p_shipped shipped;
-      p.p_last_seen <- Clock.now_ns ())
-
-let ship_frames ?replica_id t ~from_lsn ~max =
-  match t.durable with
-  | None -> Error "service is not durable (started without --data-dir)"
-  | Some d -> (
-    match Durable.ship d ~from_lsn ~max with
-    | Ok (last, frames) ->
-      (match replica_id with
-      | Some id -> note_peer t id ~acked:(Stdlib.max 0 (from_lsn - 1)) ~shipped:last
-      | None -> ());
-      Ok (last, String.concat "" frames)
-    | Error `Too_old ->
-      Error "too-old: frames before the last checkpoint are gone; re-bootstrap from SNAPSHOT")
-
-let peers_json t =
-  let last = match t.durable with Some d -> Durable.last_lsn d | None -> 0 in
-  let entries =
-    locked t.pmutex (fun () ->
-        Hashtbl.fold
-          (fun id p acc ->
-            Printf.sprintf
-              "{\"id\":\"%s\",\"acked_lsn\":%d,\"shipped_lsn\":%d,\"lag_frames\":%d,\"last_seen_age_s\":%.3f}"
-              (Metrics.json_escape id) p.p_acked p.p_shipped
-              (Stdlib.max 0 (last - p.p_acked))
-              (secs_since p.p_last_seen)
-            :: acc)
-          t.peers [])
-  in
-  "[" ^ String.concat "," entries ^ "]"
-
-(* The blob and its LSN are taken under ⊤; the blob is handed out only
-   once that LSN is durable, so a replica never holds what the leader
-   could lose. *)
-let snapshot_blob t =
-  match t.durable with
-  | None -> Error "service is not durable (started without --data-dir)"
-  | Some d -> (
-    let lsn, blob =
-      Scheduler.with_footprint t.sched FP.top (fun () ->
-          ignore (wal_append t d);
-          Durable.snapshot_blob d ~docs:(Catalog.roots t.catalog)
-            (Catalog.store t.catalog))
-    in
-    match Durable.wait_durable d lsn with
-    | () -> Ok (lsn, blob)
-    | exception e -> Error (Service_error.classify e).Service_error.message)
+let checkpoint_now t = Commit.checkpoint_now t.commit
+let ship_frames ?replica_id t = Commit.ship ?replica_id t.commit
+let snapshot_blob t = Commit.snapshot_blob t.commit
 
 (* -- replication (replica side) ------------------------------------- *)
 
@@ -800,11 +575,7 @@ let replica_lag r =
 
 let replica_stat_json t =
   match t.repl with
-  | None ->
-    (* leader side: the per-peer table SHIP ids populate *)
-    Printf.sprintf "{\"replica\":false,\"last_lsn\":%d,\"peers\":%s}"
-      (match t.durable with Some d -> Durable.last_lsn d | None -> 0)
-      (peers_json t)
+  | None -> Commit.replica_stat_json t.commit
   | Some r ->
     locked r.rm (fun () ->
         let lag, lag_bytes, lag_ms = replica_lag r in
@@ -827,12 +598,10 @@ let journal_stat_json t =
      (ingest holds [rm] across its write-side apply), so read it
      outside the read lock to keep the order consistent *)
   let lsn =
-    match t.durable with
-    | Some d -> Durable.last_lsn d
-    | None -> (
-      match t.repl with
-      | Some r -> locked r.rm (fun () -> r.r_applied_lsn)
-      | None -> 0)
+    match (Commit.last_lsn t.commit, t.repl) with
+    | Some lsn, _ -> lsn
+    | None, Some r -> locked r.rm (fun () -> r.r_applied_lsn)
+    | None, None -> 0
   in
   Scheduler.with_footprint t.sched FP.read_all (fun () ->
       let store = Catalog.store t.catalog in
@@ -1054,12 +823,7 @@ let load_document t sid ~uri xml =
           in
           ignore (Catalog.acquire t.catalog uri);
           (* the registration's wait covers the load's entries too *)
-          (match t.durable with
-          | Some d ->
-            ignore (wal_append t d);
-            Durable.commit_doc d ~uri ~root ~bytes:(String.length xml);
-            durable_maybe_checkpoint t
-          | None -> ());
+          Commit.commit_load t.commit ~uri ~root ~bytes:(String.length xml);
           root)
   in
   locked s.slock (fun () ->
@@ -1236,7 +1000,7 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
   in
   (* under the gate: the durability mark, then the job *)
   let job () =
-    let mark = match t.durable with Some d -> Durable.last_lsn d | None -> 0 in
+    let mark = Option.value (Commit.last_lsn t.commit) ~default:0 in
     let appended = ref (0, 0) in
     let out = body ~jid ~effects ~appended budget in
     (out, mark, !appended)
@@ -1244,20 +1008,14 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
   let settle r complete =
     match r with
     | Error e -> complete (Ok (failed e))
-    | Ok (out, mark, (lsn, entries)) -> (
-      let ack () =
-        finish true;
-        complete (Ok (Ok out))
-      in
-      match t.durable with
-      | Some d when Stdlib.max mark lsn > 0 ->
-        Stage.switch st Stage.Fsync;
-        Durable.await_durable d (Stdlib.max mark lsn) ~commit:(lsn > 0) (function
+    | Ok (out, mark, appended) ->
+      Commit.await_reply t.commit ~mark appended
+        ~parked:(fun () -> Stage.switch st Stage.Fsync)
+        (function
           | Ok () ->
-            if lsn > 0 then log_commit t lsn [ ("entries", Events.I entries) ];
-            ack ()
+            finish true;
+            complete (Ok (Ok out))
           | Error e -> complete (Ok (failed e)))
-      | _ -> ack ())
   in
   (* Abandoned without running (queue-time expiry, shutdown drain):
      still counts as a failed query of the appropriate kind. *)
@@ -1300,12 +1058,7 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
 let on_session t s ~jid ~src ~st ~effects ~appended ~budget ~route ~params body =
   let exclusive = route = FP.Exclusive in
   let job = Some st in
-  let publish () =
-    if exclusive then begin
-      append_tail ?job t appended;
-      durable_maybe_checkpoint t
-    end
-  in
+  let publish () = if exclusive then Commit.publish ?job t.commit appended in
   match
     locked s.slock (fun () ->
         let ctx = Engine.context s.engine in
@@ -1327,7 +1080,7 @@ let on_session t s ~jid ~src ~st ~effects ~appended ~budget ~route ~params body 
           Xqb_store.Store.transactionally (Catalog.store t.catalog) (fun () ->
               body att)
         else begin
-          ctx.Core.Context.apply_wrap <- Some (writer_apply_wrap t job appended);
+          ctx.Core.Context.apply_wrap <- Some (Commit.writer_apply_wrap t.commit job appended);
           Fun.protect
             ~finally:(fun () -> ctx.Core.Context.apply_wrap <- None)
             (fun () -> body att)
@@ -1561,7 +1314,7 @@ let metrics_prometheus t =
         ("critical", at_least Events.Critical);
       ]
   end;
-  (match t.durable with Some d -> Durable.stats_prom d p | None -> ());
+  Commit.to_prom t.commit p;
   (match t.repl with
   | None -> ()
   | Some r ->
@@ -1582,25 +1335,6 @@ let metrics_prometheus t =
       "xqbang_replica_lag_ms" lag_ms;
     Prom.counter p ~help:"Frames applied by this replica since boot."
       "xqbang_replica_frames_applied_total" frames);
-  (* leader side: one lag gauge per known replica *)
-  (match t.durable with
-  | Some d when locked t.pmutex (fun () -> Hashtbl.length t.peers) > 0 ->
-    let last = Durable.last_lsn d in
-    let peers =
-      locked t.pmutex (fun () ->
-          Hashtbl.fold (fun id pr acc -> (id, pr.p_acked) :: acc) t.peers [])
-    in
-    List.iter
-      (fun (id, acked) ->
-        Prom.gauge_i p ~help:"Last LSN each replica acknowledged."
-          ~labels:[ ("replica", id) ]
-          "xqbang_peer_acked_lsn" acked;
-        Prom.gauge_i p ~help:"Frames each replica is behind the WAL head."
-          ~labels:[ ("replica", id) ]
-          "xqbang_peer_lag_frames"
-          (Stdlib.max 0 (last - acked)))
-      peers
-  | _ -> ());
   (match edge_gauges t with
   | None -> ()
   | Some e ->
@@ -1717,9 +1451,7 @@ let flight_json t ~reason =
           (Rwlock.running g) (Rwlock.running_writers g) );
       ("trace_ring", Trace_ring.json t.traces);
       ( "last_lsn",
-        match t.durable with
-        | Some d -> string_of_int (Durable.last_lsn d)
-        | None -> "null" );
+        Option.fold ~none:"null" ~some:string_of_int (Commit.last_lsn t.commit) );
       ("health", health_json t);
       ("inflight", Jobs.json t.jobs);
     ]
@@ -1759,7 +1491,7 @@ let shutdown ?deadline t =
   Scheduler.shutdown ?deadline ~on_deadline:(fun () -> Jobs.cancel_all t.jobs)
     t.sched;
   (* the pool is drained: one final fsync and the WAL closes *)
-  (match t.durable with Some d -> Durable.close d | None -> ());
+  Commit.close t.commit;
   (* disarm the profiler this boot armed (a wire PROFILE START on an
      unowned service outlives it deliberately — the profiler is
      process-global), release the GC-telemetry refcount *)
