@@ -97,17 +97,9 @@ module Wcodec = Xqb_wal.Codec
 module FP = Core.Static.Footprint
 module Clock = Xqb_obs.Clock
 
-(* Seconds elapsed since a [Clock.now_ns] instant. *)
-let secs_since ns = float_of_int (Clock.now_ns () - ns) /. 1e9
 module Events = Xqb_obs.Events
 module Window = Xqb_obs.Window
 module Prom = Xqb_obs.Prom
-
-(* Does [needle] occur in [hay]? *)
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
 
 type plan = {
   prep : Runner.prepared;
@@ -180,12 +172,9 @@ type t = {
   events : Events.t;
   health : Health.t;
   data_dir : string option;
-  lag_warn_frames : int;  (* replica lag above this degrades health *)
   effects : Effect_log.t;
   commit : Commit.t;  (* the leader-side commit path *)
-  (* replica side: reject write traffic, apply shipped frames *)
-  read_only : bool;
-  repl : repl option;
+  replica : Replica.t option;  (* rejects write traffic *)
   (* wire edge, when one is attached (serve --port) *)
   mutable edge_src : (unit -> edge_gauges) option;
   (* continuous profiling + GC telemetry: the profiler itself is
@@ -197,29 +186,6 @@ type t = {
   profile_owned : bool;
   gc_tel : bool;
   boot_ns : int;  (* monotonic boot instant: uptime *)
-}
-
-(* Replica state. [rm] guards every field; the polling thread and
-   the wire STAT/ingest paths are the only writers. The entry buffer
-   holds the tail of a transaction span whose remainder has not
-   shipped yet (the leader's poll window can cut a span in half) —
-   entries apply to the store only in complete spans, so a replica
-   never serves a half-applied update. *)
-and repl = {
-  r_leader : string;  (* "host:port", or "" when pumped manually *)
-  rm : Mutex.t;
-  mutable r_received_lsn : int;  (* highest LSN accepted from the leader *)
-  mutable r_applied_lsn : int;  (* highest LSN applied / registered *)
-  mutable r_leader_lsn : int;  (* leader's last LSN as of the last SHIP *)
-  mutable r_pending : (int * Xqb_store.Store.mj_entry * int) list;
-    (* oldest first: lsn, entry, frame bytes — the byte size feeds the
-       received-but-not-applied lag gauge *)
-  mutable r_frames : int;  (* frames applied since boot *)
-  mutable r_status : string;
-  mutable r_last_apply : int;  (* monotonic ns; 0 = never applied *)
-  mutable r_thread : Thread.t option;
-  mutable r_sock : Unix.file_descr option;
-  mutable r_stop : bool;
 }
 
 let locked m f =
@@ -253,26 +219,10 @@ let health_reasons t =
           ("read_suspended", Events.I e.eg_suspended);
           ("queue_depth", Events.I (Scheduler.queue_depth t.sched));
         ]);
-  (* replica side: apply lag behind the leader, or a dead link *)
-  (match t.repl with
-  | None -> ()
-  | Some r ->
-    locked r.rm (fun () ->
-        let lag = Stdlib.max 0 (r.r_leader_lsn - r.r_applied_lsn) in
-        if t.lag_warn_frames > 0 && lag >= 4 * t.lag_warn_frames then
-          add "replica-lag" `Critical
-            [ ("lag_frames", Events.I lag) ]
-        else if t.lag_warn_frames > 0 && lag >= t.lag_warn_frames then
-          add "replica-lag" `Degraded
-            [ ("lag_frames", Events.I lag) ];
-        let pre prefix = String.starts_with ~prefix r.r_status in
-        if pre "stale" then
-          add "replica-stale" `Critical [ ("status", Events.S r.r_status) ]
-        else if pre "disconnected" then
-          add "replica-disconnected" `Degraded
-            [ ("status", Events.S r.r_status) ]));
-  List.iter (fun (code, level, data) -> add code level data) (Commit.health t.commit);
-  List.rev !reasons
+  List.iter
+    (fun (code, level, data) -> add code level data)
+    (Commit.health t.commit
+    @ Option.fold ~none:[] ~some:Replica.health t.replica);  List.rev !reasons
 
 let health_status t = Health.status (health_reasons t)
 let health_json t = Health.json (health_reasons t)
@@ -324,25 +274,6 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
         ()
     else Events.disabled ()
   in
-  let repl =
-    if not replica then None
-    else
-      Some
-        {
-          r_leader = Option.value replica_of ~default:"";
-          rm = Mutex.create ();
-          r_received_lsn = 0;
-          r_applied_lsn = 0;
-          r_leader_lsn = 0;
-          r_pending = [];
-          r_frames = 0;
-          r_status = "idle";
-          r_last_apply = 0;
-          r_thread = None;
-          r_sock = None;
-          r_stop = false;
-        }
-  in
   let sched = Scheduler.create ~domains ?max_queue () in
   let t =
     {
@@ -362,7 +293,6 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       traces = Trace_ring.create ~tracing ~cap:trace_ring;
       events;
       data_dir;
-      lag_warn_frames;
       health =
         Health.create ~stall_ns:(stall_ms * 1_000_000)
           ~gc_pause_warn_ns:
@@ -374,8 +304,13 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
         Commit.create ?durable ~catalog ~sched ~events
           ~stall_ns:(stall_ms * 1_000_000)
           ~fsync_warn_ns:(fsync_warn_ms * 1_000_000) ~lag_warn_frames ();
-      read_only = replica;
-      repl;
+      replica =
+        (if replica then
+           Some
+             (Replica.create
+                ~leader:(Option.value replica_of ~default:"")
+                ~catalog ~sched ~events ~lag_warn_frames)
+         else None);
       edge_src = None;
       profile_hz = Option.value profile_hz ~default:97;
       profile_owned = profile_hz <> None;
@@ -422,6 +357,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
 let boot_flight t = Flight.boot_dump t.events
 
 let catalog t = t.catalog
+let read_only t = Option.is_some t.replica
 let scheduler t = t.sched
 let metrics t = t.metrics
 let events t = t.events
@@ -472,122 +408,21 @@ let checkpoint_now t = Commit.checkpoint_now t.commit
 let ship_frames ?replica_id t = Commit.ship ?replica_id t.commit
 let snapshot_blob t = Commit.snapshot_blob t.commit
 
-(* -- replication (replica side) ------------------------------------- *)
+(* -- replication (replica side): the wire verbs {!Replica} answers --- *)
 
-let replica_bootstrap t blob =
-  match t.repl with
-  | None -> Error "not a replica"
-  | Some r -> (
-    let store = Catalog.store t.catalog in
-    if Xqb_store.Store.node_count store > 0 then
-      Error "replica already holds data; bootstrap needs a fresh store"
-    else
-      match
-        Scheduler.with_footprint t.sched FP.top (fun () -> Wcodec.restore store blob)
-      with
-      | lsn, docs ->
-        List.iter
-          (fun (uri, root, bytes) ->
-            Catalog.register t.catalog ~uri ~root ~bytes)
-          docs;
-        locked r.rm (fun () ->
-            r.r_received_lsn <- lsn;
-            r.r_applied_lsn <- lsn;
-            r.r_leader_lsn <- max r.r_leader_lsn lsn;
-            r.r_last_apply <- Clock.now_ns ();
-            r.r_status <- "bootstrapped");
-        Ok lsn
-      | exception Wcodec.Corrupt msg -> Error ("corrupt snapshot: " ^ msg))
+let on_replica t f = Option.fold ~none:(Error "not a replica") ~some:f t.replica
+let replica_bootstrap t blob = on_replica t (fun r -> Replica.bootstrap r blob)
 
-(* Apply a batch of shipped frames. Already-seen LSNs are skipped
-   (idempotent re-delivery); entries buffer until their transaction
-   span completes, then apply behind the write lock so concurrent
-   read queries never observe a half-applied update. Returns the
-   number of frames applied (entries + doc registrations). *)
 let replica_ingest t ~leader_lsn blob =
-  match t.repl with
-  | None -> Error "not a replica"
-  | Some r ->
-    let frames, valid = Wcodec.scan blob in
-    if valid <> String.length blob then Error "corrupt frame batch"
-    else
-      locked r.rm (fun () ->
-          r.r_leader_lsn <- max r.r_leader_lsn leader_lsn;
-          let fresh =
-            List.filter (fun (lsn, _, _) -> lsn > r.r_received_lsn) frames
-          in
-          let applied = ref 0 in
-          let pending_rev = ref (List.rev r.r_pending) in
-          let flush () =
-            let pairs = List.rev !pending_rev in
-            let complete, _ =
-              Xqb_store.Journal.split_complete
-                (List.map (fun (_, e, _) -> e) pairs)
-            in
-            let n = List.length complete in
-            if n > 0 then begin
-              Scheduler.with_footprint t.sched FP.top (fun () ->
-                  Xqb_store.Journal.apply (Catalog.store t.catalog) complete);
-              List.iteri
-                (fun i (lsn, _, _) ->
-                  if i < n then r.r_applied_lsn <- max r.r_applied_lsn lsn)
-                pairs;
-              r.r_frames <- r.r_frames + n;
-              r.r_last_apply <- Clock.now_ns ();
-              applied := !applied + n;
-              pending_rev := List.rev (List.filteri (fun i _ -> i >= n) pairs)
-            end
-          in
-          List.iter
-            (fun (lsn, record, size) ->
-              r.r_received_lsn <- lsn;
-              match record with
-              | Wcodec.R_entry e -> pending_rev := (lsn, e, size) :: !pending_rev
-              | Wcodec.R_doc { uri; root; bytes } ->
-                (* the leader appends the registration only after the
-                   load's span committed, so the buffer is complete *)
-                flush ();
-                Catalog.register t.catalog ~uri ~root ~bytes;
-                r.r_applied_lsn <- max r.r_applied_lsn lsn;
-                r.r_frames <- r.r_frames + 1;
-                r.r_last_apply <- Clock.now_ns ();
-                incr applied)
-            fresh;
-          flush ();
-          r.r_pending <- List.rev !pending_rev;
-          r.r_status <- "streaming";
-          Ok !applied)
-
-(* Replica-side lag, three units: frames behind the leader's head,
-   bytes received-but-not-applied (a buffered half span), and
-   milliseconds since the last apply while behind. *)
-let replica_lag r =
-  let lag = max 0 (r.r_leader_lsn - r.r_applied_lsn) in
-  let lag_bytes =
-    List.fold_left (fun acc (_, _, size) -> acc + size) 0 r.r_pending
-  in
-  let lag_ms =
-    if lag > 0 && r.r_last_apply > 0 then
-      secs_since r.r_last_apply *. 1e3
-    else 0.
-  in
-  (lag, lag_bytes, lag_ms)
+  on_replica t (fun r -> Replica.ingest r ~leader_lsn blob)
 
 let replica_stat_json t =
-  match t.repl with
+  match t.replica with
   | None -> Commit.replica_stat_json t.commit
-  | Some r ->
-    locked r.rm (fun () ->
-        let lag, lag_bytes, lag_ms = replica_lag r in
-        Printf.sprintf
-          "{\"replica\":true,\"leader\":\"%s\",\"status\":\"%s\",\"applied_lsn\":%d,\"received_lsn\":%d,\"leader_lsn\":%d,\"lag\":%d,\"lag_bytes\":%d,\"lag_ms\":%.0f,\"frames_applied\":%d,\"pending_entries\":%d,\"last_apply_age_s\":%s}"
-          (Metrics.json_escape r.r_leader)
-          (Metrics.json_escape r.r_status)
-          r.r_applied_lsn r.r_received_lsn r.r_leader_lsn lag lag_bytes lag_ms
-          r.r_frames
-          (List.length r.r_pending)
-          (if r.r_last_apply = 0 then "null"
-           else Printf.sprintf "%.3f" (secs_since r.r_last_apply)))
+  | Some r -> Replica.stat_json r
+
+(* Serve calls this right after [create] when --replica-of was given. *)
+let start_replication t = Option.iter Replica.start t.replica
 
 (* [JOURNAL STAT]: in-memory journal length + the canonical store
    digest — the cross-node consistency check (leader, replicas and a
@@ -595,12 +430,12 @@ let replica_stat_json t =
    digest never observes a half-applied update. *)
 let journal_stat_json t =
   (* the replica mutex is taken before the scheduler lock elsewhere
-     (ingest holds [rm] across its write-side apply), so read it
+     (ingest holds it across its write-side apply), so read it
      outside the read lock to keep the order consistent *)
   let lsn =
-    match (Commit.last_lsn t.commit, t.repl) with
+    match (Commit.last_lsn t.commit, t.replica) with
     | Some lsn, _ -> lsn
-    | None, Some r -> locked r.rm (fun () -> r.r_applied_lsn)
+    | None, Some r -> Replica.applied_lsn r
     | None, None -> 0
   in
   Scheduler.with_footprint t.sched FP.read_all (fun () ->
@@ -612,151 +447,6 @@ let journal_stat_json t =
         (Xqb_store.Store.node_count store)
         (Wcodec.store_digest_hex store)
         lsn)
-
-(* -- the replication client ----------------------------------------- *)
-
-(* Poll loop behind `serve --replica-of HOST:PORT`: connect to the
-   leader over the ordinary line protocol, bootstrap from a SNAPSHOT
-   blob when the local store is empty, then SHIP committed frames
-   forever (blobs travel base64 on the wire). Connection failures
-   back off and reconnect; a `too-old` reply (the leader checkpointed
-   past this replica's position) is terminal — an already-populated
-   store cannot re-bootstrap, the operator restarts the replica. *)
-
-let repl_poll_s = 0.02
-let repl_batch = 512
-
-exception Repl_stale
-
-let parse_reply line =
-  if String.length line >= 3 && String.sub line 0 3 = "OK " then
-    Ok (Protocol.unescape (String.sub line 3 (String.length line - 3)))
-  else if line = "OK" then Ok ""
-  else Error line
-
-let replication_loop t r host port () =
-  let resolve () =
-    try Unix.inet_addr_of_string host
-    with Failure _ -> (
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> failwith ("cannot resolve host " ^ host))
-  in
-  let session () =
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () ->
-        locked r.rm (fun () -> r.r_sock <- None);
-        try Unix.close sock with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.connect sock (Unix.ADDR_INET (resolve (), port));
-        locked r.rm (fun () ->
-            r.r_sock <- Some sock;
-            r.r_status <- "connected");
-        let ic = Unix.in_channel_of_descr sock in
-        let oc = Unix.out_channel_of_descr sock in
-        let rpc line =
-          output_string oc line;
-          output_char oc '\n';
-          flush oc;
-          parse_reply (input_line ic)
-        in
-        (if
-           locked r.rm (fun () -> r.r_received_lsn) = 0
-           && Xqb_store.Store.node_count (Catalog.store t.catalog) = 0
-         then
-           match rpc "SNAPSHOT" with
-           | Ok payload -> (
-             match replica_bootstrap t (Xqb_wal.B64.decode payload) with
-             | Ok lsn ->
-               Events.info t.events ~kind:"replica.bootstrap"
-                 [ ("lsn", Events.I lsn) ]
-             | Error e -> failwith e)
-           | Error e -> failwith ("SNAPSHOT: " ^ e));
-        (* the id lets the leader track this replica's shipped/acked
-           position; host+pid is unique enough per poll loop *)
-        let my_id = Printf.sprintf "r-%d" (Unix.getpid ()) in
-        while not r.r_stop do
-          let from = locked r.rm (fun () -> r.r_received_lsn + 1) in
-          match rpc (Printf.sprintf "SHIP %d %d %s" from repl_batch my_id) with
-          | Ok payload ->
-            let leader_w, b64 =
-              match String.index_opt payload ' ' with
-              | None -> (payload, "")
-              | Some i ->
-                ( String.sub payload 0 i,
-                  String.trim
-                    (String.sub payload (i + 1) (String.length payload - i - 1))
-                )
-            in
-            let leader_lsn =
-              match int_of_string_opt leader_w with
-              | Some l -> l
-              | None -> failwith ("bad SHIP reply: " ^ payload)
-            in
-            if b64 = "" then begin
-              locked r.rm (fun () ->
-                  r.r_leader_lsn <- max r.r_leader_lsn leader_lsn;
-                  if r.r_leader_lsn <= r.r_applied_lsn then
-                    r.r_status <- "caught-up");
-              Thread.delay repl_poll_s
-            end
-            else begin
-              match replica_ingest t ~leader_lsn (Xqb_wal.B64.decode b64) with
-              | Ok _ -> ()
-              | Error e -> failwith e
-            end
-          | Error e ->
-            (* "ERR too-old: ..." — substring match keeps the wire
-               format free to evolve *)
-            if contains e "too-old" then raise Repl_stale
-            else failwith ("SHIP: " ^ e)
-        done)
-  in
-  let stale = ref false in
-  while (not r.r_stop) && not !stale do
-    try session () with
-    | Repl_stale ->
-      stale := true;
-      Events.error t.events ~kind:"replica.stale"
-        [ ("leader", Events.S r.r_leader) ];
-      locked r.rm (fun () ->
-          r.r_status <-
-            "stale: leader checkpointed past this replica; restart it with an empty store")
-    | e ->
-      if not r.r_stop then begin
-        Events.warn t.events ~kind:"replica.disconnect"
-          [
-            ("leader", Events.S r.r_leader);
-            ("error", Events.S (Printexc.to_string e));
-          ];
-        locked r.rm (fun () ->
-            r.r_status <- "disconnected: " ^ Printexc.to_string e);
-        Thread.delay 0.3
-      end
-  done
-
-(* Start the polling thread (serve does this right after [create]
-   when --replica-of was given). No-op for manually-pumped replicas
-   (tests drive {!replica_ingest} directly). *)
-let start_replication t =
-  match t.repl with
-  | Some r when r.r_leader <> "" && r.r_thread = None ->
-    let host, port =
-      match String.rindex_opt r.r_leader ':' with
-      | Some i -> (
-        let h = String.sub r.r_leader 0 i in
-        let p = String.sub r.r_leader (i + 1) (String.length r.r_leader - i - 1) in
-        match int_of_string_opt p with
-        | Some p when h <> "" -> (h, p)
-        | _ ->
-          failwith
-            (Printf.sprintf "bad --replica-of %S (expected HOST:PORT)" r.r_leader))
-      | None ->
-        failwith
-          (Printf.sprintf "bad --replica-of %S (expected HOST:PORT)" r.r_leader)
-    in
-    r.r_thread <- Some (Thread.create (replication_loop t r host port) ())
-  | _ -> ()
 
 (* -- sessions ------------------------------------------------------- *)
 
@@ -806,7 +496,7 @@ let load_document t sid ~uri xml =
   let root =
     match Catalog.acquire t.catalog uri with
     | Some root -> root
-    | None when t.read_only ->
+    | None when read_only t ->
       failwith
         (Printf.sprintf
            "read-only replica: %S is not resident (documents replicate from the leader)"
@@ -1128,7 +818,7 @@ let submit_job t sid src :
   | exception e ->
     Metrics.record_compile_error t.metrics;
     reject e
-  | plan, _, _ when t.read_only && plan.route <> FP.Fork ->
+  | plan, _, _ when read_only t && plan.route <> FP.Fork ->
     (* the write set doubles as the replica's write fence: a program
        that writes nothing — not even fresh nodes — cannot mutate the
        store *)
@@ -1181,7 +871,7 @@ let query t sid src = await (submit t sid src)
 let explain_job t sid src :
     int * (string, Service_error.t) result Scheduler.future =
   let s = find_session t sid in
-  if t.read_only then begin
+  if read_only t then begin
     (* EXPLAIN executes for real, side effects included — never on a
        replica *)
     let err =
@@ -1255,7 +945,7 @@ let process_json t =
     (Unix.getpid ())
     (Xqb_obs.Procstat.rss_bytes ())
     (Xqb_obs.Procstat.fd_count ())
-    (secs_since t.boot_ns)
+    (Clock.secs_since t.boot_ns)
     build_version Sys.ocaml_version
 
 (* Deterministic store operation counts for STATS / METRICS PROM:
@@ -1315,26 +1005,7 @@ let metrics_prometheus t =
       ]
   end;
   Commit.to_prom t.commit p;
-  (match t.repl with
-  | None -> ()
-  | Some r ->
-    let applied, leader, lag, lag_bytes, lag_ms, frames =
-      locked r.rm (fun () ->
-          let lag, lag_bytes, lag_ms = replica_lag r in
-          (r.r_applied_lsn, r.r_leader_lsn, lag, lag_bytes, lag_ms, r.r_frames))
-    in
-    Prom.gauge_i p ~help:"Highest LSN applied by this replica."
-      "xqbang_replica_applied_lsn" applied;
-    Prom.gauge_i p ~help:"Leader's last LSN as of the last SHIP."
-      "xqbang_replica_leader_lsn" leader;
-    Prom.gauge_i p ~help:"Frames this replica is behind the leader."
-      "xqbang_replica_lag_frames" lag;
-    Prom.gauge_i p ~help:"Bytes received but not yet applied (buffered half span)."
-      "xqbang_replica_lag_bytes" lag_bytes;
-    Prom.gauge p ~help:"Milliseconds since the last apply while behind the leader."
-      "xqbang_replica_lag_ms" lag_ms;
-    Prom.counter p ~help:"Frames applied by this replica since boot."
-      "xqbang_replica_frames_applied_total" frames);
+  Option.iter (fun r -> Replica.to_prom r p) t.replica;
   (match edge_gauges t with
   | None -> ()
   | Some e ->
@@ -1372,7 +1043,7 @@ let metrics_prometheus t =
     (Xqb_obs.Procstat.fd_count ());
   Prom.gauge p ~help:"Seconds since service boot."
     "xqbang_process_uptime_seconds"
-    (secs_since t.boot_ns);
+    (Clock.secs_since t.boot_ns);
   Prom.gauge_i p
     ~help:"Continuous profiler state: 1 = sampling, 0 = stopped."
     "xqbang_profile_running"
@@ -1430,9 +1101,9 @@ let stats_json t =
     | None -> extra
   in
   let extra =
-    match t.repl with
+    match t.replica with
     | None -> extra
-    | Some _ -> ("replica", replica_stat_json t) :: extra
+    | Some r -> ("replica", Replica.stat_json r) :: extra
   in
   Metrics.to_json
     ~cache:(Plan_cache.stats t.cache)
@@ -1472,21 +1143,8 @@ let install_crash_hooks t =
    their next poll. *)
 let shutdown ?deadline t =
   t.stopping <- true;
-  (* stop the replication client first: close its socket to unblock a
-     read in flight, then join *)
-  (match t.repl with
-  | Some r ->
-    r.r_stop <- true;
-    (match locked r.rm (fun () -> r.r_sock) with
-    | Some fd -> (
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    | None -> ());
-    (match r.r_thread with
-    | Some th ->
-      Thread.join th;
-      r.r_thread <- None
-    | None -> ())
-  | None -> ());
+  (* stop the replication client first *)
+  Option.iter Replica.stop t.replica;
   Health.stop_monitor t.health;
   Scheduler.shutdown ?deadline ~on_deadline:(fun () -> Jobs.cancel_all t.jobs)
     t.sched;
