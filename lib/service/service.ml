@@ -131,21 +131,18 @@ type session = {
   mutable docs_held : string list;
 }
 
-(* Wire-edge gauges, pulled (not pushed) from whichever edge is
-   serving TCP — see [Edge]. The service only holds a snapshot
-   closure so STATS/HEALTH/metrics can surface connection counts and
-   backpressure state without depending on the edge module. *)
-type edge_gauges = {
-  eg_open : int;  (* connections open now *)
-  eg_peak : int;  (* peak concurrently open since boot *)
-  eg_accepted : int;  (* connections accepted since boot *)
-  eg_conn_rejects : int;  (* connections refused at --max-conns *)
-  eg_suspended : int;  (* connections currently read-suspended *)
-  eg_suspensions : int;  (* read-suspension episodes since boot *)
-  eg_overload_rejects : int;  (* requests rejected at the hard watermark *)
-  eg_requests : int;  (* requests parsed off the wire *)
-  eg_batches : int;  (* readiness-cycle admission batches *)
-  eg_max_conns : int;  (* configured cap; 0 = unlimited *)
+(* Wire-edge gauges, pulled from whichever edge is serving TCP. *)
+type edge_gauges = Edge_gauges.t = {
+  eg_open : int;
+  eg_peak : int;
+  eg_accepted : int;
+  eg_conn_rejects : int;
+  eg_suspended : int;
+  eg_suspensions : int;
+  eg_overload_rejects : int;
+  eg_requests : int;
+  eg_batches : int;
+  eg_max_conns : int;
 }
 
 type t = {
@@ -177,15 +174,7 @@ type t = {
   replica : Replica.t option;  (* rejects write traffic *)
   (* wire edge, when one is attached (serve --port) *)
   mutable edge_src : (unit -> edge_gauges) option;
-  (* continuous profiling + GC telemetry: the profiler itself is
-     process-global (lib/obs Profile); the service carries its
-     configured rate (PROFILE START / serve --profile-hz), whether
-     boot armed it (so shutdown disarms it), whether this instance
-     holds a Gc_tel refcount. *)
-  profile_hz : int;
-  profile_owned : bool;
-  gc_tel : bool;
-  boot_ns : int;  (* monotonic boot instant: uptime *)
+  runtime : Runtime_tel.t;  (* profiler, GC telemetry, process identity *)
 }
 
 let locked m f =
@@ -197,32 +186,16 @@ let locked m f =
    Every seam reports its own reasons ({!Health}); the overall status is
    the worst level present. *)
 
+let set_edge_source t src = t.edge_src <- src
+let edge_gauges t = Option.map (fun src -> src ()) t.edge_src
+
 let health_reasons t =
-  let reasons =
-    ref (List.rev (Health.reasons t.health ~sched:t.sched ~metrics:t.metrics))
-  in
-  let add code level data = reasons := (code, level, data) :: !reasons in
-  (* wire edge: connection saturation and read-suspension backpressure *)
-  (match t.edge_src with
-  | None -> ()
-  | Some src ->
-    let e = src () in
-    if e.eg_max_conns > 0 && e.eg_open >= e.eg_max_conns then
-      add "edge-saturated" `Critical
-        [ ("open", Events.I e.eg_open); ("max_conns", Events.I e.eg_max_conns) ]
-    else if e.eg_max_conns > 0 && e.eg_open * 10 >= e.eg_max_conns * 9 then
-      add "edge-saturated" `Degraded
-        [ ("open", Events.I e.eg_open); ("max_conns", Events.I e.eg_max_conns) ];
-    if e.eg_suspended > 0 then
-      add "edge-backpressure" `Degraded
-        [
-          ("read_suspended", Events.I e.eg_suspended);
-          ("queue_depth", Events.I (Scheduler.queue_depth t.sched));
-        ]);
-  List.iter
-    (fun (code, level, data) -> add code level data)
-    (Commit.health t.commit
-    @ Option.fold ~none:[] ~some:Replica.health t.replica);  List.rev !reasons
+  Health.reasons t.health ~sched:t.sched ~metrics:t.metrics
+  @ Option.fold ~none:[]
+      ~some:(Edge_gauges.health ~queue_depth:(Scheduler.queue_depth t.sched))
+      (edge_gauges t)
+  @ Commit.health t.commit
+  @ Option.fold ~none:[] ~some:Replica.health t.replica
 
 let health_status t = Health.status (health_reasons t)
 let health_json t = Health.json (health_reasons t)
@@ -238,6 +211,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
   | _ -> ());
   if gc_pause_warn_ms <= 0 then
     invalid_arg "Service.create: gc_pause_warn_ms <= 0";
+  if trace_ring < 1 then invalid_arg "Service.create: trace_ring < 1";
   let replica = replica || replica_of <> None in
   if replica && durability <> None then
     failwith "a replica has no WAL of its own: --replica-of excludes --data-dir";
@@ -312,23 +286,9 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
                 ~catalog ~sched ~events ~lag_warn_frames)
          else None);
       edge_src = None;
-      profile_hz = Option.value profile_hz ~default:97;
-      profile_owned = profile_hz <> None;
-      gc_tel = telemetry;
-      boot_ns = Clock.now_ns ();
+      runtime = Runtime_tel.create ?profile_hz ~gc:telemetry events;
     }
   in
-  (* GC telemetry rides on the telemetry switch: the Runtime_events
-     consumer is a process-wide refcounted singleton, released in
-     [shutdown]. *)
-  if t.gc_tel then Xqb_obs.Gc_tel.start ();
-  (* --profile-hz arms the continuous profiler at boot; a service
-     created without it still honors wire PROFILE START. *)
-  (match profile_hz with
-  | Some hz ->
-    Xqb_obs.Profile.configure ~hz;
-    ignore (Xqb_obs.Profile.start ~hz ())
-  | None -> ());
   Events.info events ~kind:"lifecycle.boot"
     [
       ("read_only", Events.B replica);
@@ -373,34 +333,9 @@ let inject_fsync_error t on = Commit.inject_fsync_error t.commit on
 (* Deterministic gc-pause health (same pattern as
    [inject_fsync_delay]): floor the telemetry's reported 10s p99 at
    [ms] until cleared. No-op when telemetry is off. *)
-let inject_gc_pause t ms =
-  if t.gc_tel then Xqb_obs.Gc_tel.inject_pause ~ns:(ms * 1_000_000)
-
-let clear_gc_pause_injection t =
-  if t.gc_tel then Xqb_obs.Gc_tel.clear_injected ()
-
-(* -- the continuous profiler (wire PROFILE) ------------------------- *)
-
-let profile_command t (cmd : [ `Start | `Stop | `Dump | `Dump_json | `Stat ])
-    =
-  match cmd with
-  | `Start ->
-    if Xqb_obs.Profile.start ~hz:t.profile_hz () then begin
-      Events.info t.events ~kind:"profile.start"
-        [ ("hz", Events.I t.profile_hz) ];
-      Printf.sprintf "started at %d Hz" t.profile_hz
-    end
-    else Printf.sprintf "already running at %d Hz" (Xqb_obs.Profile.hz ())
-  | `Stop ->
-    if Xqb_obs.Profile.stop () then begin
-      Events.info t.events ~kind:"profile.stop"
-        [ ("samples", Events.I (Xqb_obs.Profile.samples ())) ];
-      "stopped"
-    end
-    else "not running"
-  | `Dump -> Xqb_obs.Profile.dump_folded ()
-  | `Dump_json -> Xqb_obs.Profile.dump_json ()
-  | `Stat -> Xqb_obs.Profile.stat_json ()
+let inject_gc_pause t ms = Runtime_tel.inject_gc_pause t.runtime ms
+let clear_gc_pause_injection t = Runtime_tel.clear_gc_pause_injection t.runtime
+let profile_command t cmd = Runtime_tel.profile_command t.runtime cmd
 
 (* -- durability (leader side): the wire verbs {!Commit} answers ------- *)
 
@@ -916,38 +851,6 @@ let concurrency_json t =
     (Rwlock.running g) (Rwlock.running_writers g)
     (Rwlock.peak g) (Rwlock.writer_peak g)
 
-(* Wire [METRICS PROM]: every layer's contribution on one shared
-   {!Prom} emitter — service counters and windows, footprint-gate
-   gauges, trace-ring and event-log gauges, durability (WAL /
-   checkpoint / fsync), replica lag (both sides) and the health
-   status — so # HELP/# TYPE discipline and counter naming hold for
-   the whole page (test_service.ml lints it end to end). *)
-(* -- wire-edge gauges ----------------------------------------------- *)
-
-let set_edge_source t src = t.edge_src <- src
-let edge_gauges t = Option.map (fun src -> src ()) t.edge_src
-
-let edge_json (e : edge_gauges) =
-  Printf.sprintf
-    "{\"open\":%d,\"peak\":%d,\"accepted\":%d,\"conn_rejects\":%d,\"read_suspended\":%d,\"suspensions\":%d,\"overload_rejects\":%d,\"requests\":%d,\"batches\":%d,\"max_conns\":%d}"
-    e.eg_open e.eg_peak e.eg_accepted e.eg_conn_rejects e.eg_suspended
-    e.eg_suspensions e.eg_overload_rejects e.eg_requests e.eg_batches
-    e.eg_max_conns
-
-(* Process identity for STATS / METRICS PROM: build info plus the
-   three gauges every dashboard wants first (memory, descriptors,
-   uptime). *)
-let build_version = "1.0.0"
-
-let process_json t =
-  Printf.sprintf
-    "{\"pid\":%d,\"rss_bytes\":%d,\"open_fds\":%d,\"uptime_s\":%.1f,\"version\":\"%s\",\"ocaml\":\"%s\"}"
-    (Unix.getpid ())
-    (Xqb_obs.Procstat.rss_bytes ())
-    (Xqb_obs.Procstat.fd_count ())
-    (Clock.secs_since t.boot_ns)
-    build_version Sys.ocaml_version
-
 (* Deterministic store operation counts for STATS / METRICS PROM:
    store mutations, and the index and order-key (re)builds reads paid
    for after them. *)
@@ -968,6 +871,9 @@ let store_json t =
       (List.map (fun (k, _, v) -> Printf.sprintf "\"%s\":%d" k v) (store_counts t))
   ^ "}"
 
+(* Wire [METRICS PROM]: every seam's families on one shared {!Prom}
+   emitter, so # HELP/# TYPE discipline and counter naming hold for
+   the whole page (test_service.ml lints it end to end). *)
 let metrics_prometheus t =
   let p = Prom.create () in
   Metrics.to_prom ~cache:(Plan_cache.stats t.cache) t.metrics p;
@@ -1006,58 +912,8 @@ let metrics_prometheus t =
   end;
   Commit.to_prom t.commit p;
   Option.iter (fun r -> Replica.to_prom r p) t.replica;
-  (match edge_gauges t with
-  | None -> ()
-  | Some e ->
-    Prom.gauge_i p ~help:"Connections open on the wire edge."
-      "xqbang_edge_open_connections" e.eg_open;
-    Prom.gauge_i p ~help:"Peak concurrently open connections since boot."
-      "xqbang_edge_open_connections_peak" e.eg_peak;
-    Prom.counter p ~help:"Connections accepted since boot."
-      "xqbang_edge_accepted_total" e.eg_accepted;
-    Prom.counter p ~help:"Connections refused at --max-conns."
-      "xqbang_edge_conn_rejects_total" e.eg_conn_rejects;
-    Prom.gauge_i p
-      ~help:"Connections read-suspended by scheduler backpressure right now."
-      "xqbang_edge_read_suspended" e.eg_suspended;
-    Prom.counter p ~help:"Read-suspension episodes since boot."
-      "xqbang_edge_suspensions_total" e.eg_suspensions;
-    Prom.counter p
-      ~help:"Requests rejected with [overloaded] at the hard watermark."
-      "xqbang_edge_overload_rejects_total" e.eg_overload_rejects;
-    Prom.counter p ~help:"Requests parsed off the wire."
-      "xqbang_edge_requests_total" e.eg_requests;
-    Prom.counter p ~help:"Readiness-cycle admission batches."
-      "xqbang_edge_batches_total" e.eg_batches);
-  (* process identity + continuous profiling + GC telemetry *)
-  Prom.gauge p
-    ~help:"Build metadata; the value is always 1."
-    ~labels:
-      [ ("version", build_version); ("ocaml_version", Sys.ocaml_version) ]
-    "xqbang_build_info" 1.;
-  Prom.gauge_i p ~help:"Resident set size in bytes."
-    "xqbang_process_resident_memory_bytes"
-    (Xqb_obs.Procstat.rss_bytes ());
-  Prom.gauge_i p ~help:"Open file descriptors."
-    "xqbang_process_open_fds"
-    (Xqb_obs.Procstat.fd_count ());
-  Prom.gauge p ~help:"Seconds since service boot."
-    "xqbang_process_uptime_seconds"
-    (Clock.secs_since t.boot_ns);
-  Prom.gauge_i p
-    ~help:"Continuous profiler state: 1 = sampling, 0 = stopped."
-    "xqbang_profile_running"
-    (if Xqb_obs.Profile.running () then 1 else 0);
-  Prom.gauge_i p ~help:"Profiler sampling rate (Hz)."
-    "xqbang_profile_hz" (Xqb_obs.Profile.hz ());
-  Prom.counter p ~help:"Profiler samples aggregated since start/reset."
-    "xqbang_profile_samples_total"
-    (Xqb_obs.Profile.samples ());
-  Prom.counter p
-    ~help:"Profiler samples dropped (handler lock contention or table cap)."
-    "xqbang_profile_dropped_total"
-    (Xqb_obs.Profile.dropped ());
-  if t.gc_tel && Xqb_obs.Gc_tel.enabled () then Xqb_obs.Gc_tel.to_prom p;
+  Option.iter (fun e -> Edge_gauges.to_prom e p) (edge_gauges t);
+  Runtime_tel.to_prom t.runtime p;
   Prom.gauge_i p
     ~help:"Service health: 0 = ok, 1 = degraded, 2 = critical (see HEALTH)."
     "xqbang_health_status"
@@ -1073,37 +929,25 @@ let telemetry_json t =
     (Trace_ring.json t.traces)
 
 let stats_json t =
+  let entry key = Option.map (fun json -> (key, json)) in
   let extra =
-    [
-      ("windows", Metrics.windows_json t.metrics);
-      ("health", health_json t);
-      ("telemetry", telemetry_json t);
-      ("concurrency", concurrency_json t);
-      ("inflight", Jobs.json t.jobs);
-      ("process", process_json t);
-      ("store", store_json t);
-      ("profiler", Xqb_obs.Profile.stat_json ());
-    ]
-  in
-  let extra =
-    if t.gc_tel && Xqb_obs.Gc_tel.enabled () then
-      ("gc", Xqb_obs.Gc_tel.stats_json ()) :: extra
-    else extra
-  in
-  let extra =
-    match edge_gauges t with
-    | Some e -> ("edge", edge_json e) :: extra
-    | None -> extra
-  in
-  let extra =
-    match durability_json t with
-    | Some j -> ("durability", j) :: extra
-    | None -> extra
-  in
-  let extra =
-    match t.replica with
-    | None -> extra
-    | Some r -> ("replica", Replica.stat_json r) :: extra
+    List.filter_map Fun.id
+      [
+        entry "replica" (Option.map Replica.stat_json t.replica);
+        entry "durability" (durability_json t);
+        entry "edge" (Option.map Edge_gauges.json (edge_gauges t));
+        entry "gc" (Runtime_tel.gc_json t.runtime);
+      ]
+    @ [
+        ("windows", Metrics.windows_json t.metrics);
+        ("health", health_json t);
+        ("telemetry", telemetry_json t);
+        ("concurrency", concurrency_json t);
+        ("inflight", Jobs.json t.jobs);
+        ("process", Runtime_tel.process_json t.runtime);
+        ("store", store_json t);
+        ("profiler", Xqb_obs.Profile.stat_json ());
+      ]
   in
   Metrics.to_json
     ~cache:(Plan_cache.stats t.cache)
@@ -1150,11 +994,7 @@ let shutdown ?deadline t =
     t.sched;
   (* the pool is drained: one final fsync and the WAL closes *)
   Commit.close t.commit;
-  (* disarm the profiler this boot armed (a wire PROFILE START on an
-     unowned service outlives it deliberately — the profiler is
-     process-global), release the GC-telemetry refcount *)
-  if t.profile_owned then ignore (Xqb_obs.Profile.stop ());
-  if t.gc_tel then Xqb_obs.Gc_tel.stop ();
+  Runtime_tel.stop t.runtime;
   (* last event in the sink: its presence is how the next boot knows
      this run ended clean (no flight dump) *)
   Events.info t.events ~kind:"lifecycle.shutdown" [];

@@ -16,7 +16,6 @@ type t = {
 }
 
 let create ~tracing ~cap =
-  if cap < 1 then invalid_arg "Service.create: trace_ring < 1";
   { tracing; cap; m = Mutex.create (); traces = []; evictions = 0 }
 
 let tracer t = if t.tracing then Some (Trace.create ()) else None

@@ -3,7 +3,7 @@
 
 type t
 
-(** @raise Invalid_argument when [cap < 1]. *)
+(** [cap] is at least 1. *)
 val create : tracing:bool -> cap:int -> t
 
 (** A fresh tracer for a new job when tracing is on, else [None]. *)
