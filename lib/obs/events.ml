@@ -288,3 +288,21 @@ let close t =
        with Sys_error _ -> ())
   | None -> ());
   Mutex.unlock t.mutex
+
+let to_prom t p =
+  if enabled t then begin
+    Prom.counter p ~help:"Events logged since boot." "xqbang_events_total" (total t);
+    let at_least l = count_at_least t l in
+    List.iter
+      (fun (name, exact) ->
+        Prom.counter p ~help:"Events logged since boot, by severity."
+          ~labels:[ ("level", name) ]
+          "xqbang_events_by_level_total" exact)
+      [
+        ("debug", at_least Debug - at_least Info);
+        ("info", at_least Info - at_least Warn);
+        ("warn", at_least Warn - at_least Error);
+        ("error", at_least Error - at_least Critical);
+        ("critical", at_least Critical);
+      ]
+  end

@@ -67,3 +67,7 @@ val pump : t -> unit
 (** Close the sink after draining the Debug backlog (idempotent); the
     ring keeps serving. *)
 val close : t -> unit
+
+(** [xqbang_events_total] and [xqbang_events_by_level_total]; nothing
+    when the log is disabled. *)
+val to_prom : t -> Prom.t -> unit

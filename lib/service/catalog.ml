@@ -32,9 +32,7 @@ let create ?store () =
 
 let store t = t.store
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked t f = Mutex.protect t.mutex f
 
 (* Load [xml] under [uri] unless already resident; returns the
    document root either way. The initial refcount is 0 — callers

@@ -23,16 +23,9 @@ let splice_cap = 512
 let sink_path dir = Filename.concat dir "events.jsonl"
 
 let read_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (if String.trim line = "" then acc else line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
 
 (* Debug sink lines are buffered (see Events), so a SIGKILL can tear
    the file mid-line; splicing a torn line into flight-<ts>.json would
@@ -52,12 +45,8 @@ let write ~dir content =
          (int_of_float (Unix.gettimeofday () *. 1000.))
          (Unix.getpid ()))
   in
-  match open_out path with
-  | oc ->
-    output_string oc content;
-    output_char oc '\n';
-    close_out_noerr oc;
-    Some path
+  match Out_channel.with_open_text path (fun oc -> output_string oc (content ^ "\n")) with
+  | () -> Some path
   | exception Sys_error _ -> None
 
 let is_shutdown line =

@@ -100,9 +100,7 @@ let record_windows t ~ok latency_ns =
         (fun (_, w) -> Window.record ~now_ns w ~ok ~slow (int_of_float latency_ns))
         ws
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked t f = Mutex.protect t.mutex f
 
 let record_query t ~purity ~parallel ~ok ~stages =
   let latency_ns = float_of_int (Array.fold_left ( + ) 0 stages) in

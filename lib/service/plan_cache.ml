@@ -199,9 +199,7 @@ let entry_key sh mask =
     mask;
   Buffer.contents b
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked t f = Mutex.protect t.mutex f
 
 let has_hole mask = Array.exists Fun.id mask
 

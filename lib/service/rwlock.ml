@@ -130,3 +130,20 @@ let running_writers t =
 
 let peak t = t.peak
 let writer_peak t = t.writer_peak
+
+(* STATS "concurrency": admitted jobs now (and how many of those hold
+   write regions), plus the high-water marks since boot — the
+   observable proof that disjoint writers actually overlap. *)
+let stats_json t =
+  Printf.sprintf "{\"running\":%d,\"running_writers\":%d,\"peak\":%d,\"writer_peak\":%d}"
+    (running t) (running_writers t) (peak t) (writer_peak t)
+
+let to_prom t p =
+  let gauge help name all writer =
+    Xqb_obs.Prom.gauge_i p ~help ~labels:[ ("side", "all") ] name all;
+    Xqb_obs.Prom.gauge_i p ~help ~labels:[ ("side", "writer") ] name writer
+  in
+  gauge "Jobs currently admitted by the footprint gate." "xqbang_gate_inflight"
+    (running t) (running_writers t);
+  gauge "Peak concurrently admitted jobs since boot." "xqbang_gate_inflight_peak"
+    (peak t) (writer_peak t)

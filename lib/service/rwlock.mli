@@ -31,3 +31,11 @@ val running_writers : t -> int
 val peak : t -> int
 
 val writer_peak : t -> int
+
+(** STATS ["concurrency"]: [running], [running_writers], [peak],
+    [writer_peak]. *)
+val stats_json : t -> string
+
+(** The [xqbang_gate_inflight] and [xqbang_gate_inflight_peak]
+    gauges, by [side]. *)
+val to_prom : t -> Xqb_obs.Prom.t -> unit

@@ -96,9 +96,7 @@ module Durable = Xqb_wal.Durable
 module Wcodec = Xqb_wal.Codec
 module FP = Core.Static.Footprint
 module Clock = Xqb_obs.Clock
-
 module Events = Xqb_obs.Events
-module Window = Xqb_obs.Window
 module Prom = Xqb_obs.Prom
 
 type plan = {
@@ -176,10 +174,6 @@ type t = {
   mutable edge_src : (unit -> edge_gauges) option;
   runtime : Runtime_tel.t;  (* profiler, GC telemetry, process identity *)
 }
-
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* -- service health ---------------------------------------------------
 
@@ -386,7 +380,7 @@ let journal_stat_json t =
 (* -- sessions ------------------------------------------------------- *)
 
 let open_session t =
-  locked t.smutex (fun () ->
+  Mutex.protect t.smutex (fun () ->
       let sid = t.next_sid in
       t.next_sid <- sid + 1;
       let engine =
@@ -405,19 +399,19 @@ let open_session t =
       sid)
 
 let find_session t sid =
-  match locked t.smutex (fun () -> Hashtbl.find_opt t.sessions sid) with
+  match Mutex.protect t.smutex (fun () -> Hashtbl.find_opt t.sessions sid) with
   | Some s -> s
   | None -> failwith (Printf.sprintf "unknown session %d" sid)
 
 let close_session t sid =
-  match locked t.smutex (fun () ->
+  match Mutex.protect t.smutex (fun () ->
       let s = Hashtbl.find_opt t.sessions sid in
       Hashtbl.remove t.sessions sid;
       s)
   with
   | None -> ()
   | Some s ->
-    locked s.slock (fun () ->
+    Mutex.protect s.slock (fun () ->
         List.iter (Catalog.release t.catalog) s.docs_held;
         s.docs_held <- [])
 
@@ -451,7 +445,7 @@ let load_document t sid ~uri xml =
           Commit.commit_load t.commit ~uri ~root ~bytes:(String.length xml);
           root)
   in
-  locked s.slock (fun () ->
+  Mutex.protect s.slock (fun () ->
       if not (List.mem uri s.docs_held) then s.docs_held <- uri :: s.docs_held;
       Core.Context.register_doc (Engine.context s.engine) uri root;
       Engine.bind_node s.engine uri root)
@@ -556,6 +550,13 @@ let await fut =
    bookkeeping every outcome goes through) and [on_session] (execution
    on the session engine, for the two write routes). *)
 
+(* A request refused before it became a job: counted by error kind,
+   answered at once under job id 0. *)
+let reject t e =
+  let err = Service_error.classify e in
+  Metrics.record_error t.metrics err.Service_error.kind;
+  (0, Scheduler.ready (Error err))
+
 (* A job's stage record, its clock started now; it carries the job's
    tracer when tracing is on. *)
 let job_stages t =
@@ -651,14 +652,12 @@ let submit_governed t sid ~t0 ~st ~label ~footprint ~record body =
   with
   | fut -> (jid, fut)
   | exception ((Scheduler.Overloaded | Scheduler.Shut_down) as e) ->
-    (match e with
-    | Scheduler.Overloaded ->
+    if e = Scheduler.Overloaded then
       Events.warn t.events ~kind:"sched.overload"
         [
           ("jid", Events.I jid);
           ("queue_depth", Events.I (Scheduler.queue_depth t.sched));
-        ]
-    | _ -> ());
+        ];
     on_abort e;
     (jid, Scheduler.ready (Error (Service_error.classify e)))
 
@@ -685,7 +684,7 @@ let on_session t s ~jid ~src ~st ~effects ~appended ~budget ~route ~params body 
   let job = Some st in
   let publish () = if exclusive then Commit.publish ?job t.commit appended in
   match
-    locked s.slock (fun () ->
+    Mutex.protect s.slock (fun () ->
         let ctx = Engine.context s.engine in
         Core.Update.stats_reset ctx.Core.Context.delta_stats;
         ctx.Core.Context.apply_ns <- 0;
@@ -735,13 +734,8 @@ let submit_job t sid src :
      between two jobs. The parameter values travel the same way: on
      the fork, or installed on the session engine for the job's run. *)
   let st = job_stages t in
-  let reject e =
-    let err = Service_error.classify e in
-    Metrics.record_error t.metrics err.Service_error.kind;
-    (0, Scheduler.ready (Error err))
-  in
   match
-    locked s.slock (fun () ->
+    Mutex.protect s.slock (fun () ->
         Engine.with_job s.engine (Some st) (fun () ->
             let plan, params = prepare t s src in
             let fork =
@@ -752,12 +746,12 @@ let submit_job t sid src :
   with
   | exception e ->
     Metrics.record_compile_error t.metrics;
-    reject e
+    reject t e
   | plan, _, _ when read_only t && plan.route <> FP.Fork ->
     (* the write set doubles as the replica's write fence: a program
        that writes nothing — not even fresh nodes — cannot mutate the
        store *)
-    reject
+    reject t
       (Failure
          "read-only replica: updating/effecting queries must run on the leader")
   | plan, params, fork ->
@@ -806,16 +800,11 @@ let query t sid src = await (submit t sid src)
 let explain_job t sid src :
     int * (string, Service_error.t) result Scheduler.future =
   let s = find_session t sid in
-  if read_only t then begin
+  if read_only t then
     (* EXPLAIN executes for real, side effects included — never on a
        replica *)
-    let err =
-      Service_error.classify
-        (Failure "read-only replica: EXPLAIN executes the query; run it on the leader")
-    in
-    Metrics.record_error t.metrics err.Service_error.kind;
-    (0, Scheduler.ready (Error err))
-  end
+    reject t
+      (Failure "read-only replica: EXPLAIN executes the query; run it on the leader")
   else
     let st = job_stages t in
     submit_governed t sid ~t0:(Clock.now_ns ()) ~st ~label:("EXPLAIN " ^ src)
@@ -839,17 +828,6 @@ let explain_job t sid src :
 let explain t sid src = await (snd (explain_job t sid src))
 
 let cache_stats t = Plan_cache.stats t.cache
-
-(* Concurrent-writer gauges off the footprint gate: how many jobs are
-   admitted right now (and how many of those hold write regions), plus
-   the high-water marks since boot — the observable proof that
-   disjoint writers actually overlap. *)
-let concurrency_json t =
-  let g = Scheduler.gate t.sched in
-  Printf.sprintf
-    "{\"running\":%d,\"running_writers\":%d,\"peak\":%d,\"writer_peak\":%d}"
-    (Rwlock.running g) (Rwlock.running_writers g)
-    (Rwlock.peak g) (Rwlock.writer_peak g)
 
 (* Deterministic store operation counts for STATS / METRICS PROM:
    store mutations, and the index and order-key (re)builds reads paid
@@ -881,35 +859,9 @@ let metrics_prometheus t =
     (fun (k, help, v) ->
       Prom.counter p ~help (Printf.sprintf "xqbang_store_%s_total" k) v)
     (store_counts t);
-  let g = Scheduler.gate t.sched in
-  let inflight = "Jobs currently admitted by the footprint gate." in
-  Prom.gauge_i p ~help:inflight ~labels:[ ("side", "all") ]
-    "xqbang_gate_inflight" (Rwlock.running g);
-  Prom.gauge_i p ~help:inflight ~labels:[ ("side", "writer") ]
-    "xqbang_gate_inflight" (Rwlock.running_writers g);
-  let peak = "Peak concurrently admitted jobs since boot." in
-  Prom.gauge_i p ~help:peak ~labels:[ ("side", "all") ]
-    "xqbang_gate_inflight_peak" (Rwlock.peak g);
-  Prom.gauge_i p ~help:peak ~labels:[ ("side", "writer") ]
-    "xqbang_gate_inflight_peak" (Rwlock.writer_peak g);
+  Rwlock.to_prom (Scheduler.gate t.sched) p;
   Trace_ring.to_prom t.traces p;
-  if Events.enabled t.events then begin
-    Prom.counter p ~help:"Events logged since boot." "xqbang_events_total"
-      (Events.total t.events);
-    let at_least l = Events.count_at_least t.events l in
-    List.iter
-      (fun (name, exact) ->
-        Prom.counter p ~help:"Events logged since boot, by severity."
-          ~labels:[ ("level", name) ]
-          "xqbang_events_by_level_total" exact)
-      [
-        ("debug", at_least Events.Debug - at_least Events.Info);
-        ("info", at_least Events.Info - at_least Events.Warn);
-        ("warn", at_least Events.Warn - at_least Events.Error);
-        ("error", at_least Events.Error - at_least Events.Critical);
-        ("critical", at_least Events.Critical);
-      ]
-  end;
+  Events.to_prom t.events p;
   Commit.to_prom t.commit p;
   Option.iter (fun r -> Replica.to_prom r p) t.replica;
   Option.iter (fun e -> Edge_gauges.to_prom e p) (edge_gauges t);
@@ -942,7 +894,7 @@ let stats_json t =
         ("windows", Metrics.windows_json t.metrics);
         ("health", health_json t);
         ("telemetry", telemetry_json t);
-        ("concurrency", concurrency_json t);
+        ("concurrency", Rwlock.stats_json (Scheduler.gate t.sched));
         ("inflight", Jobs.json t.jobs);
         ("process", Runtime_tel.process_json t.runtime);
         ("store", store_json t);
