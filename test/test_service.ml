@@ -908,6 +908,20 @@ let reason_codes svc =
       (J.to_list a)
   | None -> []
 
+(* The value of the exposition sample [name] (exact line prefix,
+   labels included). *)
+let prom_value body name =
+  let prefix = name ^ " " in
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix l)
+      (String.split_on_char '\n' body)
+  with
+  | Some l ->
+    float_of_string
+      (String.sub l (String.length prefix) (String.length l - String.length prefix))
+  | None -> Alcotest.failf "exposition lacks %S" name
+
 let health =
   [
     tc "HEALTH: a quiet service is ok with no reasons" `Quick (fun () ->
@@ -1057,10 +1071,32 @@ let health =
               (List.mem "peer-lag" (reason_codes svc));
             (* REPLICA STAT on the leader lists the peer *)
             let v = check_json "replica stat" (Svc.replica_stat_json svc) in
-            (match J.member "peers" v with
-            | Some a ->
-              check Alcotest.bool "peer listed" true (J.to_list a <> [])
-            | None -> Alcotest.fail "leader stat has no peers")));
+            let stat_lag =
+              match Option.map J.to_list (J.member "peers" v) with
+              | Some (p :: _) -> Option.bind (J.member "lag_frames" p) J.to_float_opt
+              | _ -> Alcotest.fail "leader stat lists no peer"
+            in
+            (* HEALTH, REPLICA STAT and METRICS PROM read one lag *)
+            let health_lag =
+              let h = check_json "health" (Svc.health_json svc) in
+              List.find_map
+                (fun r ->
+                  if Option.bind (J.member "code" r) J.to_string_opt = Some "peer-lag"
+                  then Option.bind (J.member "lag_frames" r) J.to_float_opt
+                  else None)
+                (Option.fold ~none:[] ~some:J.to_list (J.member "reasons" h))
+            in
+            let prom_lag =
+              prom_value (Svc.metrics_prometheus svc)
+                {|xqbang_peer_lag_frames{replica="r-test"}|}
+            in
+            check Alcotest.bool "lag is at least 4 frames" true (prom_lag >= 4.);
+            check
+              Alcotest.(option (float 0.))
+              "peer-lag reason = REPLICA STAT" health_lag stat_lag;
+            check
+              Alcotest.(option (float 0.))
+              "REPLICA STAT = METRICS PROM" stat_lag (Some prom_lag)));
     tc "EVENTS: boot and commit events, level filter, wire shape" `Quick
       (fun () ->
         let dir = fresh_dir () in
@@ -1210,20 +1246,6 @@ let health =
   ]
 
 (* -- Stage split: every job's latency, stage by stage ----------------- *)
-
-(* The value of the exposition sample [name] (exact line prefix,
-   labels included). *)
-let prom_value body name =
-  let prefix = name ^ " " in
-  match
-    List.find_opt
-      (fun l -> String.starts_with ~prefix l)
-      (String.split_on_char '\n' body)
-  with
-  | Some l ->
-    float_of_string
-      (String.sub l (String.length prefix) (String.length l - String.length prefix))
-  | None -> Alcotest.failf "exposition lacks %S" name
 
 let stage_names = List.map Xqb_obs.Stage.name Xqb_obs.Stage.all
 
