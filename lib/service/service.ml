@@ -1,5 +1,13 @@
 (* The query service: multi-client sessions over one shared store.
 
+   This module keeps the service record, [create], sessions, [prepare]
+   and submission. Everything else lives in a seam that owns its state
+   and mutex and renders its own STATS object, Prometheus families and
+   HEALTH reasons, which this module only assembles: {!Commit} (the
+   leader-side commit path), {!Replica}, {!Jobs}, {!Trace_ring},
+   {!Effect_log} (DELTA/SLOWLOG), {!Health}, {!Flight}, {!Runtime_tel}
+   and {!Edge_gauges}.
+
    Putting the pieces together:
 
    - every session wraps a [Core.Engine.t] sharing the catalog's
