@@ -88,18 +88,6 @@ let detect_unclean_shutdown ~dir (recovered : Durable.recovered option) =
     end
   end
 
-(* Path of the dump the boot wrote, surfaced from the
-   lifecycle.unclean-shutdown event the service logs at boot. *)
-let boot_dump events =
-  List.find_map
-    (fun (e : Events.event) ->
-      if e.Events.kind = "lifecycle.unclean-shutdown" then
-        List.find_map
-          (function "flight", Events.S p -> Some p | _ -> None)
-          e.Events.data
-      else None)
-    (Events.tail ~level:Events.Warn events 64)
-
 let live_json ~reason events fields =
   Printf.sprintf "{\"reason\":\"%s\",\"wall_s\":%.3f,%s,\"events\":%s}"
     (Json.escape reason) (Unix.gettimeofday ())

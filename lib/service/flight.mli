@@ -12,10 +12,6 @@ val sink_path : string -> string
 val detect_unclean_shutdown :
   dir:string -> Xqb_wal.Durable.recovered option -> string option
 
-(** Path of the boot's dump, read back from the
-    [lifecycle.unclean-shutdown] event. *)
-val boot_dump : Xqb_obs.Events.t -> string option
-
 (** A live dump: [reason], the wall clock, the [(key, JSON value)]
     state fields in order, then the event tail. *)
 val live_json :

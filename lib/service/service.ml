@@ -165,16 +165,15 @@ type t = {
   fuel : int option;
   max_delta : int option;
   jobs : Jobs.t;
-  mutable stopping : bool;
+  mutable stopping : bool;  (* set by [shutdown]: no crash dump after it *)
   traces : Trace_ring.t;
-  (* service health telemetry: the structured event log (ring +
-     per-event-flushed JSONL sink when durable — the sink's tail is
-     what the crash flight recorder reconstructs from), the stall
-     thresholds HEALTH checks against, and the health checks no seam
-     owns with the monitor thread ({!Health}). *)
+  (* the structured event log: a ring, plus a per-event-flushed JSONL
+     sink under [data_dir] when durable — the sink's tail is what the
+     crash flight recorder reconstructs from *)
   events : Events.t;
   health : Health.t;
   data_dir : string option;
+  boot_flight : string option;  (* the dump boot wrote for an unclean prior run *)
   effects : Effect_log.t;
   commit : Commit.t;  (* the leader-side commit path *)
   replica : Replica.t option;  (* rejects write traffic *)
@@ -269,6 +268,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       traces = Trace_ring.create ~tracing ~cap:trace_ring;
       events;
       data_dir;
+      boot_flight = flight;
       health =
         Health.create ~stall_ns:(stall_ms * 1_000_000)
           ~gc_pause_warn_ns:
@@ -316,7 +316,7 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
     Health.start_monitor t.health events (fun () -> health_reasons t);
   t
 
-let boot_flight t = Flight.boot_dump t.events
+let boot_flight t = t.boot_flight
 
 let catalog t = t.catalog
 let read_only t = Option.is_some t.replica
