@@ -21,8 +21,9 @@
    LSN above what recovery reports — commit events are emitted after
    the durability barrier, so the event log can never claim more than
    the disk has. The clean-shutdown round must leave no dump. With
-   XQBANG_CRASH_ARTIFACT_DIR set, the last dump is copied there (CI
-   uploads it).
+   XQBANG_CRASH_ARTIFACT_DIR set (an absolute path: under dune runtest
+   the harness runs in _build), each round's dump is copied there (CI
+   uploads them).
 
    A last, pipelined round runs a TCP server on its own data dir: two
    connections each send 8 inserts without waiting (concurrent
