@@ -97,10 +97,11 @@ let create ?(seed = 0x5eed) ?store () =
    copied (cheap — they are small), the snap stack and RNG are fresh,
    and the doc resolver is dropped: a fork may *look up* already
    registered documents but must never load new XML into the shared
-   store. *)
-let fork_read ctx =
+   store. [store] replaces the shared store with a scratch overlay of
+   it, for a fork that constructs nodes. *)
+let fork_read ?store ctx =
   {
-    store = ctx.store;
+    store = Option.value store ~default:ctx.store;
     functions = Hashtbl.copy ctx.functions;
     snaps = Snap_stack.create ();
     rand = Random.State.make [| 0x5eed |];

@@ -77,13 +77,16 @@ type t = {
     order. *)
 val create : ?seed:int -> ?store:Xqb_store.Store.t -> unit -> t
 
-(** A read-only fork for concurrent evaluation: shares the store but
-    snapshots all other mutable state (function/document tables are
-    copied, snap stack and RNG are fresh, [doc_resolver] is dropped so
-    a fork can never load new XML into the shared store). Evaluating
-    a program whose footprint writes nothing ({!Engine.parallel_safe})
-    in a fork touches no state another fork can observe. *)
-val fork_read : t -> t
+(** A read-only fork for concurrent evaluation: shares the store (or
+    evaluates against [store], a {!Xqb_store.Store.scratch} overlay
+    of it) but snapshots all other mutable state (function/document
+    tables are copied, snap stack and RNG are fresh, [doc_resolver] is
+    dropped so a fork can never load new XML into the shared store).
+    Evaluating a fork-route program ({!Static.Footprint.route}) in a
+    fork touches no state another fork can observe: one that writes
+    nothing ({!Engine.parallel_safe}) against the shared store, one
+    that constructs nodes against its own overlay. *)
+val fork_read : ?store:Xqb_store.Store.t -> t -> t
 
 val declare_function : t -> Xqb_xml.Qname.t -> int -> func -> unit
 val find_function : t -> Xqb_xml.Qname.t -> int -> func option

@@ -318,18 +318,9 @@ let parallel_safe (c : compiled) = Static.Footprint.writes_nothing c.footprint
    [compile ?var_docs] caches the same judgement in [c.footprint]. *)
 let footprint ?var_docs (c : compiled) = Static.Footprint.of_prog ?var_docs c.prog
 
-(* Run a parallel-safe compiled program without touching any of the
-   session's mutable state: evaluation happens in a [Context.fork_read]
-   of the session context, and — because the program writes nothing —
-   the implicit top-level snap is skipped entirely (it could only ever
-   apply an empty ∆, but pushing the frame and applying would mutate
-   the snap stack and the store's journal flags).
-
-   @raise Invalid_argument when the program is not parallel-safe. *)
-let run_readonly ?exec t (c : compiled) : Value.t =
-  if not (parallel_safe c) then
-    invalid_arg "Engine.run_readonly: program is not parallel-safe";
-  let ctx = Context.fork_read t.ctx in
+(* The snap-free evaluation both fork runs share: globals, then the
+   body, in the fork [ctx]. *)
+let eval_fork ?exec ctx (c : compiled) : Value.t =
   Stage.with_ ~stage:Stage.Run ~cat:"exec" ctx.Context.job "eval.readonly"
   @@ fun () ->
   let env =
@@ -351,3 +342,29 @@ let run_readonly ?exec t (c : compiled) : Value.t =
   | Some body ->
     let exec = Option.value exec ~default:(eval_exec body) in
     exec ctx env ~snap:None
+
+(* Run a parallel-safe compiled program without touching any of the
+   session's mutable state: evaluation happens in a [Context.fork_read]
+   of the session context, and — because the program writes nothing —
+   the implicit top-level snap is skipped entirely (it could only ever
+   apply an empty ∆, but pushing the frame and applying would mutate
+   the snap stack and the store's journal flags).
+
+   @raise Invalid_argument when the program is not parallel-safe. *)
+let run_readonly ?exec t (c : compiled) : Value.t =
+  if not (parallel_safe c) then
+    invalid_arg "Engine.run_readonly: program is not parallel-safe";
+  eval_fork ?exec (Context.fork_read t.ctx) c
+
+(* Run a fork-route program ([Static.Footprint.route] = Fork) the way
+   [run_readonly] runs a parallel-safe one. A program that constructs
+   nodes evaluates against a job-private [Store.scratch] overlay of
+   the shared store, which gains no node: the overlay is returned with
+   the value, to serialize against, and dropped with it.
+
+   @raise Invalid_argument when the program is not on the fork route. *)
+let run_fork ?exec t (c : compiled) : Store.t * Value.t =
+  if Static.Footprint.route c.footprint <> Static.Footprint.Fork then
+    invalid_arg "Engine.run_fork: program is not on the fork route";
+  let store = if parallel_safe c then store t else Store.scratch (store t) in
+  (store, eval_fork ?exec (Context.fork_read ~store t.ctx) c)

@@ -169,4 +169,14 @@ val footprint :
     @raise Invalid_argument when the program is not parallel-safe. *)
 val run_readonly : ?exec:exec -> t -> compiled -> Xqb_xdm.Value.t
 
+(** Run a program on the fork route ({!Static.Footprint.route} =
+    [Fork]) like {!run_readonly}. One that constructs nodes evaluates
+    against a job-private {!Xqb_store.Store.scratch} overlay of the
+    shared store, so the shared store gains no node. Returns the store
+    the value lives in — the overlay, or the shared store for a
+    {!parallel_safe} program — to serialize against ({!serialize_with}).
+    @raise Invalid_argument when the program is not on the fork route. *)
+val run_fork :
+  ?exec:exec -> t -> compiled -> Xqb_store.Store.t * Xqb_xdm.Value.t
+
 val parse_error_message : exn -> string

@@ -361,8 +361,8 @@ let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option
         (A.seq_type_to_string ty)
   | C.Elem (ns, content) ->
     let name = eval_name ctx env focus ns in
-    let cv = eval ctx env focus content in
-    Value.of_node (construct_element ctx name cv)
+    let parts = List.rev (eval_content ctx env focus content []) in
+    Value.of_node (construct_element ctx name parts)
   | C.Attr (ns, content) ->
     let name = eval_name ctx env focus ns in
     let cv = eval ctx env focus content in
@@ -392,7 +392,7 @@ let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option
     let store = ctx.Context.store in
     let doc = Store.make_document store in
     let nodes = List.map (copy_item ctx) cv |> content_to_nodes ctx in
-    Store.insert store ~parent:doc ~position:Store.Last nodes;
+    Store.wire store ~parent:doc nodes;
     Value.of_node doc
   (* ---- XQuery! operations (Fig. 2) ---- *)
   | C.Copy e ->
@@ -480,50 +480,72 @@ and copy_item ctx (item : Item.t) : Item.t =
   | Item.Atomic _ -> item
   | Item.Node n -> Item.Node (Store.deep_copy ctx.Context.store n)
 
+(* An element constructor's content, part by part along the [C.Seq]
+   spine, newest first: [(true, v)] for a part that is itself a node
+   constructor, whose fresh nodes nothing else can reach, [(false, v)]
+   for anything else (variables, paths, calls), whose nodes may be
+   referenced elsewhere. Ticks each spine node as [eval] would. *)
+and eval_content ctx env focus (e : C.expr) acc =
+  match e with
+  | C.Seq (a, b) ->
+    tick ctx;
+    let acc = eval_content ctx env focus a acc in
+    eval_content ctx env focus b acc
+  | C.Elem _ | C.Attr _ | C.Text_node _ | C.Comment_node _ | C.Pi_node _ ->
+    (true, eval ctx env focus e) :: acc
+  | _ -> (false, eval ctx env focus e) :: acc
+
 (* Computed element construction: content items are deep-copied into
    the fresh element (XQuery 1.0 semantics — this is what makes the
    §3.3 copy-insertion around insert payloads sufficient to prevent
-   trees with two parents). Attribute items must precede all other
-   content. *)
-and construct_element ctx name (content : Value.t) : Store.node_id =
+   trees with two parents), except the fresh nodes of a content part
+   that is itself a constructor, which are adopted as they are: no one
+   else holds them, so copying could not be observed. Attribute items
+   must precede all other content. The parts are wired in one
+   [Store.wire]: construction is not an update, so no rollback ever
+   undoes it. *)
+and construct_element ctx name (parts : (bool * Value.t) list) : Store.node_id =
   let store = ctx.Context.store in
   let el = Store.make_element store name in
   let seen_child = ref false in
   let pending_atoms = ref [] in
+  let nodes = ref [] in
   let flush_atoms () =
     if !pending_atoms <> [] then begin
       let s = String.concat " " (List.rev_map Atomic.to_string !pending_atoms) in
       pending_atoms := [];
       seen_child := true;
-      Store.insert store ~parent:el ~position:Store.Last [ Store.make_text store s ]
+      nodes := Store.make_text store s :: !nodes
     end
   in
   List.iter
-    (fun item ->
-      match item with
-      | Item.Atomic a -> pending_atoms := a :: !pending_atoms
-      | Item.Node n -> (
-        flush_atoms ();
-        match Store.kind store n with
-        | Store.Attribute ->
-          if !seen_child then
-            Errors.raise_error "XQTY0024"
-              "attribute node follows non-attribute content";
-          let c = Store.deep_copy store n in
-          Store.insert store ~parent:el ~position:Store.Last [ c ]
-        | Store.Document ->
-          (* document nodes splice their children *)
-          seen_child := true;
-          let copies =
-            List.map (fun c -> Store.deep_copy store c) (Store.children store n)
-          in
-          Store.insert store ~parent:el ~position:Store.Last copies
-        | Store.Element | Store.Text | Store.Comment | Store.Pi ->
-          seen_child := true;
-          let c = Store.deep_copy store n in
-          Store.insert store ~parent:el ~position:Store.Last [ c ]))
-    content;
+    (fun (owned, v) ->
+      let own n = if owned then n else Store.deep_copy store n in
+      List.iter
+        (fun item ->
+          match item with
+          | Item.Atomic a -> pending_atoms := a :: !pending_atoms
+          | Item.Node n -> (
+            flush_atoms ();
+            match Store.kind store n with
+            | Store.Attribute ->
+              if !seen_child then
+                Errors.raise_error "XQTY0024"
+                  "attribute node follows non-attribute content";
+              nodes := own n :: !nodes
+            | Store.Document ->
+              (* document nodes splice (copies of) their children *)
+              seen_child := true;
+              List.iter
+                (fun c -> nodes := Store.deep_copy store c :: !nodes)
+                (Store.children store n)
+            | Store.Element | Store.Text | Store.Comment | Store.Pi ->
+              seen_child := true;
+              nodes := own n :: !nodes))
+        v)
+    parts;
   flush_atoms ();
+  Store.wire store ~parent:el (List.rev !nodes);
   el
 
 and eval_user_call ctx env focus f arg_exprs =

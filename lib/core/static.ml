@@ -546,10 +546,12 @@ let elide_ddo ~purity (e : C.expr) : C.expr * int =
 
    The footprint is the service's only concurrency judgement. Node
    allocation (constructors, [Copy], calls to allocating functions)
-   is a write to the job's own fresh-node region, so the write set
-   alone routes a job: empty = a read that can run on a fork, any
-   document = exclusive (whole-job rollback), anything else = a
-   concurrent writer. *)
+   is a write to the job's own fresh-node region. The write set and
+   whether the program emits update requests route a job: nothing
+   shared written (no writes, or only fresh allocation by a program
+   that emits no updates) = a read that runs on a fork, allocating
+   into a job-private scratch store; any document = exclusive
+   (whole-job rollback); anything else = a concurrent writer. *)
 
 module Footprint = struct
   (* [Fresh] is the job's own freshly allocated nodes: unreachable
@@ -567,13 +569,16 @@ module Footprint = struct
      bindings); overlap semantics are identical either way. *)
   type region = { rdoc : doc; rpath : string list; ranchored : bool }
 
-  type t = { reads : region list; writes : region list }
+  (* [updates]: the program emits update requests (its body or a
+     global is not Pure), so even a write set of fresh nodes only is
+     one a snap applies. *)
+  type t = { reads : region list; writes : region list; updates : bool }
 
   let any_region = { rdoc = Any_doc; rpath = []; ranchored = false }
   let fresh_region = { rdoc = Fresh; rpath = []; ranchored = false }
-  let empty = { reads = []; writes = [] }
-  let top = { reads = [ any_region ]; writes = [ any_region ] }
-  let read_all = { reads = [ any_region ]; writes = [] }
+  let empty = { reads = []; writes = []; updates = false }
+  let top = { reads = [ any_region ]; writes = [ any_region ]; updates = true }
+  let read_all = { reads = [ any_region ]; writes = []; updates = false }
 
   let docs_may_equal a b =
     match a, b with
@@ -612,13 +617,16 @@ module Footprint = struct
      conflict with everything on their own — but EXPLAIN shows it.) *)
   let conclusive fp = not (List.exists is_any (fp.reads @ fp.writes))
 
-  (* The execution route the write set selects. *)
+  (* The execution route: a program that writes nothing shared runs
+     on a fork — its fresh nodes are its own until a snap applies an
+     update, and it emits none. *)
   type route = Fork | Concurrent | Exclusive
 
   let route fp =
-    if fp.writes = [] then Fork
-    else if List.exists is_any fp.writes then Exclusive
-    else Concurrent
+    if List.exists is_any fp.writes then Exclusive
+    else if fp.updates || List.exists (fun r -> r.rdoc <> Fresh) fp.writes then
+      Concurrent
+    else Fork
 
   let region_to_string r =
     let d = match r.rdoc with Named u -> u | Any_doc -> "*" | Fresh -> "#fresh" in
@@ -680,7 +688,7 @@ module Footprint = struct
       in
       if List.length docs <= max_regions then docs else [ any_region ]
 
-  let normalize fp = { reads = norm fp.reads; writes = norm fp.writes }
+  let normalize fp = { fp with reads = norm fp.reads; writes = norm fp.writes }
 
   module SMap = Map.Make (String)
 
@@ -952,5 +960,11 @@ module Footprint = struct
     | Some b ->
       (* the final result is serialized: its subtrees are read *)
       add_rd (infer env [] b));
-    normalize { reads = !rd; writes = !wr }
+    let updates =
+      List.exists
+        (fun e -> purity e <> Pure)
+        (Option.to_list prog.Normalize.body
+        @ List.map (fun (_, _, e) -> e) prog.Normalize.global_vars)
+    in
+    normalize { reads = !rd; writes = !wr; updates }
 end

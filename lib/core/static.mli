@@ -95,7 +95,9 @@ val elide_ddo :
     It is also the one judgement that routes a job ({!route}): node
     allocation (constructors, [Copy], calls to allocating functions)
     counts as a write to the job's own {!Fresh} region, so an empty
-    write set means the program touches no store state at all. *)
+    write set means the program touches no store state at all, and a
+    write set of fresh nodes only, in a program that emits no update
+    requests, means it writes nothing shared. *)
 module Footprint : sig
   (** [Fresh]: the nodes the job itself allocates. Unreachable from
       any document until a snap copies them in, so a fresh region
@@ -108,7 +110,9 @@ module Footprint : sig
       [rpath = []] is the whole document. *)
   type region = { rdoc : doc; rpath : string list; ranchored : bool }
 
-  type t = { reads : region list; writes : region list }
+  (** [updates]: the program emits update requests (its body or a
+      global is not {!Pure}). *)
+  type t = { reads : region list; writes : region list; updates : bool }
 
   val any_region : region
   val empty : t
@@ -131,8 +135,11 @@ module Footprint : sig
   (** False iff some region widened to "any document". *)
   val conclusive : t -> bool
 
-  (** How the service runs a job, decided by its write set alone:
-      [Fork] — writes nothing, evaluates in a read-only fork;
+  (** How the service runs a job: [Fork] — writes nothing shared (no
+      writes, or only the fresh nodes of a program that emits no
+      update requests), evaluates in a read-only fork whose
+      constructors allocate into a job-private scratch store
+      ({!Xqb_store.Store.scratch});
       [Exclusive] — may write any document (nested snaps, dynamic
       [fn:doc] URIs, updating function calls), runs under whole-job
       rollback; [Concurrent] — everything else, each top-level snap

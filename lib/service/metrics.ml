@@ -25,8 +25,10 @@ let window_specs = [ ("1s", 100, 10); ("10s", 1000, 10); ("60s", 1000, 60) ]
 type t = {
   mutex : Mutex.t;
   mutable queries : int;
-  mutable parallel : int;  (* executed on the fork (read) route *)
-  mutable exclusive : int;  (* executed on a session-bound write route *)
+  (* jobs by route (Footprint.route) *)
+  mutable fork : int;
+  mutable concurrent : int;
+  mutable exclusive : int;
   mutable errors : int;
   (* failed queries by taxonomy kind (Service_error) *)
   mutable err_timeout : int;
@@ -60,7 +62,8 @@ let create ?(windows = true) ?(slo_p99_ms = 250.) ?(slo_err_pct = 1.0) () =
   {
     mutex = Mutex.create ();
     queries = 0;
-    parallel = 0;
+    fork = 0;
+    concurrent = 0;
     exclusive = 0;
     errors = 0;
     err_timeout = 0;
@@ -102,12 +105,14 @@ let record_windows t ~ok latency_ns =
 
 let locked t f = Mutex.protect t.mutex f
 
-let record_query t ~purity ~parallel ~ok ~stages =
+let record_query t ~purity ~route ~ok ~stages =
   let latency_ns = float_of_int (Array.fold_left ( + ) 0 stages) in
   locked t (fun () ->
       t.queries <- t.queries + 1;
-      if parallel then t.parallel <- t.parallel + 1
-      else t.exclusive <- t.exclusive + 1;
+      (match (route : Core.Static.Footprint.route) with
+      | Fork -> t.fork <- t.fork + 1
+      | Concurrent -> t.concurrent <- t.concurrent + 1
+      | Exclusive -> t.exclusive <- t.exclusive + 1);
       if not ok then t.errors <- t.errors + 1;
       (match (purity : Core.Static.purity) with
       | Core.Static.Pure -> t.pure <- t.pure + 1
@@ -153,7 +158,26 @@ let record_queue_depth t d =
       t.depth_samples <- t.depth_samples + 1;
       if d > t.depth_max then t.depth_max <- d)
 
-let counts t = locked t (fun () -> (t.queries, t.parallel, t.exclusive, t.errors))
+type counts = {
+  queries : int;
+  fork : int;
+  concurrent : int;
+  exclusive : int;
+  errors : int;
+}
+
+let counts (t : t) =
+  locked t (fun () ->
+      {
+        queries = t.queries;
+        fork = t.fork;
+        concurrent = t.concurrent;
+        exclusive = t.exclusive;
+        errors = t.errors;
+      })
+
+let routes (t : t) =
+  [ ("fork", t.fork); ("concurrent", t.concurrent); ("exclusive", t.exclusive) ]
 
 (* Wired into each session engine's [Context.on_apply]. *)
 let record_delta t delta =
@@ -191,13 +215,13 @@ let to_json ?(cache : Plan_cache.stats option)
                (obj
                   [
                     fint "total" t.queries;
-                    fint "parallel" t.parallel;
-                    fint "exclusive" t.exclusive;
                     fint "errors" t.errors;
                     fint "pure" t.pure;
                     fint "updating" t.updating;
                     fint "effecting" t.effecting;
                   ]);
+             Printf.sprintf "\"routes\":%s"
+               (obj (List.map (fun (k, v) -> fint k v) (routes t)));
              Printf.sprintf "\"errors_by_kind\":%s"
                (obj
                   [
@@ -309,11 +333,12 @@ let to_prom ?(cache : Plan_cache.stats option) t p =
   locked t (fun () ->
       let counter name ~help ?labels v = Prom.counter p ~help ?labels name v in
       counter "xqbang_queries_total" ~help:"Queries submitted since boot." t.queries;
-      let by_side = "Queries by scheduling side." in
-      counter "xqbang_queries_by_side_total" ~help:by_side
-        ~labels:[ ("side", "parallel") ] t.parallel;
-      counter "xqbang_queries_by_side_total" ~help:by_side
-        ~labels:[ ("side", "exclusive") ] t.exclusive;
+      List.iter
+        (fun (route, n) ->
+          counter "xqbang_queries_by_route_total"
+            ~help:"Queries by execution route (fork, concurrent writer, exclusive)."
+            ~labels:[ ("route", route) ] n)
+        (routes t);
       let by_purity = "Queries by static purity class." in
       counter "xqbang_queries_by_purity_total" ~help:by_purity
         ~labels:[ ("purity", "pure") ] t.pure;

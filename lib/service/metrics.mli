@@ -1,5 +1,5 @@
 (** Service observability: query counts by purity class and
-    scheduling side, latency percentiles (fixed-footprint log-bucketed
+    execution route, latency percentiles (fixed-footprint log-bucketed
     histograms, exact for the first 512 samples), per-stage latency
     breakdowns ({!Xqb_obs.Stage}, recorded for every job), scheduler
     queue depth, applied-∆ accounting. Thread-safe; dumped as JSON. *)
@@ -19,13 +19,13 @@ val create :
 (** [(slo_p99_ms, slo_err_pct)]. *)
 val slo : t -> float * float
 
-(** One finished job. [parallel]: it ran on the fork (read) route.
+(** One finished job, which ran on [route].
     [stages] is its {!Xqb_obs.Stage.finish} array: each slot feeds
     that stage's histogram and their sum is the job's latency. *)
 val record_query :
   t ->
   purity:Core.Static.purity ->
-  parallel:bool ->
+  route:Core.Static.Footprint.route ->
   ok:bool ->
   stages:int array ->
   unit
@@ -46,10 +46,17 @@ val record_queue_depth : t -> int -> unit
 (** Wire into a session engine's [Context.on_apply]. *)
 val record_delta : t -> Core.Update.delta -> unit
 
-(** [(queries, parallel, exclusive, errors)]: [parallel] counts jobs
-    on the fork (read) route, [exclusive] those on a session-bound
-    write route. *)
-val counts : t -> int * int * int * int
+(** Query totals: [fork], [concurrent] and [exclusive] count finished
+    jobs by route ({!Core.Static.Footprint.route}). *)
+type counts = {
+  queries : int;
+  fork : int;
+  concurrent : int;
+  exclusive : int;
+  errors : int;
+}
+
+val counts : t -> counts
 
 val json_escape : string -> string
 

@@ -35,7 +35,7 @@ type t = {
   mutex : Mutex.t;
   mutable next : int;
   running : (int, ticket) Hashtbl.t;  (* by ticket number *)
-  mutable writers : int;  (* running jobs that write *)
+  mutable writers : int;  (* running jobs that write shared state *)
   mutable waiting : waiter Queue.t;  (* ascending ticket order *)
   mutable peak : int;  (* max simultaneous holders, for metrics *)
   mutable writer_peak : int;  (* same, counting writing holders only *)
@@ -87,7 +87,7 @@ let admission_pass t =
 
 let acquire t fp =
   Mutex.lock t.mutex;
-  let e = { tk = t.next; fp; writes = not (FP.writes_nothing fp) } in
+  let e = { tk = t.next; fp; writes = FP.route fp <> FP.Fork } in
   t.next <- t.next + 1;
   let blocked =
     conflicts_running t fp

@@ -22,7 +22,8 @@ val release : t -> ticket -> unit
 (** Exception-safe scoped admission. *)
 val with_footprint : t -> Core.Static.Footprint.t -> (unit -> 'a) -> 'a
 
-(** Currently admitted jobs / currently admitted writing jobs. *)
+(** Currently admitted jobs / currently admitted jobs that write
+    shared state (any route but the fork). *)
 val running : t -> int
 
 val running_writers : t -> int

@@ -161,7 +161,7 @@ let execute t job =
     Rwlock.with_footprint t.rw job.footprint (fun () ->
         Stage.switch st Stage.Other
           ~args:
-            (if FP.writes_nothing job.footprint then [ ("side", "read") ]
+            (if FP.route job.footprint = FP.Fork then [ ("side", "read") ]
              else [ ("side", "write") ]);
         job.run ()));
   job.settle ()

@@ -28,9 +28,10 @@
      ({!Core.Static.Footprint}, inferred once at compile time) and
      jobs with provably disjoint footprints run concurrently — reads,
      and updating jobs over disjoint documents or subtrees. The
-     footprint is the only concurrency judgement: its write set
-     picks the route (node allocation counts as a write to the job's
-     own fresh-node region). Upward axes widen a footprint to the
+     footprint is the only concurrency judgement: it picks the route
+     (node allocation counts as a write to the job's own fresh-node
+     region, which a program that emits no updates keeps to itself).
+     Upward axes widen a footprint to the
      whole document; dynamic [fn:doc] URIs, unknown bindings and
      updating user functions widen it to ⊤, which runs alone, with
      the paper's §4.1 runtime conflict check still validating every
@@ -43,21 +44,27 @@
    - {!Metrics} aggregates per-query latency and its split over the
      {!Xqb_obs.Stage}s (every job carries one stage record from
      submission to completion, traced or not), queue depth, purity
-     counts, plan-cache counters, applied-∆ counts and failed
-     queries by taxonomy kind.
+     and route counts, plan-cache counters, applied-∆ counts and
+     failed queries by taxonomy kind.
 
    Concurrency protocol, in one place. The three routes
    ({!Core.Static.Footprint.route}):
 
-   - fork — the footprint writes nothing: the job evaluates in a
-     [Context.fork_read] taken at submit time under the session lock,
-     so it observes a coherent snapshot of the session and shares
-     nothing mutable with it (the fork carries the job's budget;
-     [Engine.with_budget] installs it on the worker domain for the
-     store layer). A replica accepts only this route;
-   - concurrent writer — writes to named documents or fresh nodes:
-     the job runs on the session itself under the session lock, each
-     top-level snap committing under the global apply mutex;
+   - fork — the job writes nothing shared: no writes, or only fresh
+     nodes allocated by a program that emits no updates. It evaluates
+     in a [Context.fork_read] taken at submit time under the session
+     lock, so it observes a coherent snapshot of the session and
+     shares nothing mutable with it (the fork carries the job's
+     budget; [Engine.with_budget] installs it on the worker domain
+     for the store layer). A constructing read allocates into a
+     job-private [Store.scratch] overlay of the catalog store, which
+     its reply is serialized from and which is then dropped: the
+     shared store, its journal and the WAL never see those nodes. A
+     replica accepts only this route;
+   - concurrent writer — writes to named documents, or updates
+     nodes it built itself: the job runs on the session itself under
+     the session lock, each top-level snap committing under the
+     global apply mutex;
    - exclusive — writes may reach any document (nested snaps, dynamic
      [fn:doc] URIs, updating function calls): a ⊤ footprint, so the
      job runs alone, under whole-job rollback.
@@ -66,8 +73,9 @@
    submit time under the session lock (compile / install / fork) and
    inside the two write routes, which hold the session lock too.
 
-   The store is only mutated at snap-apply time (evaluation never
-   touches it — §3.3, the basis of the whole scheme): concurrent
+   The store is only mutated at snap-apply time (evaluation only
+   allocates and wires fresh nodes no one else can reach — §3.3, the
+   basis of the whole scheme — and no rollback undoes that): concurrent
    writers *evaluate* in parallel under the footprint gate, while
    every ∆ application — and the WAL append recording it —
    serializes on the scheduler's global apply mutex
@@ -756,16 +764,16 @@ let submit_job t sid src :
     Metrics.record_compile_error t.metrics;
     reject t e
   | plan, _, _ when read_only t && plan.route <> FP.Fork ->
-    (* the write set doubles as the replica's write fence: a program
-       that writes nothing — not even fresh nodes — cannot mutate the
-       store *)
+    (* the route doubles as the replica's write fence: a program that
+       writes nothing shared cannot mutate the store — the nodes a
+       constructing read builds live in its own scratch overlay *)
     reject t
       (Failure
          "read-only replica: updating/effecting queries must run on the leader")
   | plan, params, fork ->
     let record ~ok ~stages =
-      Metrics.record_query t.metrics ~purity:plan.purity
-        ~parallel:(plan.route = FP.Fork) ~ok ~stages
+      Metrics.record_query t.metrics ~purity:plan.purity ~route:plan.route ~ok
+        ~stages
     in
     let compiled = plan.prep.Runner.compiled in
     let exec = Runner.exec plan.prep.Runner.algebra.Xqb_algebra.Compile.plan in
@@ -777,13 +785,14 @@ let submit_job t sid src :
       (fun ~jid ~effects ~appended budget ->
         match fork with
         | Some feng ->
-          (* snap-free evaluation; [run_readonly] re-forks internally
-             and the fork inherits the budget and values installed here *)
+          (* snap-free evaluation; [run_fork] re-forks internally and
+             the fork inherits the budget and values installed here.
+             Constructed nodes live in the returned scratch overlay,
+             dropped once the reply is serialized *)
           Engine.with_budget feng (Some budget) (fun () ->
               Engine.with_params feng params.items (fun () ->
-                  let v = Engine.run_readonly ~exec feng compiled in
-                  serialize (fun () ->
-                      Engine.serialize_with (Catalog.store t.catalog) v)))
+                  let store, v = Engine.run_fork ~exec feng compiled in
+                  serialize (fun () -> Engine.serialize_with store v)))
         | None ->
           on_session t s ~jid ~src ~st ~effects ~appended ~budget ~route:plan.route
             ~params:params.items (fun _ ->
@@ -839,7 +848,8 @@ let cache_stats t = Plan_cache.stats t.cache
 
 (* Deterministic store operation counts for STATS / METRICS PROM:
    store mutations, and the index and order-key (re)builds reads paid
-   for after them. *)
+   for after them. [store_nodes] beside them is the shared store's
+   size, which only loads and write routes grow. *)
 let store_counts t =
   let st = Catalog.store t.catalog in
   Xqb_store.Store.
@@ -851,10 +861,15 @@ let store_counts t =
         order_key_builds st);
     ]
 
+let store_nodes t = Xqb_store.Store.node_count (Catalog.store t.catalog)
+
 let store_json t =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, _, v) -> Printf.sprintf "\"%s\":%d" k v) (store_counts t))
+      (List.map
+         (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v)
+         (("nodes", store_nodes t)
+         :: List.map (fun (k, _, v) -> (k, v)) (store_counts t)))
   ^ "}"
 
 (* Wire [METRICS PROM]: every seam's families on one shared {!Prom}
@@ -867,6 +882,8 @@ let metrics_prometheus t =
     (fun (k, help, v) ->
       Prom.counter p ~help (Printf.sprintf "xqbang_store_%s_total" k) v)
     (store_counts t);
+  Prom.gauge_i p ~help:"Nodes in the shared store (loads and writes grow it)."
+    "xqbang_store_nodes" (store_nodes t);
   Rwlock.to_prom (Scheduler.gate t.sched) p;
   Trace_ring.to_prom t.traces p;
   Events.to_prom t.events p;

@@ -91,8 +91,10 @@ val load_document : t -> int -> uri:string -> string -> unit
     serialized result or a structured error. The plan's static
     footprint, inferred once per compile, is the only judgement
     ({!Core.Static.Footprint.route}): a program that writes nothing
-    (no updates, no snap, no node allocation) runs against a
-    submission-time fork of the session; one whose writes may reach
+    shared (no updates, no snap; node allocation allowed) runs against
+    a submission-time fork of the session, its constructed nodes in a
+    job-private scratch overlay of the catalog store that is dropped
+    once the reply is serialized; one whose writes may reach
     any document (nested snaps, dynamic [fn:doc] URIs, updating
     function calls) runs alone under whole-job rollback — killed by
     its budget, it leaves the store unchanged; every other program

@@ -65,6 +65,9 @@ let rec exec_seq store (entries : entry list) : entry list =
     | S.M_deep_copy src ->
       ignore (S.deep_copy store src);
       exec_seq store rest
+    | S.M_wire (parent, nodes) ->
+      S.wire store ~parent nodes;
+      exec_seq store rest
     | S.M_request _ -> exec_seq store rest)
 
 (* Execute entries against an *existing* store — the WAL-tail replay
@@ -171,6 +174,10 @@ let op_to_string ?store (op : S.mj_op) : string =
   | S.M_set_content (n, s) ->
     Printf.sprintf "set-content %s %S" (node_str store n) s
   | S.M_deep_copy src -> "deep-copy " ^ node_str store src
+  | S.M_wire (parent, nodes) ->
+    Printf.sprintf "wire [%s] under %s"
+      (String.concat "; " (List.map (node_str store) nodes))
+      (node_str store parent)
   | S.M_txn_begin -> "txn-begin"
   | S.M_txn_commit -> "txn-commit"
   | S.M_txn_abort -> "txn-abort"

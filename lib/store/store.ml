@@ -64,6 +64,9 @@ type mj_op =
     (* composite: the whole recursive copy, one entry (inner allocs
        are suppressed — [deep_copy] wires structure directly, so
        replay just calls it again) *)
+  | M_wire of node_id * node_id list
+    (* constructor wiring ([wire]): fresh nodes hung under a fresh
+       parent; never undone, live or in replay *)
   | M_txn_begin
   | M_txn_commit
   | M_txn_abort
@@ -90,6 +93,13 @@ type root_index = {
 }
 
 type t = {
+  (* [tbl], [okeys] and [root_vers] are indexed by [id - first_id].
+     A plain store has [first_id = 0] and no [base]. A scratch overlay
+     ([scratch]) owns the ids from [scratch_first_id] up and reads
+     every lower id — node, order key, index record, lock — through
+     to [base]. *)
+  first_id : int;
+  base : t option;
   mutable tbl : node array;
   mutable next_id : int;
   mutable journal : journal_entry list;
@@ -159,12 +169,45 @@ let dummy_node =
     children = Vec.create (); attributes = Vec.create () }
 
 let create () =
-  { tbl = Array.make 64 dummy_node; next_id = 0; journal = []; journal_on = false;
+  { first_id = 0; base = None;
+    tbl = Array.make 64 dummy_node; next_id = 0; journal = []; journal_on = false;
     mj = []; mj_count = 0; mj_on = false; mj_suspend = false;
     mutations = 0; index_enabled = true; index = Hashtbl.create 8;
     index_builds = 0; root_vers = Array.make 64 0;
     okeys = Array.make 64 Order_key.none; order_keys_enabled = true;
     okey_builds = 0; index_lock = Mutex.create (); mu = Mutex.create () }
+
+(* The first id a scratch overlay allocates: far above any id a store
+   reaches, so an id alone says which side owns it. *)
+let scratch_first_id = 1 lsl 40
+
+(* A job-private overlay of [base] for a read that constructs nodes.
+   Its own allocations get ids from [scratch_first_id] up and live in
+   its own tables; every lower id reads through to [base], which the
+   overlay never mutates (the mutators reject base ids). Trees never
+   mix sides: constructors deep-copy base content into the overlay, so
+   every tree — and with it every order key and index record — lies
+   wholly in one store. Dropping the overlay frees all it allocated;
+   [base]'s ids, journal and WAL never see it. *)
+let scratch base =
+  if base.base <> None then invalid_arg "Store.scratch: already an overlay";
+  { (create ()) with
+    first_id = scratch_first_id;
+    next_id = scratch_first_id;
+    base = Some base;
+    index_enabled = base.index_enabled;
+    order_keys_enabled = base.order_keys_enabled }
+
+(* The store that owns [id]: the overlay for its own ids, the base for
+   lower ones. *)
+let owner store id =
+  if id >= store.first_id then store
+  else match store.base with Some b -> b | None -> store
+
+(* Mutators act on the store's own nodes only. *)
+let own store id =
+  if id < store.first_id then
+    invalid_arg "Store: a scratch overlay never mutates its base"
 
 (* -- Mutation journal (observability) ------------------------------ *)
 
@@ -226,8 +269,15 @@ let with_index_lock store f =
   Fun.protect ~finally:(fun () -> Mutex.unlock store.index_lock) f
 
 let root_version store root =
-  let vers = store.root_vers in
-  if root >= 0 && root < Array.length vers then vers.(root) else 0
+  let s = owner store root in
+  let i = root - s.first_id in
+  let vers = s.root_vers in
+  if i >= 0 && i < Array.length vers then vers.(i) else 0
+
+(* The order-key slot of [id], in whichever store owns it. *)
+let okey store id =
+  let s = owner store id in
+  s.okeys.(id - s.first_id)
 
 (* Is this key's generation current? Two reads (key slot + shape
    generation) — no root walk. Sound because every insert and detach
@@ -240,25 +290,33 @@ let root_version store root =
 let okey_valid store (k : Order_key.t) =
   k.Order_key.root >= 0 && root_version store k.Order_key.root = k.Order_key.ver
 
-let node_count store = store.next_id
+let node_count store = store.next_id - store.first_id
 
 let mutation_count store = store.mutations
 
 let get store id =
-  if id < 0 || id >= store.next_id then invalid_arg "Store.get: bad node id";
-  store.tbl.(id)
+  if id >= store.first_id && id < store.next_id then store.tbl.(id - store.first_id)
+  else
+    match store.base with
+    | Some b when id >= 0 && id < b.next_id -> b.tbl.(id)
+    | _ -> invalid_arg "Store.get: bad node id"
+
+let mem store id =
+  (id >= store.first_id && id < store.next_id)
+  || match store.base with Some b -> id >= 0 && id < b.next_id | None -> false
 
 (* Caller holds [mu]. Resizes swap in freshly copied arrays, so a
    lock-free reader holding the old pointer still sees every node
    that existed when it loaded it — node records are shared, only
    the spine is replaced. *)
 let alloc_unlocked store kind name content =
-  if store.next_id >= Array.length store.tbl then begin
+  let i = store.next_id - store.first_id in
+  if i >= Array.length store.tbl then begin
     let tbl = Array.make (2 * Array.length store.tbl) dummy_node in
-    Array.blit store.tbl 0 tbl 0 store.next_id;
+    Array.blit store.tbl 0 tbl 0 i;
     store.tbl <- tbl;
     let okeys = Array.make (2 * Array.length store.okeys) Order_key.none in
-    Array.blit store.okeys 0 okeys 0 store.next_id;
+    Array.blit store.okeys 0 okeys 0 i;
     store.okeys <- okeys;
     let vers = Array.make (2 * Array.length store.root_vers) 0 in
     Array.blit store.root_vers 0 vers 0 (Array.length store.root_vers);
@@ -268,7 +326,7 @@ let alloc_unlocked store kind name content =
     { id = store.next_id; kind; name; content; parent = None; pos = 0;
       children = Vec.create (); attributes = Vec.create () }
   in
-  store.tbl.(store.next_id) <- n;
+  store.tbl.(i) <- n;
   store.next_id <- store.next_id + 1;
   mj_record store (M_make (kind, name, content));
   n.id
@@ -329,7 +387,7 @@ let is_ancestor store ~ancestor id =
   (* valid-key fast path only — never builds, because this also runs
      on the mutation path (insert's cycle check), where keys are
      typically stale anyway *)
-  let ka = store.okeys.(ancestor) and kd = store.okeys.(id) in
+  let ka = okey store ancestor and kd = okey store id in
   if okey_valid store ka && okey_valid store kd then
     Order_key.contains ~anc:ka ~desc:kd
   else
@@ -363,16 +421,18 @@ let indexed_kind = function
    guards [index]. *)
 let bump store id ~shape ~elements =
   let r = root store id in
+  let store = owner store r in
   if elements then Hashtbl.remove store.index r;
   if shape then
     with_mu store (fun () ->
-        if r >= 0 && r < Array.length store.root_vers then
-          store.root_vers.(r) <- store.root_vers.(r) + 1)
+        let i = r - store.first_id in
+        if i >= 0 && i < Array.length store.root_vers then
+          store.root_vers.(i) <- store.root_vers.(i) + 1)
 
 (* -- Order keys (see order_key.ml) --------------------------------- *)
 
-(* Build the key table for the tree rooted at parentless [r] under
-   its current shape generation. One DFS with one shared counter: an
+(* Build the key table for the tree rooted at parentless [r], which
+   [store] owns, under its current shape generation. One DFS with one shared counter: an
    element takes [pre], each attribute takes an empty slot
    (pre = post), the children recurse, then the element takes [post]
    — matching [sibling_rank]'s attributes-before-children order. A node's slot
@@ -390,12 +450,12 @@ let build_okeys store r =
       (fun aid ->
         let s = !ctr in
         incr ctr;
-        store.okeys.(aid) <- { Order_key.root = r; ver; pre = s; post = s })
+        store.okeys.(aid - store.first_id) <- { Order_key.root = r; ver; pre = s; post = s })
       n.attributes;
     Vec.iter walk n.children;
     let post = !ctr in
     incr ctr;
-    store.okeys.(id) <- { Order_key.root = r; ver; pre; post }
+    store.okeys.(id - store.first_id) <- { Order_key.root = r; ver; pre; post }
   in
   walk r;
   store.okey_builds <- store.okey_builds + 1
@@ -406,15 +466,16 @@ let build_okeys store r =
    most once per evaluation phase of an innermost snap, during which
    no structural mutation can run (the §3.3 purity observation). *)
 let ensure_key store id =
-  let k = store.okeys.(id) in
+  let store = owner store id in
+  let k = okey store id in
   if okey_valid store k then Some k
   else if not store.order_keys_enabled then None
   else begin
     let r = root store id in
     with_index_lock store (fun () ->
         (* double-checked: another reader may have built this root *)
-        if not (okey_valid store store.okeys.(id)) then build_okeys store r);
-    let k = store.okeys.(id) in
+        if not (okey_valid store (okey store id)) then build_okeys store r);
+    let k = okey store id in
     if okey_valid store k then Some k else None
   end
 
@@ -527,6 +588,7 @@ let transactionally store f =
    by the scheduler's apply mutex; the lock here is only against the
    read-side cache fills. *)
 let rename store id new_name =
+  own store id;
   with_index_lock store @@ fun () ->
   let n = get store id in
   (match n.kind with
@@ -540,6 +602,7 @@ let rename store id new_name =
   store.mutations <- store.mutations + 1
 
 let set_content store id s =
+  own store id;
   with_index_lock store @@ fun () ->
   let n = get store id in
   (match n.kind with
@@ -557,6 +620,7 @@ let set_content store id s =
    already parentless node is a no-op, matching the partial-function
    reading: the request "delete n" asks that n have no parent. *)
 let detach store id =
+  own store id;
   with_index_lock store @@ fun () ->
   let n = get store id in
   match n.parent with
@@ -587,42 +651,56 @@ let detach store id =
     bump store id ~shape:true ~elements;
     store.mutations <- store.mutations + 1
 
-(* Insert [nodes] under [parent]. Attribute nodes go to the attribute
-   list (appended); other nodes are spliced into the child list at
-   [position]. Preconditions (§3.2): every inserted node must be
-   parentless; an [After n] position must denote a child of [parent];
-   the parent must accept the node kind; no cycles. *)
-let insert store ~parent:pid ~position nodes =
-  with_index_lock store @@ fun () ->
+(* The preconditions [insert] and [wire] share, checked before
+   anything is mutated: the parent accepts children, every node is
+   this store's own and parentless, is no document node, and an
+   attribute goes into an element whose attributes — the existing
+   ones and those earlier in [nodes] — do not already carry its name.
+   Returns the parent's record. *)
+let check_insertable store pid nodes =
+  own store pid;
   let p = get store pid in
   (match p.kind with
   | Element | Document -> ()
   | Attribute | Text | Comment | Pi ->
     update_error "cannot insert into a %s node" (kind_to_string p.kind));
-  (* Validate all preconditions before mutating anything. *)
+  (* the attribute names seen so far, gathered at the first attribute *)
+  let names =
+    lazy (ref (Vec.fold (fun acc aid -> (get store aid).name :: acc) [] p.attributes))
+  in
   List.iter
     (fun nid ->
+      own store nid;
       let n = get store nid in
-      (match n.parent with
-      | Some _ -> update_error "inserted node %d already has a parent" nid
-      | None -> ());
-      (match n.kind with
+      if n.parent <> None then update_error "inserted node %d already has a parent" nid;
+      match n.kind with
       | Document -> update_error "cannot insert a document node"
       | Attribute ->
         if p.kind <> Element then
           update_error "attributes can only be inserted into elements";
         (match n.name with
         | Some an ->
+          let names = Lazy.force names in
           if
-            Vec.exists
-              (fun aid ->
-                match (get store aid).name with
-                | Some bn -> Xqb_xml.Qname.equal an bn
-                | None -> false)
-              p.attributes
-          then update_error "duplicate attribute %s" (Xqb_xml.Qname.to_string an)
+            List.exists
+              (function Some bn -> Xqb_xml.Qname.equal an bn | None -> false)
+              !names
+          then update_error "duplicate attribute %s" (Xqb_xml.Qname.to_string an);
+          names := n.name :: !names
         | None -> ())
-      | Element | Text | Comment | Pi -> ());
+      | Element | Text | Comment | Pi -> ())
+    nodes;
+  p
+
+(* Insert [nodes] under [parent]. Attribute nodes go to the attribute
+   list (appended); other nodes are spliced into the child list at
+   [position]. Preconditions (§3.2): [check_insertable]'s, an [After n]
+   position must denote a child of [parent], and no cycles. *)
+let insert store ~parent:pid ~position nodes =
+  with_index_lock store @@ fun () ->
+  let p = check_insertable store pid nodes in
+  List.iter
+    (fun nid ->
       if nid = pid || is_ancestor store ~ancestor:nid pid then
         update_error "insertion would create a cycle")
     nodes;
@@ -668,6 +746,30 @@ let insert store ~parent:pid ~position nodes =
   (* recorded after the fact so a precondition failure above leaves
      the journal clean (nothing was mutated, nothing is replayed) *)
   mj_append store (M_insert (pid, position, nodes))
+
+(* -- Constructor wiring -------------------------------------------- *)
+
+(* Hang fresh parentless [nodes] under the fresh [parent], in order:
+   attributes appended to its attribute list, the rest to its
+   children — the content of a node constructor. Nobody else can
+   reach a node its constructor is still building, so this skips
+   what [insert] pays for reachable nodes: the index lock, the root
+   bumps (no key or index record was ever built on these roots) and
+   the cycle check. It records no undo entry: a rollback undoes
+   updates, and construction is not one — even when it runs while
+   another job's snap apply has a transaction open. Replay redoes the
+   one [M_wire] entry the same way. *)
+let wire store ~parent:pid nodes =
+  let p = check_insertable store pid nodes in
+  List.iter
+    (fun nid ->
+      let n = get store nid in
+      let vec = if n.kind = Attribute then p.attributes else p.children in
+      Vec.push vec nid;
+      n.parent <- Some pid;
+      n.pos <- Vec.length vec - 1)
+    nodes;
+  if nodes <> [] && store.mj_on then mj_append store (M_wire (pid, nodes))
 
 (* -- Deep copy (the [copy { e }] operator's data-model half) ------- *)
 
@@ -761,7 +863,7 @@ let compare_order_naive store a b =
 let compare_order store a b =
   if a = b then 0
   else
-    let ka = store.okeys.(a) and kb = store.okeys.(b) in
+    let ka = okey store a and kb = okey store b in
     if okey_valid store ka && okey_valid store kb then
       if ka.Order_key.root <> kb.Order_key.root then
         compare ka.Order_key.root kb.Order_key.root
@@ -884,8 +986,8 @@ let load_string ?keep_ws store src =
 let validate store =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  for id = 0 to store.next_id - 1 do
-    let n = store.tbl.(id) in
+  for id = store.first_id to store.next_id - 1 do
+    let n = store.tbl.(id - store.first_id) in
     if n.id <> id then err "node %d has wrong id %d" id n.id;
     (match n.parent with
     | Some pid ->
@@ -968,6 +1070,7 @@ let root_index store root =
    context nodes are computed directly, keeping the index's memory
    linear in the store. *)
 let descendants_by_name store root q =
+  let store = owner store root in
   if (not store.index_enabled) || (get store root).parent <> None then
     elements_named store root q
   else
@@ -994,6 +1097,7 @@ let attr_value store elem attr =
    shares the name index's invalidation: attribute values are among
    the things an element edit covers. *)
 let lookup_by_key store root ~elem ~attr value =
+  let store = owner store root in
   if (not store.index_enabled) || (get store root).parent <> None then
     List.filter
       (fun e -> attr_value store e attr = Some value)
@@ -1025,8 +1129,8 @@ let lookup_by_key store root ~elem ~attr value =
    semantics (candidates for garbage collection). *)
 let detached_count store =
   let n = ref 0 in
-  for id = 0 to store.next_id - 1 do
-    let node = store.tbl.(id) in
+  for id = store.first_id to store.next_id - 1 do
+    let node = store.tbl.(id - store.first_id) in
     if node.parent = None && node.kind <> Document then incr n
   done;
   !n
@@ -1080,7 +1184,7 @@ let path_segment store id =
    root's id so operators can tell the trees apart; unknown ids render
    as "#<id>". *)
 let node_path store id =
-  if id < 0 || id >= store.next_id then Printf.sprintf "#%d" id
+  if not (mem store id) then Printf.sprintf "#%d" id
   else begin
     let rec up id acc =
       let n = get store id in

@@ -37,7 +37,23 @@ exception Update_error of string
 
 val create : unit -> t
 
-(** Number of nodes ever allocated. *)
+(** [scratch base] is a job-private overlay of [base]: a store whose
+    own allocations take ids from {!scratch_first_id} up and live in
+    its own tables, while every lower id — node, order key, name/key
+    index record, lock — reads through to [base]. A read that
+    constructs nodes evaluates against it, so its nodes never enter
+    [base] (nor its mutation journal, nor a WAL) and are freed with
+    the overlay. Trees never mix sides: constructors deep-copy base
+    content into the overlay. The overlay never mutates [base]: its
+    mutators raise [Invalid_argument] on a base id. Across trees,
+    document order puts every base node before every overlay node, as
+    creation order would. *)
+val scratch : t -> t
+
+(** The first id a {!scratch} overlay allocates (2{^40}). *)
+val scratch_first_id : int
+
+(** Number of nodes this store allocated (an overlay's own only). *)
 val node_count : t -> int
 
 (** Number of store-mutating operations performed (instrumentation). *)
@@ -112,6 +128,19 @@ type insert_position = First | Last | After of node_id
     [parent]; kinds are compatible; no cycles; no duplicate attribute
     names. @raise Update_error otherwise. *)
 val insert : t -> parent:node_id -> position:insert_position -> node_id list -> unit
+
+(** [wire store ~parent nodes] hangs fresh parentless [nodes] under the
+    fresh [parent], in order (attributes to its attribute list, the
+    rest appended to its children): node-constructor content. For
+    nodes nobody else can reach yet, so it takes no index lock, bumps
+    no root and checks no cycle. It records no undo entry — a
+    rollback of a transaction open meanwhile (another job's snap
+    apply) leaves constructed content intact — and journals one
+    {!mj_op.M_wire}. Not counted by {!mutation_count}, which counts
+    updates. @raise Update_error on [insert]'s kind,
+    parentless and duplicate-attribute preconditions, checked before
+    anything is wired. *)
+val wire : t -> parent:node_id -> node_id list -> unit
 
 (** Deep copy of a subtree; the copy is parentless (the data-model
     half of [copy { e }]). *)
@@ -234,6 +263,8 @@ type mj_op =
   | M_set_content of node_id * string
   | M_deep_copy of node_id
       (** composite: one whole recursive {!deep_copy} *)
+  | M_wire of node_id * node_id list
+      (** constructor wiring ({!wire}); never undone, live or in replay *)
   | M_txn_begin
   | M_txn_commit
   | M_txn_abort

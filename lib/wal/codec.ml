@@ -179,6 +179,11 @@ let put_op buf (op : S.mj_op) =
     put_varint buf snap_depth;
     put_opt put_string buf trace_id;
     put_string buf desc
+  | S.M_wire (parent, nodes) ->
+    Buffer.add_char buf '\010';
+    put_varint buf parent;
+    put_varint buf (List.length nodes);
+    List.iter (put_varint buf) nodes
 
 let get_op c : S.mj_op =
   match get_byte c with
@@ -213,6 +218,11 @@ let get_op c : S.mj_op =
     let trace_id = get_opt get_string c in
     let desc = get_string c in
     S.M_request { line; col; snap_depth; trace_id; desc }
+  | 10 ->
+    let parent = get_varint c in
+    let n = get_varint c in
+    let nodes = List.init n (fun _ -> get_varint c) in
+    S.M_wire (parent, nodes)
   | t -> corrupt "bad journal-op tag %d" t
 
 (* -- records and frames --------------------------------------------- *)

@@ -6,9 +6,10 @@
    - inference: literal-doc plans get precise (document, path-prefix)
      regions; dynamic [fn:doc] URIs, upward axes and user functions
      widen to "any document" (inconclusive);
-   - routing: the write set alone picks the service route (fork /
-     concurrent writer / exclusive) for every template the benchmark
-     workloads send;
+   - routing: the write set and whether the program emits updates
+     pick the service route (fork / concurrent writer / exclusive) for
+     every template the benchmark workloads send — constructing reads
+     fork;
    - independence is *sound*: if two programs' footprints are
      independent, running them in either order produces identical
      stores (commutativity — the behavioral form of "no R1–R7
@@ -48,20 +49,6 @@ let fp_of src =
 let mentions_doc uri fp =
   List.exists (fun r -> r.FP.rdoc = FP.Named uri) fp.FP.reads
 
-(* The route the service takes for [src]: the judgement cached at
-   compile time. *)
-let route_of src =
-  let c =
-    Engine.compile
-      ~var_docs:(fun v -> if v = "da" || v = "db" then Some v else None)
-      (fresh_engine ()) src
-  in
-  let route = FP.route c.Engine.footprint in
-  check Alcotest.bool
-    ("parallel_safe agrees: " ^ src)
-    (route = FP.Fork) (Engine.parallel_safe c);
-  route
-
 let route_t =
   Alcotest.testable
     (fun fmt r ->
@@ -71,6 +58,26 @@ let route_t =
         | FP.Concurrent -> "concurrent writer"
         | FP.Exclusive -> "exclusive"))
     ( = )
+
+(* The route the service takes for [src]: the judgement cached at
+   compile time. *)
+let route_of src =
+  let c =
+    Engine.compile
+      ~var_docs:(fun v -> if v = "da" || v = "db" then Some v else None)
+      (fresh_engine ()) src
+  in
+  let fp = c.Engine.footprint in
+  let route = FP.route fp in
+  (* a parallel-safe program forks; a forking one that is not
+     parallel-safe writes only its own fresh nodes *)
+  if Engine.parallel_safe c then check route_t ("parallel_safe forks: " ^ src) FP.Fork route;
+  if route = FP.Fork && not (Engine.parallel_safe c) then
+    check Alcotest.bool
+      ("a fork that writes, writes only fresh nodes: " ^ src)
+      true
+      (List.for_all (fun r -> r.FP.rdoc = FP.Fresh) fp.FP.writes);
+  route
 
 (* Every request template the xqbench workloads send, plus the
    function-call and dynamic-URI edges of the judgement. *)
@@ -88,7 +95,7 @@ let routing_table =
     ( {|max(doc("auction")//open_auction[count(bidder) >= 1]/bidder/increase)|},
       FP.Fork );
     ( {|for $p in doc("auction")//person let $a := for $t in doc("auction")//closed_auction where $t/buyer/@person = $p/@id return $t return <item person="{$p/name}">{count($a)}</item>|},
-      FP.Concurrent );
+      FP.Fork );
     (* weblog-write *)
     ( {|insert {<logentry id="c0-1" user="person3" itemid="item5"/>} into {doc("log0")/log}|},
       FP.Concurrent );
@@ -104,7 +111,7 @@ let routing_table =
     ( {|declare function local:twice($x) { 2 * $x }; local:twice(count(doc("da")//a))|},
       FP.Fork );
     ( {|declare function local:wrap($x) { <w>{$x}</w> }; local:wrap(count(doc("da")//a))|},
-      FP.Concurrent );
+      FP.Fork );
     ( {|declare function local:hit() { insert {<hit/>} into {doc("da")/r} }; local:hit()|},
       FP.Exclusive );
     (* a URI known only at run time *)
@@ -280,8 +287,8 @@ let gate_smoke =
   tc "footprint gate linearizability smoke (8 domains)" `Slow (fun () ->
       let g = RW.create () in
       let reg d = { FP.rdoc = FP.Named d; rpath = []; ranchored = true } in
-      let wfp d = { FP.reads = [ reg d ]; FP.writes = [ reg d ] } in
-      let rfp d = { FP.reads = [ reg d ]; FP.writes = [] } in
+      let wfp d = { FP.reads = [ reg d ]; writes = [ reg d ]; updates = true } in
+      let rfp d = { FP.reads = [ reg d ]; writes = []; updates = false } in
       let m = Mutex.create () in
       let writers = [| 0; 0 |] and readers = [| 0; 0 |] in
       let violations = ref [] in

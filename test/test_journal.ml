@@ -100,6 +100,24 @@ let units =
         check Alcotest.int "only the outer insert held" 1
           (Store.child_count store r);
         check_consistent "nested" store);
+    tc "a rollback never strips constructed content" `Quick (fun () ->
+        (* construction while a transaction is open — another job's
+           snap apply on a shared store — is not part of that
+           transaction: its rollback leaves the constructed tree
+           whole, and replay (which redoes the rollback) agrees *)
+        let store, _ = fresh_with_doc "<r/>" in
+        let eng = Core.Engine.create ~store () in
+        let v = ref [] in
+        (try
+           Store.transactionally store (fun () ->
+               v := Core.Engine.run eng {|<x b="1"><y/></x>|};
+               failwith "x")
+         with Failure _ -> ());
+        check Alcotest.string "constructed tree intact" {|<x b="1"><y></y></x>|}
+          (Core.Engine.serialize eng !v);
+        check Alcotest.int "one M_wire per constructor with content" 1
+          (count_ops (function Store.M_wire _ -> true | _ -> false) store);
+        check_consistent "construction under a rolled-back txn" store);
     tc "update requests journal provenance notes" `Quick (fun () ->
         let store, doc = fresh_with_doc "<r><a/></r>" in
         let r = first_elem store doc in

@@ -232,26 +232,34 @@ let mixed_workload svc =
 
 let scheduler =
   [
-    tc "pure queries classify parallel, allocating ones do not" `Quick
-      (fun () ->
+    tc "reads take the fork route, constructing ones too; updates do not"
+      `Quick (fun () ->
         with_service (fun svc ->
             let s = Svc.open_session svc in
             Svc.load_document svc s ~uri:"d" doc_xml;
+            let nodes () = Xqb_store.Store.node_count (Catalog.store (Svc.catalog svc)) in
             ignore (ok (Svc.query svc s {|count(doc("d")//a)|}));
-            (* Pure but allocating (constructor): must take the write
-               side — a fork evaluating it would grow the shared store *)
-            ignore (ok (Svc.query svc s "<a/>"));
-            let _, par, excl, _ = Metrics.counts (Svc.metrics svc) in
-            check Alcotest.int "parallel" 1 par;
-            check Alcotest.int "exclusive" 1 excl));
-    tc "replica fence: constructor reads rejected, pure function reads served"
+            let before = nodes () in
+            (* Pure but allocating (constructor): writes nothing shared,
+               so it forks, and its nodes live in a scratch overlay *)
+            check Alcotest.string "constructed" "<a>2</a>"
+              (ok (Svc.query svc s {|<a>{count(doc("d")//a)}</a>|}));
+            check Alcotest.int "shared store unchanged" before (nodes ());
+            ignore (ok (Svc.query svc s {|insert {<hit/>} into {doc("d")/r}|}));
+            let c = Metrics.counts (Svc.metrics svc) in
+            check Alcotest.int "fork" 2 c.Metrics.fork;
+            check Alcotest.int "concurrent" 1 c.Metrics.concurrent;
+            check Alcotest.int "exclusive" 0 c.Metrics.exclusive));
+    tc "replica fence: constructor and pure function reads served, updates rejected"
       `Quick (fun () ->
         let svc = Svc.create ~domains:0 ~replica:true () in
         Fun.protect
           ~finally:(fun () -> Svc.shutdown svc)
           (fun () ->
             let s = Svc.open_session svc in
-            let e = err (Svc.query svc s "<a/>") in
+            check Alcotest.string "constructor read" "<a></a>"
+              (ok (Svc.query svc s "<a/>"));
+            let e = err (Svc.query svc s "let $x := <x/> return insert {<a/>} into {$x}") in
             check Alcotest.bool "fence message" true
               (Re.execp (Re.compile (Re.str "read-only replica")) e.SE.message);
             check Alcotest.string "pure function read" "4"
@@ -266,13 +274,14 @@ let scheduler =
         with_service ~domains:4 (fun svc ->
             let final = mixed_workload svc in
             check Alcotest.string "4 inserts applied" "4" final;
-            let q, par, excl, errors = Metrics.counts (Svc.metrics svc) in
-            check Alcotest.int "queries" 21 q;
-            check Alcotest.int "errors" 0 errors;
-            (* 4 inserts take the write side; reads + the final count
-               take the read side *)
-            check Alcotest.int "exclusive" 4 excl;
-            check Alcotest.int "parallel" 17 par));
+            let c = Metrics.counts (Svc.metrics svc) in
+            check Alcotest.int "queries" 21 c.Metrics.queries;
+            check Alcotest.int "errors" 0 c.Metrics.errors;
+            (* 4 inserts run as concurrent writers; reads + the final
+               count fork *)
+            check Alcotest.int "concurrent" 4 c.Metrics.concurrent;
+            check Alcotest.int "exclusive" 0 c.Metrics.exclusive;
+            check Alcotest.int "fork" 17 c.Metrics.fork));
     tc "errors are reported, service stays usable" `Quick (fun () ->
         with_service ~domains:2 (fun svc ->
             let s = Svc.open_session svc in
@@ -1359,6 +1368,112 @@ let stage_split_tests =
               (Re.execp (Re.compile (Re.str "plan.cache.hit")) body)));
   ]
 
+(* Constructing reads run on the fork route against a job-private
+   scratch overlay of the catalog store: the shared store gains no
+   node, and the served answer is the one [Core.Engine.run] gives. *)
+let scratch_tests =
+  [
+    tc "2,000 served Q8s leave the shared store as it was" `Quick (fun () ->
+        let xml = Xqb_xmark.Generator.to_xml (Xqb_xmark.Generator.scaled 0.1) in
+        let q8 =
+          {|for $p in doc("auction")//person let $a := for $t in doc("auction")//closed_auction where $t/buyer/@person = $p/@id return $t return <item person="{$p/name}">{count($a)}</item>|}
+        in
+        let oracle =
+          let eng = Core.Engine.create () in
+          ignore (Core.Engine.load_document eng ~uri:"auction" xml);
+          Core.Engine.serialize eng (Core.Engine.run eng q8)
+        in
+        with_service (fun svc ->
+            let s = Svc.open_session svc in
+            Svc.load_document svc s ~uri:"auction" xml;
+            (* the warm-up builds the indexes and order keys Q8 reads *)
+            check Alcotest.string "Q8 answer" oracle (ok (Svc.query svc s q8));
+            let store_stats () =
+              let v = check_json "stats" (Svc.stats_json svc) in
+              List.map
+                (fun k -> (k, num_at v [ "store"; k ]))
+                [ "nodes"; "index_builds"; "mutations" ]
+            in
+            let before = store_stats () in
+            check Alcotest.int "STATS store.nodes is the shared store's size"
+              (Store.node_count (Catalog.store (Svc.catalog svc)))
+              (List.assoc "nodes" before);
+            for _ = 1 to 2000 do
+              let r = ok (Svc.query svc s q8) in
+              if r <> oracle then Alcotest.failf "Q8 answered %S" r
+            done;
+            check
+              Alcotest.(list (pair string int))
+              "nodes, index builds, mutations" before (store_stats ());
+            check Alcotest.int "every Q8 forked" 2001
+              (Metrics.counts (Svc.metrics svc)).Metrics.fork;
+            let prom = Svc.metrics_prometheus svc in
+            List.iter
+              (fun sample ->
+                if not (Re.execp (Re.compile (Re.str sample)) prom) then
+                  Alcotest.failf "METRICS PROM lacks %S" sample)
+              [
+                Printf.sprintf "xqbang_store_nodes %d" (List.assoc "nodes" before);
+                {|xqbang_queries_by_route_total{route="fork"} 2001|};
+                {|xqbang_queries_by_route_total{route="concurrent"} 0|};
+                {|xqbang_queries_by_route_total{route="exclusive"} 0|};
+              ];
+            let v = check_json "stats" (Svc.stats_json svc) in
+            check Alcotest.int "STATS routes.fork" 2001 (num_at v [ "routes"; "fork" ])));
+    tc "served constructing reads agree with Engine.run" `Quick (fun () ->
+        let xml = "<r><a>1</a><b><a>2</a></b></r>" in
+        let queries =
+          [
+            (* base and scratch nodes in one sequence *)
+            {|(doc("d")//a, <c>{doc("d")//b}</c>, doc("d")/r/b)|};
+            (* sorted together: every base node first *)
+            {|for $n in ((<z/>, doc("d")//b, <y/>) | ()) return name($n)|};
+            (* // over a constructed tree, and its order keys *)
+            {|let $t := <t><a>x</a><u><a>y</a></u>{doc("d")//a}</t> return ($t//a, count($t//a), $t//a[3] << $t//a[4])|};
+            {|<n>{count(<x><y><a/></y><a/></x>//a)}</n>|};
+            (* identity and order between base and scratch nodes *)
+            {|let $c := <c/> return (doc("d")/r << $c, $c << doc("d")/r, doc("d")/r is $c, $c is $c)|};
+            (* a constructor under copy *)
+            {|copy { <w k="v">{doc("d")//b}</w> }|};
+            {|let $w := copy { <w><v/></w> } return ($w/v, $w/v/.. is $w)|};
+            (* node identity stays unobservable *)
+            {|let $a := <a/> return <b>{$a}</b>/a is $a|};
+            {|declare function local:wrap($x) { <w>{$x}</w> }; local:wrap(doc("d")//a)|};
+          ]
+        in
+        let oracle src =
+          let eng = Core.Engine.create () in
+          ignore (Core.Engine.load_document eng ~uri:"d" xml);
+          Core.Engine.serialize eng (Core.Engine.run eng src)
+        in
+        with_service ~domains:2 (fun svc ->
+            let s = Svc.open_session svc in
+            Svc.load_document svc s ~uri:"d" xml;
+            let nodes = Store.node_count (Catalog.store (Svc.catalog svc)) in
+            List.iter
+              (fun src -> check Alcotest.string src (oracle src) (ok (Svc.query svc s src)))
+              queries;
+            check Alcotest.string "is stays false" "false"
+              (ok (Svc.query svc s {|let $a := <a/> return <b>{$a}</b>/a is $a|}));
+            check Alcotest.int "all forked" (List.length queries + 1)
+              (Metrics.counts (Svc.metrics svc)).Metrics.fork;
+            check Alcotest.int "shared store unchanged" nodes
+              (Store.node_count (Catalog.store (Svc.catalog svc)))));
+    tc "an update of a constructed node still runs as a writer" `Quick (fun () ->
+        with_service (fun svc ->
+            let s = Svc.open_session svc in
+            check Alcotest.string "applied"
+              "<x><a></a></x>"
+              (ok
+                 (Svc.query svc s
+                    "let $x := <x/> return (snap insert {<a/>} into {$x}, $x)"));
+            ignore (ok (Svc.query svc s "let $x := <x/> return insert {<a/>} into {$x}"));
+            let c = Metrics.counts (Svc.metrics svc) in
+            check Alcotest.int "fork" 0 c.Metrics.fork;
+            check Alcotest.int "concurrent" 1 c.Metrics.concurrent;
+            check Alcotest.int "exclusive (nested snap)" 1 c.Metrics.exclusive));
+  ]
+
 let suite =
   [
     ("service:sessions", sessions);
@@ -1369,4 +1484,5 @@ let suite =
     ("service:observability", observability);
     ("service:health", health);
     ("service:stages", stage_split_tests);
+    ("service:scratch", scratch_tests);
   ]

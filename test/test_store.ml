@@ -149,6 +149,16 @@ let store_mutation =
         match Store.insert f.store ~parent:f.b1 ~position:Store.Last [ at ] with
         | _ -> Alcotest.fail "expected Update_error"
         | exception Store.Update_error _ -> ());
+    tc "two same-named attributes in one insert rejected" `Quick (fun () ->
+        let f = fixture () in
+        let a1 = Store.make_attribute f.store (qn "n1") "1" in
+        let a2 = Store.make_attribute f.store (qn "n1") "2" in
+        (match Store.insert f.store ~parent:f.b1 ~position:Store.Last [ a1; a2 ] with
+        | _ -> Alcotest.fail "expected Update_error"
+        | exception Store.Update_error _ -> ());
+        check Alcotest.bool "nothing inserted" true
+          (Store.parent f.store a1 = None && Store.parent f.store a2 = None);
+        no_errors f.store);
     tc "attribute into non-element rejected" `Quick (fun () ->
         let f = fixture () in
         let at = Store.make_attribute f.store (qn "z") "v" in
@@ -355,6 +365,76 @@ let random_mutations =
         && Store.validate f.store = []);
   ]
 
+(* The scratch overlay and constructor wiring. *)
+let store_scratch =
+  [
+    tc "an overlay allocates above its base and reads through" `Quick (fun () ->
+        let base = Store.create () in
+        let doc = Store.load_string base "<r><a>1</a><a>2</a></r>" in
+        let n = Store.node_count base in
+        let sc = Store.scratch base in
+        let r = List.hd (Store.children sc doc) in
+        let b = Store.make_element sc (qn "b") in
+        check Alcotest.bool "own id range" true (b >= Store.scratch_first_id);
+        let c = Store.deep_copy sc r in
+        Store.wire sc ~parent:b [ c ];
+        check Alcotest.string "copy of a base subtree" "<b><r><a>1</a><a>2</a></r></b>"
+          (Store.serialize sc b);
+        check Alcotest.int "base reads through the overlay" 2
+          (List.length (Store.descendants_by_name sc doc (qn "a")));
+        check Alcotest.int "overlay trees are indexed too" 2
+          (List.length (Store.descendants_by_name sc b (qn "a")));
+        check Alcotest.int "base gained nothing" n (Store.node_count base);
+        check Alcotest.int "overlay count is its own (b + a copy of 5)" 6
+          (Store.node_count sc);
+        no_errors base;
+        no_errors sc);
+    tc "document order puts base trees before overlay trees" `Quick (fun () ->
+        let base = Store.create () in
+        let doc = Store.load_string base "<r><a/></r>" in
+        let sc = Store.scratch base in
+        let x = Store.make_element sc (qn "x") in
+        let y = Store.make_element sc (qn "y") in
+        let a = List.hd (Store.children sc (List.hd (Store.children sc doc))) in
+        check (Alcotest.list Alcotest.int) "sorted" [ doc; a; x; y ]
+          (Store.sort_doc_order sc [ y; a; x; doc; a ]);
+        check Alcotest.bool "keyed = naive" true
+          (Store.compare_order sc a x < 0 && Store.compare_order_naive sc a x < 0);
+        check Alcotest.bool "not inside" false (Store.is_descendant sc ~ancestor:doc x));
+    tc "an overlay never mutates its base" `Quick (fun () ->
+        let base = Store.create () in
+        let doc = Store.load_string base "<r/>" in
+        let sc = Store.scratch base in
+        let r = List.hd (Store.children sc doc) in
+        let e = Store.make_element sc (qn "e") in
+        List.iter
+          (fun (what, f) ->
+            match f () with
+            | () -> Alcotest.failf "%s: expected Invalid_argument" what
+            | exception Invalid_argument _ -> ())
+          [
+            ("insert under a base node", fun () ->
+                Store.insert sc ~parent:r ~position:Store.Last [ e ]);
+            ("wire a base node", fun () -> Store.wire sc ~parent:e [ r ]);
+            ("detach", fun () -> Store.detach sc r);
+            ("rename", fun () -> Store.rename sc r (qn "s"));
+          ];
+        check Alcotest.string "base intact" "<r></r>" (Store.serialize base doc));
+    tc "wire keeps the duplicate-attribute error and wires nothing" `Quick (fun () ->
+        let store = Store.create () in
+        let e = Store.make_element store (qn "e") in
+        let a1 = Store.make_attribute store (qn "x") "1" in
+        let a2 = Store.make_attribute store (qn "x") "2" in
+        let t = Store.make_text store "t" in
+        (match Store.wire store ~parent:e [ a1; t; a2 ] with
+        | () -> Alcotest.fail "expected Update_error"
+        | exception Store.Update_error _ -> ());
+        check Alcotest.int "nothing wired" 0 (Store.child_count store e);
+        Store.wire store ~parent:e [ a1; t ];
+        check Alcotest.string "wired" {|<e x="1">t</e>|} (Store.serialize store e);
+        no_errors store);
+  ]
+
 let suite =
   [
     ("store:vec", vec_tests);
@@ -362,5 +442,6 @@ let suite =
     ("store:mutation", store_mutation);
     ("store:copy", store_copy);
     ("store:transaction", store_txn);
+    ("store:scratch", store_scratch);
     ("store:random", random_mutations);
   ]

@@ -96,6 +96,7 @@ let gen_op =
       map2 (fun n q -> S.M_rename (n, q)) id gen_qname;
       map2 (fun n c -> S.M_set_content (n, c)) id gen_bytes;
       map (fun n -> S.M_deep_copy n) id;
+      map2 (fun p ns -> S.M_wire (p, ns)) id (list_size (0 -- 4) id);
       return S.M_txn_begin;
       return S.M_txn_commit;
       return S.M_txn_abort;
@@ -608,6 +609,38 @@ let service =
                 "xqbang_wal_last_lsn";
                 "xqbang_checkpoint_age_seconds";
               ]));
+    tc "constructing reads leave the WAL alone (fsync=never)" `Quick (fun () ->
+        with_durable_svc ~fsync:Wal.Never (fresh_dir ()) (fun svc ->
+            let s = Svc.open_session svc in
+            Svc.load_document svc s ~uri:"d" "<r><x/><x/></r>";
+            let stat () =
+              let j = check_json "journal stat" (Svc.journal_stat_json svc) in
+              let num k =
+                match Xqb_obs.Json.path j [ k ] with
+                | Some (Xqb_obs.Json.Num f) -> int_of_float f
+                | _ -> Alcotest.failf "JOURNAL STAT lacks %s" k
+              in
+              (num "lsn", num "length", num "nodes")
+            in
+            let insert () =
+              ignore (ok (Svc.query svc s {|insert {<e k="v"/>} into {doc("d")/r}|}))
+            in
+            let lsn0, _, nodes0 = stat () in
+            insert ();
+            let lsn1, len1, nodes1 = stat () in
+            for _ = 1 to 100 do
+              check Alcotest.string "answer" "<a>2</a>"
+                (ok (Svc.query svc s {|<a>{count(doc("d")/r/x)}</a>|}))
+            done;
+            check
+              Alcotest.(triple int int int)
+              "LSN, journal length, nodes" (lsn1, len1, nodes1) (stat ());
+            (* the next writer's append carries its own entries only *)
+            insert ();
+            let lsn2, _, nodes2 = stat () in
+            check Alcotest.int "same LSN step as the first insert" (lsn1 - lsn0)
+              (lsn2 - lsn1);
+            check Alcotest.int "same node step" (nodes1 - nodes0) (nodes2 - nodes1)));
     tc "non-durable services still answer JOURNAL STAT" `Quick (fun () ->
         let svc = Svc.create ~domains:0 () in
         Fun.protect
@@ -758,6 +791,22 @@ let replication =
                  with
                 | exception Failure _ -> ()
                 | () -> Alcotest.fail "fresh load must fail on a replica"))));
+    tc "a replica answers constructing reads" `Quick (fun () ->
+        with_durable_svc (fresh_dir ()) (fun leader ->
+            let replica = Svc.create ~domains:0 ~replica:true () in
+            Fun.protect
+              ~finally:(fun () -> Svc.shutdown replica)
+              (fun () ->
+                let ls = Svc.open_session leader in
+                Svc.load_document leader ls ~uri:"d" "<r><x/><y><x/></y></r>";
+                let _, blob = okr "snapshot" (Svc.snapshot_blob leader) in
+                ignore (okr "bootstrap" (Svc.replica_bootstrap replica blob));
+                let before = digest_of replica in
+                let rs = Svc.open_session replica in
+                check Alcotest.string "served" "<a>2</a>"
+                  (ok (Svc.query replica rs {|<a>{count(doc("d")//x)}</a>|}));
+                check Alcotest.string "replica store untouched" before
+                  (digest_of replica))));
     tc "SHIP hands out only durable frames" `Quick (fun () ->
         failed_insert (fun leader lsn0 ->
             match Svc.ship_frames leader ~from_lsn:(lsn0 + 1) ~max:512 with
