@@ -81,6 +81,10 @@ let tick ctx =
   | None -> ()
   | Some b -> Xqb_governor.Budget.charge b 1
 
+let step_context = function
+  | Item.Node n -> n
+  | Item.Atomic a -> Errors.type_error "path step applied to a %s" (Atomic.type_name a)
+
 let charge_nodes ctx nodes =
   (match ctx.Context.budget with
   | None -> ()
@@ -227,23 +231,21 @@ let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option
     let store = ctx.Context.store in
     List.concat_map
       (fun item ->
-        match item with
-        | Item.Node n ->
-          List.map Item.node (charge_nodes ctx (Store.descendants_by_name store n q))
-        | Item.Atomic a ->
-          Errors.type_error "path step applied to a %s" (Atomic.type_name a))
+        let n = step_context item in
+        List.map Item.node (charge_nodes ctx (Store.descendants_by_name store n q)))
       v
-  | C.Step (input, axis, test) ->
+  | C.Step (input, axis, test) -> (
     let v = eval ctx env focus input in
     ctx.Context.steps_evaluated <- ctx.Context.steps_evaluated + 1;
     let store = ctx.Context.store in
-    List.concat_map
-      (fun item ->
-        match item with
-        | Item.Node n -> List.map Item.node (Axes.step store axis test n)
-        | Item.Atomic a ->
-          Errors.type_error "path step applied to a %s" (Atomic.type_name a))
-      v
+    (* a lone context node — the common case — builds its result
+       directly, with no closure and no concatenation *)
+    match v with
+    | [ item ] -> Axes.step store axis test Item.node (step_context item)
+    | _ ->
+      List.concat_map
+        (fun item -> Axes.step store axis test Item.node (step_context item))
+        v)
   | C.Key_step (base, elem, attr, rhs) ->
     (* descendant::elem[@attr = rhs], rhs pure and focus-free (the
        rewrite's guard). String keys go through the store's key index;
@@ -464,9 +466,11 @@ let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option
 
 (* Explicit left-to-right evaluation (OCaml's own application order is
    right-to-left, so a bare List.map would not do). *)
-and eval_args ctx env focus arg_exprs =
-  List.rev
-    (List.fold_left (fun acc a -> eval ctx env focus a :: acc) [] arg_exprs)
+and eval_args ctx env focus = function
+  | [] -> []
+  | a :: rest ->
+    let v = eval ctx env focus a in
+    v :: eval_args ctx env focus rest
 
 and eval_name ctx env focus (ns : C.name_spec) : Qname.t =
   match ns with

@@ -233,12 +233,35 @@ let find_sub s sub =
   in
   scan 0
 
+(* fn:round on a double: the nearest integer, ties toward positive
+   infinity (round(-2.5) = -2, unlike Float.round). Comparing the
+   fraction, rather than taking floor(f + 0.5), keeps
+   0.49999999999999994 from rounding up. NaN and the infinities are
+   their own rounding. *)
+let fn_round f =
+  let fl = Float.floor f in
+  if f -. fl >= 0.5 then fl +. 1. else fl
+
+(* fn:substring (F&O §5.4.3): the characters at the positions [p] with
+   [first <= p < stop], both already [fn_round]ed. The bounds stay
+   floats, so an infinite or NaN bound compares as the standard says
+   (NaN selects nothing) instead of going through [int_of_float]. *)
+let substring s first stop =
+  let lo = Float.max 1. first
+  and hi = Float.min (float_of_int (String.length s + 1)) stop in
+  if lo < hi then
+    Value.of_string (String.sub s (int_of_float lo - 1) (int_of_float hi - int_of_float lo))
+  else Value.of_string ""
+
 (* -- dispatch -------------------------------------------------------- *)
+
+(* A top-level alias: a partial application inside [call] would
+   allocate a closure on every builtin call. *)
+let sv = Value.string_value
 
 let call (ctx : Context.t) (focus : Context.focus option) name
     (args : Value.t list) : Value.t =
   let store = ctx.Context.store in
-  let sv = Value.string_value store in
   match name, args with
   | "%ddo", [ v ] -> ddo store v
   | "%ddo-elided", [ v ] ->
@@ -290,54 +313,40 @@ let call (ctx : Context.t) (focus : Context.focus option) name
     in
     Value.of_string (String.concat " " words)
   | "concat", args when List.length args >= 2 ->
-    Value.of_string (String.concat "" (List.map sv args))
+    Value.of_string (String.concat "" (List.map (sv store) args))
   | "string-join", [ v; sep ] ->
-    let sep = sv sep in
+    let sep = sv store sep in
     Value.of_string
       (String.concat sep (List.map (fun i -> Item.string_value store i) v))
   | "contains", [ a; b ] ->
-    Value.of_bool (find_sub (sv a) (sv b) <> None)
+    Value.of_bool (find_sub (sv store a) (sv store b) <> None)
   | "starts-with", [ a; b ] ->
-    let s = sv a and p = sv b in
-    Value.of_bool
-      (String.length p <= String.length s && String.sub s 0 (String.length p) = p)
+    Value.of_bool (String.starts_with ~prefix:(sv store b) (sv store a))
   | "ends-with", [ a; b ] ->
-    let s = sv a and p = sv b in
-    Value.of_bool
-      (String.length p <= String.length s
-      && String.sub s (String.length s - String.length p) (String.length p) = p)
+    Value.of_bool (String.ends_with ~suffix:(sv store b) (sv store a))
   | "substring", [ s; start ] ->
-    let s = sv s in
-    let st = int_of_float (Float.round (Value.to_double store start)) in
-    let st = max 1 st in
-    if st > String.length s then Value.of_string ""
-    else Value.of_string (String.sub s (st - 1) (String.length s - st + 1))
+    let s = sv store s in
+    substring s (fn_round (Value.to_double store start)) Float.infinity
   | "substring", [ s; start; len ] ->
-    let s = sv s in
-    let st = Float.round (Value.to_double store start) in
-    let ln = Float.round (Value.to_double store len) in
-    let first = int_of_float (max 1.0 st) in
-    let last = int_of_float (st +. ln) - 1 in
-    if last < first || first > String.length s then Value.of_string ""
-    else
-      let last = min last (String.length s) in
-      Value.of_string (String.sub s (first - 1) (last - first + 1))
+    let s = sv store s in
+    let st = fn_round (Value.to_double store start) in
+    substring s st (st +. fn_round (Value.to_double store len))
   | "substring-before", [ a; b ] ->
-    let s = sv a in
+    let s = sv store a in
     Value.of_string
-      (match find_sub s (sv b) with Some i -> String.sub s 0 i | None -> "")
+      (match find_sub s (sv store b) with Some i -> String.sub s 0 i | None -> "")
   | "substring-after", [ a; b ] ->
-    let s = sv a and sub = sv b in
+    let s = sv store a and sub = sv store b in
     Value.of_string
       (match find_sub s sub with
       | Some i ->
         let e = i + String.length sub in
         String.sub s e (String.length s - e)
       | None -> "")
-  | "upper-case", [ a ] -> Value.of_string (String.uppercase_ascii (sv a))
-  | "lower-case", [ a ] -> Value.of_string (String.lowercase_ascii (sv a))
+  | "upper-case", [ a ] -> Value.of_string (String.uppercase_ascii (sv store a))
+  | "lower-case", [ a ] -> Value.of_string (String.lowercase_ascii (sv store a))
   | "translate", [ a; from_s; to_s ] ->
-    let s = sv a and f = sv from_s and t = sv to_s in
+    let s = sv store a and f = sv store from_s and t = sv store to_s in
     let buf = Buffer.create (String.length s) in
     String.iter
       (fun c ->
@@ -346,11 +355,12 @@ let call (ctx : Context.t) (focus : Context.focus option) name
         | Some i -> if i < String.length t then Buffer.add_char buf t.[i])
       s;
     Value.of_string (Buffer.contents buf)
-  | "matches", [ a; pat ] -> Value.of_bool (Re.execp (compile_re (sv pat)) (sv a))
+  | "matches", [ a; pat ] -> Value.of_bool (Re.execp (compile_re (sv store pat)) (sv store a))
   | "replace", [ a; pat; rep ] ->
-    Value.of_string (Re.replace_string (compile_re (sv pat)) ~by:(sv rep) (sv a))
+    Value.of_string
+      (Re.replace_string (compile_re (sv store pat)) ~by:(sv store rep) (sv store a))
   | "tokenize", [ a; pat ] ->
-    Re.split (compile_re (sv pat)) (sv a)
+    Re.split (compile_re (sv store pat)) (sv store a)
     |> List.map (fun s -> Item.Atomic (Atomic.String s))
   | "name", _ | "local-name", _ -> (
     let n =
@@ -389,7 +399,7 @@ let call (ctx : Context.t) (focus : Context.focus option) name
       | _ -> assert false
     in
     Value.of_node (Store.root store n))
-  | "doc", [ v ] -> Value.of_node (Context.resolve_doc ctx (sv v))
+  | "doc", [ v ] -> Value.of_node (Context.resolve_doc ctx (sv store v))
   | "sum", [ v ] -> (
     match numeric_seq store v with
     | [] -> Value.of_int 0
@@ -436,9 +446,7 @@ let call (ctx : Context.t) (focus : Context.focus option) name
       match name with
       | "floor" -> Float.floor
       | "ceiling" -> Float.ceil
-      (* fn:round breaks ties toward positive infinity (so
-         round(-2.5) = -2), unlike Float.round *)
-      | _ -> fun f -> Float.floor (f +. 0.5)
+      | _ -> fn_round
     in
     match Value.atomize store v with
     | [] -> []
@@ -506,12 +514,12 @@ let call (ctx : Context.t) (focus : Context.focus option) name
     if v <> [] then v else Errors.type_error "fn:one-or-more: empty sequence"
   | "deep-equal", [ a; b ] -> Value.of_bool (deep_equal store a b)
   | "error", [] -> Errors.raise_error "FOER0000" "fn:error"
-  | "error", [ code ] -> raise (Errors.Dynamic_error (sv code, ""))
+  | "error", [ code ] -> raise (Errors.Dynamic_error (sv store code, ""))
   | "error", [ code; msg ] ->
-    raise (Errors.Dynamic_error (sv code, sv msg))
+    raise (Errors.Dynamic_error (sv store code, sv store msg))
   | "trace", [ v; label ] ->
     Logs.debug (fun m ->
-        m "trace %s: %a" (sv label) (Value.pp store) v);
+        m "trace %s: %a" (sv store label) (Value.pp store) v);
     v
   | "compare", [ a; b ] -> (
     match Value.atomize store a, Value.atomize store b with
@@ -521,7 +529,7 @@ let call (ctx : Context.t) (focus : Context.focus option) name
       Value.of_int (compare (String.compare (s x) (s y)) 0)
     | _ -> Errors.type_error "fn:compare on sequences")
   | "string-to-codepoints", [ v ] ->
-    let s = sv v in
+    let s = sv store v in
     (* decode UTF-8 with uutf-free byte-level fallback: ASCII fast
        path; multibyte sequences decoded manually *)
     let out = ref [] in
@@ -574,7 +582,7 @@ let call (ctx : Context.t) (focus : Context.focus option) name
     | _ -> Errors.type_error "fn:round-half-to-even on a sequence")
   | "doc-available", [ v ] ->
     Value.of_bool
-      (match Context.resolve_doc ctx (sv v) with
+      (match Context.resolve_doc ctx (sv store v) with
       | _ -> true
       | exception _ -> false)
   | "id", args -> (

@@ -69,30 +69,35 @@ let principal_kind = function
   | Ancestor_or_self | Following_sibling | Preceding_sibling | Following
   | Preceding -> Store.Element
 
+(* Names are interned, so a name test is a pointer compare. *)
 let name_matches qn = function
   | Some n -> Xqb_xml.Qname.equal qn n
   | None -> false
 
-let test_matches store axis test id =
-  let k = Store.kind store id in
+(* The node test on a node record, [principal] being the axis'
+   principal node kind. *)
+let node_matches principal test (n : Store.node) =
+  let k = n.kind in
   match test with
-  | Name qn -> k = principal_kind axis && name_matches qn (Store.name store id)
-  | Wildcard -> k = principal_kind axis
+  | Name qn -> k = principal && name_matches qn n.name
+  | Wildcard -> k = principal
   | Kind_node -> true
   | Kind_text -> k = Store.Text
   | Kind_element None -> k = Store.Element
-  | Kind_element (Some qn) -> k = Store.Element && name_matches qn (Store.name store id)
+  | Kind_element (Some qn) -> k = Store.Element && name_matches qn n.name
   | Kind_attribute None -> k = Store.Attribute
-  | Kind_attribute (Some qn) ->
-    k = Store.Attribute && name_matches qn (Store.name store id)
+  | Kind_attribute (Some qn) -> k = Store.Attribute && name_matches qn n.name
   | Kind_comment -> k = Store.Comment
   | Kind_pi None -> k = Store.Pi
   | Kind_pi (Some t) ->
     k = Store.Pi
-    && (match Store.name store id with
+    && (match n.name with
        | Some q -> String.equal (Xqb_xml.Qname.to_string q) t
        | None -> false)
   | Kind_document -> k = Store.Document
+
+let test_matches store axis test id =
+  node_matches (principal_kind axis) test (Store.get store id)
 
 (* Charge [n] steps against an (optional) budget. The walkers below
    charge one step per emitted node *during* the walk, so a fuel
@@ -223,6 +228,30 @@ let apply store axis id =
     charge b (List.length nodes);
     nodes
 
-(* One full step: axis + node test from a single context node. *)
-let step store axis test id =
-  List.filter (test_matches store axis test) (apply store axis id)
+(* One full step: axis + node test from a single context node, each
+   match mapped through [f] (the evaluator wraps node ids as items).
+   The child and attribute axes — most steps — walk the parent's
+   vector in place, testing each node record once, and build the
+   result back to front in one pass; nothing mutates the store during
+   a read (the §3 purity observation), so the vector is stable. They
+   charge the full vector length, as [apply] does. The other axes
+   filter [apply]'s list. *)
+let step store axis test f id =
+  match axis with
+  | Child | Attribute ->
+    let n = Store.get store id in
+    let vec = if axis = Child then n.children else n.attributes in
+    let len = Vec.length vec in
+    charge (Xqb_governor.Budget.current ()) len;
+    let principal = principal_kind axis in
+    let out = ref [] in
+    for i = len - 1 downto 0 do
+      let c = Vec.get vec i in
+      if node_matches principal test (Store.get store c) then out := f c :: !out
+    done;
+    !out
+  | Self | Parent | Ancestor | Ancestor_or_self | Following_sibling
+  | Preceding_sibling | Descendant | Descendant_or_self | Following | Preceding ->
+    List.filter_map
+      (fun c -> if test_matches store axis test c then Some (f c) else None)
+      (apply store axis id)

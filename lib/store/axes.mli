@@ -43,8 +43,12 @@ val test_matches : Store.t -> axis -> node_test -> Store.node_id -> bool
 (** All nodes on [axis] from the context node, unfiltered. *)
 val apply : Store.t -> axis -> Store.node_id -> Store.node_id list
 
-(** [apply] filtered by the node test — one full step. *)
-val step : Store.t -> axis -> node_test -> Store.node_id -> Store.node_id list
+(** [step store axis test f id]: [apply] filtered by the node test —
+    one full step — with each match mapped through [f]. Charges the
+    budget exactly as [apply] does. The child and attribute axes walk
+    the parent's vector in place instead of materializing it. *)
+val step :
+  Store.t -> axis -> node_test -> (Store.node_id -> 'a) -> Store.node_id -> 'a list
 
 (** Descendants in document order (no attributes). *)
 val descendants : Store.t -> Store.node_id -> Store.node_id list

@@ -211,9 +211,20 @@ let own store id =
 
 (* -- Mutation journal (observability) ------------------------------ *)
 
-let with_mu store f =
-  Mutex.lock store.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock store.mu) f
+(* Run [f ()] holding [m]. Unlocks on both exits without the
+   closures [Fun.protect] allocates: these wrap every allocation and
+   every index lookup. *)
+let locked m f =
+  Mutex.lock m;
+  match f () with
+  | v ->
+    Mutex.unlock m;
+    v
+  | exception e ->
+    Mutex.unlock m;
+    raise e
+
+let with_mu store f = locked store.mu f
 
 (* Caller holds [mu] (allocation, deep copy). *)
 let mj_record store op =
@@ -264,9 +275,7 @@ let set_order_keys store b = store.order_keys_enabled <- b
 let order_key_builds store = store.okey_builds
 let index_builds store = store.index_builds
 
-let with_index_lock store f =
-  Mutex.lock store.index_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock store.index_lock) f
+let with_index_lock store f = locked store.index_lock f
 
 let root_version store root =
   let s = owner store root in
@@ -366,14 +375,22 @@ let node_name store id =
   | Some n -> Some n
   | None -> None
 
+(* An element or document whose content is one text node (or none)
+   — most of XMark's leaves — has that node's content as its string
+   value, shared rather than copied through a buffer. *)
 let rec string_value store id =
   let n = get store id in
   match n.kind with
   | Text | Comment | Pi | Attribute -> n.content
-  | Element | Document ->
-    let buf = Buffer.create 16 in
-    add_text_descendants store buf id;
-    Buffer.contents buf
+  | Element | Document -> (
+    match Vec.length n.children with
+    | 0 -> ""
+    | 1 when (get store (Vec.get n.children 0)).kind = Text ->
+      (get store (Vec.get n.children 0)).content
+    | _ ->
+      let buf = Buffer.create 16 in
+      add_text_descendants store buf id;
+      Buffer.contents buf)
 
 and add_text_descendants store buf id =
   let n = get store id in

@@ -2,11 +2,16 @@
    store. OCaml 5.1 has no Dynarray yet (5.2+), and child lists are a
    hot path: XMark-style workloads append thousands of children under
    one parent ($purchasers in the paper's §4.3 example), so the
-   amortized O(1) push matters for the E1 complexity claims. *)
+   amortized O(1) push matters for the E1 complexity claims.
+
+   Most vectors stay empty — every text and attribute node has a child
+   and an attribute vector — so a vector starts from the shared empty
+   array and allocates on its first push. *)
 
 type t = { mutable data : int array; mutable len : int }
 
-let create ?(capacity = 4) () = { data = Array.make (max capacity 1) 0; len = 0 }
+let create ?(capacity = 0) () =
+  { data = (if capacity <= 0 then [||] else Array.make capacity 0); len = 0 }
 
 let length v = v.len
 
@@ -20,7 +25,7 @@ let set v i x =
 
 let ensure v n =
   if n > Array.length v.data then begin
-    let cap = ref (Array.length v.data) in
+    let cap = ref (max 4 (Array.length v.data)) in
     while !cap < n do
       cap := !cap * 2
     done;
@@ -71,10 +76,12 @@ let fold f acc v =
   done;
   !acc
 
-let to_list v = List.init v.len (fun i -> v.data.(i))
+let to_list v =
+  let rec go i acc = if i < 0 then acc else go (i - 1) (v.data.(i) :: acc) in
+  go (v.len - 1) []
 
 let of_list l =
-  let v = create ~capacity:(max 1 (List.length l)) () in
+  let v = create ~capacity:(List.length l) () in
   List.iter (push v) l;
   v
 

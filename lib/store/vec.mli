@@ -6,7 +6,8 @@
 
 type t
 
-(** Fresh empty vector. *)
+(** Fresh empty vector. Without a positive [capacity] it shares the
+    empty array and allocates only on its first push. *)
 val create : ?capacity:int -> unit -> t
 
 val length : t -> int

@@ -9,7 +9,11 @@ let of_atomic a = [ Item.Atomic a ]
 let of_node id = [ Item.Node id ]
 let of_nodes ids = List.map Item.node ids
 let of_int i = of_atomic (Atomic.Integer i)
-let of_bool b = of_atomic (Atomic.Boolean b)
+(* Comparisons and predicates return booleans by the thousand: share
+   the two values. *)
+let true_v = of_atomic (Atomic.Boolean true)
+let false_v = of_atomic (Atomic.Boolean false)
+let of_bool b = if b then true_v else false_v
 let of_string s = of_atomic (Atomic.String s)
 let of_double f = of_atomic (Atomic.Double f)
 

@@ -1,12 +1,15 @@
 (** Qualified names for elements, attributes and functions.
 
-    Names are [(prefix, local)] pairs; the engine compares names
-    structurally (the paper's programs never rebind prefixes, so this
-    coincides with expanded-name equality). *)
+    Names are [(prefix, local)] pairs (the paper's programs never
+    rebind prefixes, so pair equality coincides with expanded-name
+    equality). They are interned: {!make} and {!of_string} are the
+    only constructors and return one shared record per pair, so
+    {!equal} is physical equality. *)
 
-type t = { prefix : string; local : string }
+type t = private { prefix : string; local : string }
 
-(** [make ?prefix local] builds a name; [prefix] defaults to [""]. *)
+(** [make ?prefix local] is the interned name; [prefix] defaults to
+    [""]. Thread- and domain-safe. *)
 val make : ?prefix:string -> string -> t
 
 val prefix : t -> string
@@ -17,6 +20,9 @@ val local : t -> string
 val of_string : string -> t
 
 val to_string : t -> string
+
+(** [a == b]: the same pair is the same record. Agrees with
+    structural equality on every name this module returned. *)
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

@@ -61,30 +61,30 @@ let test_tests =
     tc "name test vs principal kind" `Quick (fun () ->
         let f = fixture () in
         check ids "child b" [ f.b1; f.b2 ]
-          (Axes.step f.store Axes.Child (Axes.Name (qn "b")) f.a);
+          (Axes.step f.store Axes.Child (Axes.Name (qn "b")) Fun.id f.a);
         check ids "attr x" [ f.x1 ]
-          (Axes.step f.store Axes.Attribute (Axes.Name (qn "x")) f.b1);
+          (Axes.step f.store Axes.Attribute (Axes.Name (qn "x")) Fun.id f.b1);
         (* a name test on the child axis never matches attributes *)
         check ids "child x empty" []
-          (Axes.step f.store Axes.Child (Axes.Name (qn "x")) f.b1));
+          (Axes.step f.store Axes.Child (Axes.Name (qn "x")) Fun.id f.b1));
     tc "wildcard" `Quick (fun () ->
         let f = fixture () in
         (* elements only, not text *)
-        check ids "b2/*" [ f.d1 ] (Axes.step f.store Axes.Child Axes.Wildcard f.b2));
+        check ids "b2/*" [ f.d1 ] (Axes.step f.store Axes.Child Axes.Wildcard Fun.id f.b2));
     tc "kind tests" `Quick (fun () ->
         let f = fixture () in
         check ids "text()" [ f.t2 ]
-          (Axes.step f.store Axes.Child Axes.Kind_text f.b2);
+          (Axes.step f.store Axes.Child Axes.Kind_text Fun.id f.b2);
         check ids "node()" [ f.t2; f.d1 ]
-          (Axes.step f.store Axes.Child Axes.Kind_node f.b2);
+          (Axes.step f.store Axes.Child Axes.Kind_node Fun.id f.b2);
         check ids "element()" [ f.d1 ]
-          (Axes.step f.store Axes.Child (Axes.Kind_element None) f.b2);
+          (Axes.step f.store Axes.Child (Axes.Kind_element None) Fun.id f.b2);
         check ids "element(d)" [ f.d1 ]
-          (Axes.step f.store Axes.Child (Axes.Kind_element (Some (qn "d"))) f.b2);
+          (Axes.step f.store Axes.Child (Axes.Kind_element (Some (qn "d"))) Fun.id f.b2);
         check ids "element(z)" []
-          (Axes.step f.store Axes.Child (Axes.Kind_element (Some (qn "z"))) f.b2);
+          (Axes.step f.store Axes.Child (Axes.Kind_element (Some (qn "z"))) Fun.id f.b2);
         check ids "document-node()" [ f.doc ]
-          (Axes.step f.store Axes.Self Axes.Kind_document f.doc));
+          (Axes.step f.store Axes.Self Axes.Kind_document Fun.id f.doc));
   ]
 
 let order_tests =

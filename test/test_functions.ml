@@ -57,6 +57,46 @@ let strings =
     expect "string-length of context" "('abc')[string-length() = 3]" "abc";
   ]
 
+(* Every fn:substring example of F&O 3.1 §5.4.3, plus a negative
+   start that fn:round takes to -0 (Float.round would give -1). *)
+let substring_table =
+  [
+    ({|substring("motor car", 6)|}, " car");
+    ({|substring("metadata", 4, 3)|}, "ada");
+    ({|substring("12345", 1.5, 2.6)|}, "234");
+    ({|substring("12345", 0, 3)|}, "12");
+    ({|substring("12345", 5, -3)|}, "");
+    ({|substring("12345", -3, 5)|}, "1");
+    ({|substring("12345", 0 div 0E0, 3)|}, "");
+    ({|substring("12345", 1, 0 div 0E0)|}, "");
+    ({|substring((), 1, 3)|}, "");
+    ({|substring("12345", -42, 1 div 0E0)|}, "12345");
+    ({|substring("12345", -1 div 0E0, 1 div 0E0)|}, "");
+    ({|substring("12345", -0.5, 3)|}, "12");
+  ]
+
+let substring_examples =
+  [
+    tc "F&O substring examples" `Quick (fun () ->
+        List.iter
+          (fun (src, want) -> check Alcotest.string src want (run src))
+          substring_table);
+    expect "fn:round ties toward +INF"
+      "(round(2.5), round(-2.5), round(-0.5) = 0, round(0.49999999999999994))" "3 -2 true 0";
+    (* in-place comparisons: empty needle, needle longer than the
+       haystack, multibyte text (UTF-8 bytes compare as code points do) *)
+    expect "starts-with edges"
+      "(starts-with('abc',''), starts-with('',''), starts-with('ab','abc'), \
+       starts-with('caf\xc3\xa9','caf'), starts-with('\xc3\xa9t\xc3\xa9','\xc3\xa9'), \
+       starts-with('cafe','caf\xc3\xa9'), starts-with((),'a'))"
+      "true true false true true false false";
+    expect "ends-with edges"
+      "(ends-with('abc',''), ends-with('',''), ends-with('bc','abc'), \
+       ends-with('caf\xc3\xa9','\xc3\xa9'), ends-with('\xc3\xa9t\xc3\xa9','t\xc3\xa9'), \
+       ends-with('cafe','\xc3\xa9'), ends-with((),''))"
+      "true true false true true false true";
+  ]
+
 let numerics =
   [
     expect "sum" "sum((1, 2, 3))" "6";
@@ -104,6 +144,7 @@ let suite =
   [
     ("functions:sequences", sequences);
     ("functions:strings", strings);
+    ("functions:substring", substring_examples);
     ("functions:numerics", numerics);
     ("functions:nodes", nodes);
     ("functions:misc", errors_and_misc);

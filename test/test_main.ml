@@ -45,4 +45,5 @@ let () =
          Test_profile.suite;
          Test_shape_cache.suite;
          Test_group_commit.suite;
+         Test_read_path.suite;
        ])

@@ -693,8 +693,60 @@ let failed_insert f =
       ignore (err (Svc.query leader ls {|insert {<e/>} into {doc("d")/log}|}));
       f leader lsn0)
 
+(* Name steps and @id key lookups over a document whose names —
+   prefixed ones too — reach a store through the WAL. Names are
+   interned and compared by identity, so a decoder that built its own
+   name records would make these answers come back empty. *)
+let name_queries =
+  [
+    {|doc("d")//item/name/string()|};
+    {|count(doc("d")//p:tag)|};
+    {|doc("d")//p:tag/@p:k/string()|};
+    {|doc("d")//item[@id="i2"]/name/string()|};
+    {|doc("d")//item[@id="i3"]|};
+    {|doc("d")//item[@id="i1"]/title/string()|};
+    {|doc("d")/site/items/item/@q:flag/string()|};
+  ]
+
+let name_updates =
+  [
+    {|snap insert {<item id="i3"><name>three</name><p:tag p:k="z">n</p:tag></item>} into {doc("d")/site/items}|};
+    {|snap rename {doc("d")//item[@id="i1"]/name} to {'title'}|};
+    {|snap insert {attribute q:flag {"on"}} into {doc("d")//item[@id="i2"]}|};
+  ]
+
+let answers svc s = List.map (fun q -> ok (Svc.query svc s q)) name_queries
+
 let replication =
   [
+    tc "recovery and a shipped replica answer name steps and key lookups as the leader"
+      `Quick (fun () ->
+        let dir = fresh_dir () in
+        let leader_answers =
+          with_durable_svc dir (fun leader ->
+              let replica = Svc.create ~domains:0 ~replica:true () in
+              Fun.protect
+                ~finally:(fun () -> Svc.shutdown replica)
+                (fun () ->
+                  let ls = Svc.open_session leader in
+                  Svc.load_document leader ls ~uri:"d"
+                    {|<site><items><item id="i1"><name>one</name><p:tag p:k="x">t</p:tag></item><item id="i2"><name>two</name></item></items></site>|};
+                  let lsn0, blob = okr "snapshot" (Svc.snapshot_blob leader) in
+                  ignore (okr "bootstrap" (Svc.replica_bootstrap replica blob));
+                  List.iter (fun u -> ignore (ok (Svc.query leader ls u))) name_updates;
+                  ignore (pump leader replica ~from_lsn:(lsn0 + 1));
+                  let want = answers leader ls in
+                  check Alcotest.(list string) "replica after SHIP" want
+                    (answers replica (Svc.open_session replica));
+                  want))
+        in
+        check Alcotest.(list string) "leader answers"
+          [ "two three"; "2"; "x z"; "two"; {|<item id="i3"><name>three</name><p:tag p:k="z">n</p:tag></item>|};
+            "one"; "on" ]
+          leader_answers;
+        with_durable_svc dir (fun svc ->
+            check Alcotest.(list string) "after WAL recovery" leader_answers
+              (answers svc (Svc.open_session svc))));
     tc "bootstrap + shipping converge the replica, byte for byte" `Quick
       (fun () ->
         let dir = fresh_dir () in

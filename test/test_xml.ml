@@ -22,6 +22,39 @@ let qname_tests =
         check Alcotest.bool "eq" true (Qname.equal (qn "a:b") (qn "a:b"));
         check Alcotest.bool "neq prefix" false (Qname.equal (qn "a:b") (qn "c:b"));
         check Alcotest.bool "order" true (Qname.compare (qn "a") (qn "b") < 0));
+    tc "names are interned" `Quick (fun () ->
+        check Alcotest.bool "make == of_string" true
+          (Qname.make ~prefix:"p" "a" == Qname.of_string "p:a");
+        check Alcotest.bool "unprefixed" true (Qname.make "a" == Qname.of_string "a");
+        check Alcotest.bool "built from fresh strings" true
+          (Qname.make (String.concat "" [ "pe"; "rson" ]) == Qname.make "person");
+        check Alcotest.bool "prefix is part of the name" false
+          (Qname.make "a" == Qname.of_string "p:a");
+        (* names decoded by the XML parser are the interned records *)
+        match P.parse "<p:a q:b=\"1\"/>" with
+        | Event.Start_element (n, [ (an, _) ]) :: _ ->
+          check Alcotest.bool "element name" true (n == Qname.of_string "p:a");
+          check Alcotest.bool "attribute name" true (an == Qname.make ~prefix:"q" "b")
+        | _ -> Alcotest.fail "unexpected events");
+    tc "interning is domain-safe" `Quick (fun () ->
+        let names () =
+          List.init 200 (fun i -> Qname.make ~prefix:"d" (string_of_int (i * 7 mod 200)))
+        in
+        let others = Domain.spawn names in
+        let mine = names () in
+        List.iter2
+          (fun a b -> check Alcotest.bool (Qname.to_string a) true (a == b))
+          mine (Domain.join others));
+    qtest ~count:500 "equal agrees with structural equality"
+      QCheck2.Gen.(
+        let part = string_size ~gen:(oneofl [ 'a'; 'b'; ':' ]) (int_range 0 3) in
+        pair (pair part part) (pair part part))
+      (fun ((p1, l1), (p2, l2)) ->
+        let a = Qname.make ~prefix:p1 l1 and b = Qname.make ~prefix:p2 l2 in
+        let c = Qname.of_string (p2 ^ ":" ^ l2) in
+        Qname.equal a b = (p1 = p2 && l1 = l2)
+        && Qname.equal a b = (Qname.compare a b = 0)
+        && Qname.equal c (Qname.make ~prefix:(Qname.prefix c) (Qname.local c)));
     tc "validity" `Quick (fun () ->
         check Alcotest.bool "valid" true (Qname.valid (qn "foo-bar.baz"));
         check Alcotest.bool "digit start" false (Qname.valid (qn "1foo"));
