@@ -16,7 +16,7 @@ let () =
                                insert {<c/>} into {$x} },
                 $x)|}
   in
-  Printf.printf "paper 3.4 example: %s (expected <x><b/><a/><c/></x>)\n"
+  Printf.printf "paper 3.4 example: %s (expected <x><b></b><a></a><c></c></x>)\n"
     (Core.Engine.serialize engine v);
 
   (* The nextid() counter: each call's snap closes before the next

@@ -249,7 +249,8 @@ let run ?mode t source : Value.t =
 (* Serialize a value the way the CLI prints results: nodes as XML,
    atomics space-separated. [serialize_with] takes an explicit store
    handle — the service layer serializes results while still holding
-   the scheduler's read lock, possibly from a forked context. *)
+   the scheduler's read lock, possibly from a forked context. Every
+   item is written into one buffer; nodes by a walk of the store. *)
 let serialize_with store (v : Value.t) : string =
   let buf = Buffer.create 256 in
   let last_was_atomic = ref false in
@@ -257,7 +258,7 @@ let serialize_with store (v : Value.t) : string =
     (fun item ->
       match item with
       | Item.Node n ->
-        Buffer.add_string buf (Store.serialize store n);
+        Store.add_xml store buf n;
         last_was_atomic := false
       | Item.Atomic a ->
         if !last_was_atomic then Buffer.add_char buf ' ';

@@ -165,6 +165,11 @@ let snap ctx (mode : C.snap_mode) body =
         snap_frame ctx C.Snap_ordered body)
   | _ -> snap_frame ctx mode body
 
+(* Does [s] contain the two bytes [a][b] in a row? *)
+let has_pair s a b =
+  let rec go i = i + 1 < String.length s && ((s.[i] = a && s.[i + 1] = b) || go (i + 1)) in
+  go 0
+
 let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option)
     (e : C.expr) : Value.t =
   tick ctx;
@@ -382,12 +387,18 @@ let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option
         String.concat " " (List.map (Item.string_value ctx.Context.store) cv)
       in
       Value.of_node (Store.make_text ctx.Context.store s))
+  (* Content the serializer could not write back as one comment or
+     PI is rejected here, where every route constructs them. *)
   | C.Comment_node content ->
     let s = Value.string_value ctx.Context.store (eval ctx env focus content) in
+    if has_pair s '-' '-' || String.ends_with ~suffix:"-" s then
+      Errors.raise_error "XQDY0072" "comment content %S contains \"--\" or ends in \"-\"" s;
     Value.of_node (Store.make_comment ctx.Context.store s)
   | C.Pi_node (ns, content) ->
     let target = Qname.to_string (eval_name ctx env focus ns) in
     let s = Value.string_value ctx.Context.store (eval ctx env focus content) in
+    if has_pair s '?' '>' then
+      Errors.raise_error "XQDY0026" "processing-instruction content %S contains \"?>\"" s;
     Value.of_node (Store.make_pi ctx.Context.store target s)
   | C.Doc_node content ->
     let cv = eval ctx env focus content in

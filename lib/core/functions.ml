@@ -242,16 +242,75 @@ let fn_round f =
   let fl = Float.floor f in
   if f -. fl >= 0.5 then fl +. 1. else fl
 
+(* Strings are UTF-8 and F&O counts characters, i.e. code points.
+   Where no byte is >= 0x80 bytes and characters coincide, and
+   string-length, substring and translate index bytes directly. An
+   invalid byte counts as one character. *)
+let is_ascii s = not (String.exists (fun c -> Char.code c >= 0x80) s)
+
+let char_len s i = Uchar.utf_decode_length (String.get_utf_8_uchar s i)
+
+(* The byte index [k] characters after byte [i]. *)
+let rec advance s i k =
+  if k = 0 || i >= String.length s then i else advance s (i + char_len s i) (k - 1)
+
+let char_count s =
+  let rec go i n = if i >= String.length s then n else go (i + char_len s i) (n + 1) in
+  go 0 0
+
 (* fn:substring (F&O §5.4.3): the characters at the positions [p] with
    [first <= p < stop], both already [fn_round]ed. The bounds stay
    floats, so an infinite or NaN bound compares as the standard says
    (NaN selects nothing) instead of going through [int_of_float]. *)
 let substring s first stop =
-  let lo = Float.max 1. first
-  and hi = Float.min (float_of_int (String.length s + 1)) stop in
+  let ascii = is_ascii s in
+  let len = if ascii then String.length s else char_count s in
+  let lo = Float.max 1. first and hi = Float.min (float_of_int (len + 1)) stop in
   if lo < hi then
-    Value.of_string (String.sub s (int_of_float lo - 1) (int_of_float hi - int_of_float lo))
+    let a = int_of_float lo - 1 and b = int_of_float hi - 1 in
+    let a, b =
+      if ascii then (a, b)
+      else
+        let a' = advance s 0 a in
+        (a', advance s a' (b - a))
+    in
+    Value.of_string (String.sub s a (b - a))
   else Value.of_string ""
+
+(* fn:translate: each character of [s] found at position [i] of [f]
+   becomes the [i]th character of [t], or is dropped when [t] is
+   shorter; characters not in [f] are copied as they are. *)
+let translate s f t =
+  let buf = Buffer.create (String.length s) in
+  if is_ascii s && is_ascii f && is_ascii t then
+    String.iter
+      (fun c ->
+        match String.index_opt f c with
+        | None -> Buffer.add_char buf c
+        | Some i -> if i < String.length t then Buffer.add_char buf t.[i])
+      s
+  else begin
+    (* the character index in [f] of the first occurrence of the
+       [n]-byte character at byte [i] of [s], compared byte for byte *)
+    let rec find i n j k =
+      if j >= String.length f then None
+      else
+        let m = char_len f j in
+        let rec same b = b = n || (s.[i + b] = f.[j + b] && same (b + 1)) in
+        if m = n && same 0 then Some k else find i n (j + m) (k + 1)
+    in
+    let i = ref 0 in
+    while !i < String.length s do
+      let n = char_len s !i in
+      (match find !i n 0 0 with
+      | None -> Buffer.add_substring buf s !i n
+      | Some k ->
+        let a = advance t 0 k in
+        if a < String.length t then Buffer.add_substring buf t a (char_len t a));
+      i := !i + n
+    done
+  end;
+  Value.of_string (Buffer.contents buf)
 
 (* -- dispatch -------------------------------------------------------- *)
 
@@ -303,7 +362,8 @@ let call (ctx : Context.t) (focus : Context.focus option) name
       | exception Errors.Dynamic_error _ -> Value.of_double Float.nan)
     | _ -> Errors.type_error "fn:number on a sequence")
   | "string-length", _ ->
-    Value.of_int (String.length (opt_string_or_focus ctx focus args))
+    let s = opt_string_or_focus ctx focus args in
+    Value.of_int (if is_ascii s then String.length s else char_count s)
   | "normalize-space", _ ->
     let s = opt_string_or_focus ctx focus args in
     let words =
@@ -345,16 +405,7 @@ let call (ctx : Context.t) (focus : Context.focus option) name
       | None -> "")
   | "upper-case", [ a ] -> Value.of_string (String.uppercase_ascii (sv store a))
   | "lower-case", [ a ] -> Value.of_string (String.lowercase_ascii (sv store a))
-  | "translate", [ a; from_s; to_s ] ->
-    let s = sv store a and f = sv store from_s and t = sv store to_s in
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match String.index_opt f c with
-        | None -> Buffer.add_char buf c
-        | Some i -> if i < String.length t then Buffer.add_char buf t.[i])
-      s;
-    Value.of_string (Buffer.contents buf)
+  | "translate", [ a; from_s; to_s ] -> translate (sv store a) (sv store from_s) (sv store to_s)
   | "matches", [ a; pat ] -> Value.of_bool (Re.execp (compile_re (sv store pat)) (sv store a))
   | "replace", [ a; pat; rep ] ->
     Value.of_string
@@ -530,34 +581,14 @@ let call (ctx : Context.t) (focus : Context.focus option) name
     | _ -> Errors.type_error "fn:compare on sequences")
   | "string-to-codepoints", [ v ] ->
     let s = sv store v in
-    (* decode UTF-8 with uutf-free byte-level fallback: ASCII fast
-       path; multibyte sequences decoded manually *)
-    let out = ref [] in
-    let i = ref 0 in
-    let n = String.length s in
-    while !i < n do
-      let c = Char.code s.[!i] in
-      let cp, len =
-        if c < 0x80 then (c, 1)
-        else if c < 0xE0 && !i + 1 < n then
-          (((c land 0x1F) lsl 6) lor (Char.code s.[!i + 1] land 0x3F), 2)
-        else if c < 0xF0 && !i + 2 < n then
-          ( ((c land 0x0F) lsl 12)
-            lor ((Char.code s.[!i + 1] land 0x3F) lsl 6)
-            lor (Char.code s.[!i + 2] land 0x3F),
-            3 )
-        else if !i + 3 < n then
-          ( ((c land 0x07) lsl 18)
-            lor ((Char.code s.[!i + 1] land 0x3F) lsl 12)
-            lor ((Char.code s.[!i + 2] land 0x3F) lsl 6)
-            lor (Char.code s.[!i + 3] land 0x3F),
-            4 )
-        else (0xFFFD, 1)
-      in
-      out := cp :: !out;
-      i := !i + len
-    done;
-    List.rev_map Item.integer !out
+    let rec go i acc =
+      if i >= String.length s then List.rev acc
+      else
+        let d = String.get_utf_8_uchar s i in
+        go (i + Uchar.utf_decode_length d)
+          (Item.integer (Uchar.to_int (Uchar.utf_decode_uchar d)) :: acc)
+    in
+    go 0 []
   | "codepoints-to-string", [ v ] ->
     let buf = Buffer.create 16 in
     List.iter

@@ -193,10 +193,7 @@ let render_result = function
   | Ok s -> P.ok s
   | Error (e : Service_error.t) -> P.err_of e
 
-let is_overload_reply line =
-  let pre = "ERR [overloaded]" in
-  String.length line >= String.length pre
-  && String.sub line 0 (String.length pre) = pre
+let is_overload_reply line = String.starts_with ~prefix:"ERR [overloaded]" line
 
 (* -- the blocking session loop (stdin) ------------------------------- *)
 
@@ -214,7 +211,8 @@ let session_loop svc ic oc =
           | `Reply s -> s
           | `Job fut -> render_result (Service.await fut))
       in
-      output_string oc (reply ^ "\n");
+      output_string oc reply;
+      output_char oc '\n';
       flush oc;
       if not !stopped then loop ()
     | exception End_of_file -> ()
@@ -327,28 +325,26 @@ let flush_conn t conn =
   in
   let rec pump () =
     write_out ();
-    (* batch every completed head into one write: a pipelined batch
-       of small replies leaves in a single syscall *)
-    let buf = Buffer.create 256 in
-    let rec gather () =
+    (* every completed head leaves in one write, built as one
+       exact-size string: a pipelined batch of small replies in a
+       single syscall, a lone reply as one copy with its newline *)
+    let rec gather acc =
       match Queue.peek_opt conn.pending with
       | Some cell -> (
         match Atomic.get cell with
         | Some line ->
           ignore (Queue.pop conn.pending);
           if is_overload_reply line then Atomic.incr t.c.c_overload_rejects;
-          Buffer.add_string buf line;
-          Buffer.add_char buf '\n';
-          gather ()
-        | None -> ())
-      | None -> ()
+          gather ("\n" :: line :: acc)
+        | None -> acc)
+      | None -> acc
     in
-    gather ();
-    if Buffer.length buf > 0 then begin
-      conn.wbuf <- Buffer.contents buf;
+    match gather [] with
+    | [] -> ()
+    | acc ->
+      conn.wbuf <- String.concat "" (List.rev acc);
       conn.woff <- 0;
       pump ()
-    end
   in
   pump ()
 

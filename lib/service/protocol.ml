@@ -59,17 +59,29 @@ type request =
 
 (* -- one-line escaping ---------------------------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* [prefix] then [payload] with \\ \n \r escaped. One scan finds
+   whether any byte needs it; a payload that needs none is copied once
+   into an exact-size string. *)
+let escaped_after prefix payload =
+  let rec clean i =
+    i = String.length payload
+    || match String.unsafe_get payload i with '\\' | '\n' | '\r' -> false | _ -> clean (i + 1)
+  in
+  if clean 0 then prefix ^ payload
+  else begin
+    let buf = Buffer.create (String.length prefix + String.length payload + 16) in
+    Buffer.add_string buf prefix;
+    String.iter
+      (function
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c -> Buffer.add_char buf c)
+      payload;
+    Buffer.contents buf
+  end
+
+let escape s = escaped_after "" s
 
 let unescape s =
   let buf = Buffer.create (String.length s) in
@@ -93,13 +105,13 @@ let unescape s =
   done;
   Buffer.contents buf
 
-let ok payload = "OK " ^ escape payload
-let err payload = "ERR " ^ escape payload
+let ok payload = escaped_after "OK " payload
+let err payload = escaped_after "ERR " payload
 
 (* Classified query errors carry their taxonomy kind on the wire:
    "ERR [timeout] deadline exceeded". Protocol-level errors (bad
    request syntax) keep the plain [err] form. *)
-let err_of (e : Service_error.t) = "ERR " ^ escape (Service_error.to_string e)
+let err_of (e : Service_error.t) = err (Service_error.to_string e)
 
 (* -- parsing -------------------------------------------------------- *)
 

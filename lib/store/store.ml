@@ -246,8 +246,6 @@ let journal_start store =
       store.mj_count <- 0;
       store.mj_on <- true)
 
-let journal_stop store = store.mj_on <- false
-
 let journal_active store = store.mj_on && not store.mj_suspend
 
 let journal_entries store = with_mu store (fun () -> List.rev store.mj)
@@ -367,13 +365,7 @@ let parent store id = (get store id).parent
 let children store id = Vec.to_list (get store id).children
 let attributes store id = Vec.to_list (get store id).attributes
 let child_count store id = Vec.length (get store id).children
-let attribute_count store id = Vec.length (get store id).attributes
 let nth_child store id i = Vec.get (get store id).children i
-
-let node_name store id =
-  match (get store id).name with
-  | Some n -> Some n
-  | None -> None
 
 (* An element or document whose content is one text node (or none)
    — most of XMark's leaves — has that node's content as its string
@@ -928,44 +920,42 @@ let sorted_strict store ids =
 
 (* -- Serialization ------------------------------------------------ *)
 
-let rec add_events store acc id =
+(* Append the XML text of [id] to [buf]: one walk of its tree — in
+   the base store or a scratch overlay alike — through [Xml_writer]'s
+   markup primitives. A lone attribute serializes as [name="value"]. *)
+let rec add_xml store buf id =
+  let module W = Xqb_xml.Xml_writer in
   let n = get store id in
   match n.kind with
-  | Document -> Vec.fold (fun acc c -> add_events store acc c) acc n.children
+  | Document -> add_xml_all store buf n.children
   | Element ->
     let name = match n.name with Some q -> q | None -> Xqb_xml.Qname.make "_" in
-    let attrs =
-      Vec.fold
-        (fun acc aid ->
-          let a = get store aid in
-          match a.name with
-          | Some an -> (an, a.content) :: acc
-          | None -> acc)
-        [] n.attributes
-      |> List.rev
-    in
-    let acc = Xqb_xml.Event.Start_element (name, attrs) :: acc in
-    let acc = Vec.fold (fun acc c -> add_events store acc c) acc n.children in
-    Xqb_xml.Event.End_element name :: acc
-  | Text -> Xqb_xml.Event.Text n.content :: acc
-  | Comment -> Xqb_xml.Event.Comment n.content :: acc
+    W.add_start_tag buf name;
+    for i = 0 to Vec.length n.attributes - 1 do
+      match get store (Vec.get n.attributes i) with
+      | { name = Some an; content; _ } -> W.add_attribute buf an content
+      | _ -> ()
+    done;
+    W.close_start_tag buf;
+    add_xml_all store buf n.children;
+    W.add_end_tag buf name
+  | Text -> W.add_text buf n.content
+  | Comment -> W.add_comment buf n.content
   | Pi ->
     let target = match n.name with Some q -> Xqb_xml.Qname.to_string q | None -> "" in
-    Xqb_xml.Event.Pi (target, n.content) :: acc
-  | Attribute -> acc (* standalone attributes have no event form *)
+    W.add_pi buf target n.content
+  | Attribute -> (
+    match n.name with Some an -> W.add_lone_attribute buf an n.content | None -> ())
 
-let events_of_node store id = List.rev (add_events store [] id)
+and add_xml_all store buf ids =
+  for i = 0 to Vec.length ids - 1 do
+    add_xml store buf (Vec.get ids i)
+  done
 
 let serialize store id =
-  let n = get store id in
-  match n.kind with
-  | Attribute ->
-    (match n.name with
-    | Some an ->
-      Printf.sprintf "%s=\"%s\"" (Xqb_xml.Qname.to_string an) (Xqb_xml.Escape.attr n.content)
-    | None -> "")
-  | Document | Element | Text | Comment | Pi ->
-    Xqb_xml.Xml_writer.to_string (events_of_node store id)
+  let buf = Buffer.create 256 in
+  add_xml store buf id;
+  Buffer.contents buf
 
 (* -- Loading ------------------------------------------------------ *)
 

@@ -74,13 +74,11 @@ val make_attribute : t -> Xqb_xml.Qname.t -> string -> node_id
 
 val kind : t -> node_id -> kind
 val name : t -> node_id -> Xqb_xml.Qname.t option
-val node_name : t -> node_id -> Xqb_xml.Qname.t option
 val content : t -> node_id -> string
 val parent : t -> node_id -> node_id option
 val children : t -> node_id -> node_id list
 val attributes : t -> node_id -> node_id list
 val child_count : t -> node_id -> int
-val attribute_count : t -> node_id -> int
 val nth_child : t -> node_id -> int -> node_id
 
 (** Concatenated text of the subtree (fn:string on nodes). *)
@@ -172,7 +170,12 @@ val sorted_strict : t -> node_id list -> bool
 
 (** {1 Serialization and loading} *)
 
-val events_of_node : t -> node_id -> Xqb_xml.Event.t list
+(** Append the XML text of a node (its whole subtree) to the buffer,
+    walking the store through {!Xqb_xml.Xml_writer}'s primitives. An
+    attribute node serializes as [name="value"]. *)
+val add_xml : t -> Buffer.t -> node_id -> unit
+
+(** [add_xml] into a fresh buffer. *)
 val serialize : t -> node_id -> string
 
 (** Build a document node from an event stream / XML text. *)
@@ -282,8 +285,6 @@ type mj_entry = { seq : int; op : mj_op }
     only when recording starts on a fresh, empty store and outside any
     transaction. *)
 val journal_start : t -> unit
-
-val journal_stop : t -> unit
 
 (** Recording and not suspended by a composite op. *)
 val journal_active : t -> bool

@@ -198,7 +198,7 @@ let rec expr buf (e : A.expr) =
           (fun seg ->
             match seg with
             | A.Avt_text s ->
-              add (Xqb_xml.Escape.attr (brace_escape s))
+              Xqb_xml.Escape.add_escaped_attr buf (brace_escape s)
             | A.Avt_expr e ->
               add "{";
               expr buf e;
@@ -213,7 +213,7 @@ let rec expr buf (e : A.expr) =
       List.iter
         (fun c ->
           match c with
-          | A.C_text s -> add (Xqb_xml.Escape.text (brace_escape s))
+          | A.C_text s -> Xqb_xml.Escape.add_escaped_text buf (brace_escape s)
           | A.C_expr e ->
             add "{";
             expr buf e;

@@ -1,37 +1,22 @@
 (* Escaping and entity resolution for XML text and attribute values. *)
 
-let add_escaped_text buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | c -> Buffer.add_char buf c)
-    s
+(* A CR is a reference in both text and attribute values: a parser
+   turns a raw one into LF in text and into a space in a value. *)
+let add_escaped ~in_attr buf s =
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '<' -> Buffer.add_string buf "&lt;"
+    | '>' -> Buffer.add_string buf "&gt;"
+    | '&' -> Buffer.add_string buf "&amp;"
+    | '\r' -> Buffer.add_string buf "&#13;"
+    | '"' when in_attr -> Buffer.add_string buf "&quot;"
+    | '\n' when in_attr -> Buffer.add_string buf "&#10;"
+    | '\t' when in_attr -> Buffer.add_string buf "&#9;"
+    | c -> Buffer.add_char buf c
+  done
 
-let add_escaped_attr buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | '\n' -> Buffer.add_string buf "&#10;"
-      | '\t' -> Buffer.add_string buf "&#9;"
-      | c -> Buffer.add_char buf c)
-    s
-
-let text s =
-  let buf = Buffer.create (String.length s + 8) in
-  add_escaped_text buf s;
-  Buffer.contents buf
-
-let attr s =
-  let buf = Buffer.create (String.length s + 8) in
-  add_escaped_attr buf s;
-  Buffer.contents buf
+let add_escaped_text buf s = add_escaped ~in_attr:false buf s
+let add_escaped_attr buf s = add_escaped ~in_attr:true buf s
 
 (* Encode a Unicode code point as UTF-8 into [buf]. Invalid code
    points are replaced by U+FFFD. *)

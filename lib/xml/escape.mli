@@ -2,16 +2,12 @@
 
 exception Unknown_entity of string
 
-(** Escape ['<' '>' '&'] for element content. *)
-val text : string -> string
-
-(** Escape ['<' '>' '&' '"'] plus tab/newline for attribute values
-    (double-quoted). *)
-val attr : string -> string
-
-(** Buffer variants used by the serializer. *)
+(** Append with ['<' '>' '&'] and CR (as [&#13;]) escaped, for
+    element content. *)
 val add_escaped_text : Buffer.t -> string -> unit
 
+(** Append with ['<' '>' '&' '"'] plus tab, newline and CR escaped,
+    for a double-quoted attribute value. *)
 val add_escaped_attr : Buffer.t -> string -> unit
 
 (** Append a Unicode code point as UTF-8. *)

@@ -9,18 +9,6 @@ type t =
   | Comment of string
   | Pi of string * string  (* target, content *)
 
-let pp ppf = function
-  | Start_element (n, attrs) ->
-    Format.fprintf ppf "<%a%a>" Qname.pp n
-      (fun ppf ->
-        List.iter (fun (k, v) ->
-          Format.fprintf ppf " %a=%S" Qname.pp k v))
-      attrs
-  | End_element n -> Format.fprintf ppf "</%a>" Qname.pp n
-  | Text s -> Format.fprintf ppf "Text %S" s
-  | Comment s -> Format.fprintf ppf "<!--%s-->" s
-  | Pi (t, c) -> Format.fprintf ppf "<?%s %s?>" t c
-
 let equal a b =
   match a, b with
   | Start_element (n1, a1), Start_element (n2, a2) ->

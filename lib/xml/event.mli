@@ -9,5 +9,4 @@ type t =
   | Comment of string
   | Pi of string * string  (** target, content *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

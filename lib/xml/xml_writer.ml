@@ -1,102 +1,66 @@
-(* Serialize an event stream back to XML text. Inverse of
-   {!Xml_parser.parse} on its supported subset, which the test suite
-   checks by round-tripping. *)
+(* The one module that knows XML markup syntax. Each construct is an
+   append onto a caller's buffer; [add_event] writes event streams
+   (parsed or generated documents) through them and [Store.add_xml]
+   writes a walk of the store through them, so both serializations
+   agree byte for byte. Inverse of {!Xml_parser.parse} on its
+   supported subset, which the test suite checks by round-tripping. *)
+
+let add_name buf (q : Qname.t) =
+  if q.prefix <> "" then begin
+    Buffer.add_string buf q.prefix;
+    Buffer.add_char buf ':'
+  end;
+  Buffer.add_string buf q.local
+
+let add_start_tag buf name =
+  Buffer.add_char buf '<';
+  add_name buf name
+
+let add_lone_attribute buf name value =
+  add_name buf name;
+  Buffer.add_string buf "=\"";
+  Escape.add_escaped_attr buf value;
+  Buffer.add_char buf '"'
+
+let add_attribute buf name value =
+  Buffer.add_char buf ' ';
+  add_lone_attribute buf name value
+
+let close_start_tag buf = Buffer.add_char buf '>'
+
+let add_end_tag buf name =
+  Buffer.add_string buf "</";
+  add_name buf name;
+  Buffer.add_char buf '>'
+
+let add_text = Escape.add_escaped_text
+
+let add_comment buf s =
+  Buffer.add_string buf "<!--";
+  Buffer.add_string buf s;
+  Buffer.add_string buf "-->"
+
+let add_pi buf target content =
+  Buffer.add_string buf "<?";
+  Buffer.add_string buf target;
+  if content <> "" then begin
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf content
+  end;
+  Buffer.add_string buf "?>"
 
 let add_event buf (e : Event.t) =
   match e with
   | Start_element (name, attrs) ->
-    Buffer.add_char buf '<';
-    Buffer.add_string buf (Qname.to_string name);
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (Qname.to_string k);
-        Buffer.add_string buf "=\"";
-        Escape.add_escaped_attr buf v;
-        Buffer.add_char buf '"')
-      attrs;
-    Buffer.add_char buf '>'
-  | End_element name ->
-    Buffer.add_string buf "</";
-    Buffer.add_string buf (Qname.to_string name);
-    Buffer.add_char buf '>'
-  | Text s -> Escape.add_escaped_text buf s
-  | Comment s ->
-    Buffer.add_string buf "<!--";
-    Buffer.add_string buf s;
-    Buffer.add_string buf "-->"
-  | Pi (target, content) ->
-    Buffer.add_string buf "<?";
-    Buffer.add_string buf target;
-    if content <> "" then begin
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf content
-    end;
-    Buffer.add_string buf "?>"
+    add_start_tag buf name;
+    List.iter (fun (k, v) -> add_attribute buf k v) attrs;
+    close_start_tag buf
+  | End_element name -> add_end_tag buf name
+  | Text s -> add_text buf s
+  | Comment s -> add_comment buf s
+  | Pi (target, content) -> add_pi buf target content
 
 let to_string events =
   let buf = Buffer.create 1024 in
   List.iter (add_event buf) events;
-  Buffer.contents buf
-
-(* Variant collapsing empty Start/End pairs into [<e/>] — the
-   serialization most XML tools emit. *)
-let to_string_self_closing events =
-  let buf = Buffer.create 1024 in
-  let rec loop = function
-    | [] -> ()
-    | Event.Start_element (name, attrs) :: Event.End_element name' :: rest
-      when Qname.equal name name' ->
-      Buffer.add_char buf '<';
-      Buffer.add_string buf (Qname.to_string name);
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (Qname.to_string k);
-          Buffer.add_string buf "=\"";
-          Escape.add_escaped_attr buf v;
-          Buffer.add_char buf '"')
-        attrs;
-      Buffer.add_string buf "/>";
-      loop rest
-    | e :: rest ->
-      add_event buf e;
-      loop rest
-  in
-  loop events;
-  Buffer.contents buf
-
-(* Indented variant used by the CLI's pretty output: puts each element
-   on its own line when it has element children only. *)
-let to_string_indented events =
-  let buf = Buffer.create 1024 in
-  let depth = ref 0 in
-  let pad () =
-    Buffer.add_char buf '\n';
-    for _ = 1 to !depth * 2 do
-      Buffer.add_char buf ' '
-    done
-  in
-  let rec loop first = function
-    | [] -> ()
-    | Event.Start_element _ as e :: rest ->
-      if not first then pad ();
-      add_event buf e;
-      incr depth;
-      loop false rest
-    | Event.End_element _ as e :: rest ->
-      decr depth;
-      (* Only break before the end tag if the previous event was not
-         text (mixed content stays inline). *)
-      (match Buffer.length buf with
-      | 0 -> ()
-      | n when Buffer.nth buf (n - 1) = '>' -> pad ()
-      | _ -> ());
-      add_event buf e;
-      loop false rest
-    | e :: rest ->
-      add_event buf e;
-      loop false rest
-  in
-  loop true events;
   Buffer.contents buf

@@ -111,10 +111,6 @@ let engine_modes =
 
 let serializer_output =
   [
-    tc "indented writer" `Quick (fun () ->
-        let events = Xqb_xml.Xml_parser.parse "<a><b>t</b><c/></a>" in
-        let s = Xqb_xml.Xml_writer.to_string_indented events in
-        check Alcotest.bool "has newlines" true (String.contains s '\n'));
     tc "store serializer escapes" `Quick (fun () ->
         let eng = Core.Engine.create () in
         check Alcotest.string "escaped" "<a k=\"&quot;v&quot;\">1 &lt; 2</a>"

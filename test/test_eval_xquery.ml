@@ -222,6 +222,29 @@ let comment_pi_ctors =
       "processing-instruction x {'c'} instance of processing-instruction()" "true";
     expect "comment constructor still a path step name"
       "let $x := <r><comment/></r> return count($x/comment)" "1";
+    expect "a lone hyphen is allowed" "<a>{comment {'x-y'}}</a>" "<a><!--x-y--></a>";
+    expect "? and > apart are allowed" "<a>{processing-instruction p {'x?y>'}}</a>"
+      "<a><?p x?y>?></a>";
   ]
+  (* content the serializer cannot write back is rejected on both
+     routes: the interpreter and the algebra plan *)
+  @ List.concat_map
+      (fun (name, src, code) ->
+        [
+          expect_error name src (dynamic_error code);
+          tc (name ^ " (plan)") `Quick (fun () ->
+              match Xqb_algebra.Runner.run (Core.Engine.create ()) src with
+              | _ -> Alcotest.failf "%s: expected %s" name code
+              | exception e ->
+                if not (dynamic_error code e) then
+                  Alcotest.failf "%s: unexpected %s" name (Printexc.to_string e));
+        ])
+      [
+        ("comment containing --", "comment {'x--y'}", "XQDY0072");
+        ("comment ending in -", "<a>{comment {concat('x', '-')}}</a>", "XQDY0072");
+        ("pi containing ?>", "processing-instruction p {'x?>y'}", "XQDY0026");
+        ("pi with a dynamic target containing ?>",
+         "<a>{processing-instruction {'t'} {'?>'}}</a>", "XQDY0026");
+      ]
 
 let suite = suite @ [ ("eval:comment-pi", comment_pi_ctors) ]

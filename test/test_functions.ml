@@ -90,6 +90,37 @@ let substring_examples =
        starts-with('caf\xc3\xa9','caf'), starts-with('\xc3\xa9t\xc3\xa9','\xc3\xa9'), \
        starts-with('cafe','caf\xc3\xa9'), starts-with((),'a'))"
       "true true false true true false false";
+    tc "F&O string-length and translate examples" `Quick (fun () ->
+        List.iter
+          (fun (src, want) -> check Alcotest.string src want (run src))
+          [
+            (* the spec prints 32; the string has 33 characters *)
+            ({|string-length("Harp not on that string, my lord!")|}, "33");
+            ({|string-length(())|}, "0");
+            ({|translate("bar", "abc", "ABC")|}, "BAr");
+            ({|translate("--aaa--", "abc-", "ABC")|}, "AAA");
+            ({|translate("abcdabc", "abc", "AB")|}, "ABdAB");
+          ]);
+    (* characters are code points: a two- and a four-byte UTF-8
+       character each count once, and a substring never splits one *)
+    tc "non-ASCII strings count code points" `Quick (fun () ->
+        List.iter
+          (fun (src, want) -> check Alcotest.string src want (run src))
+          [
+            ("string-length('caf\xc3\xa9')", "4");
+            ("string-length('\xf0\x9d\x84\x9e')", "1");
+            ("substring('caf\xc3\xa9', 4, 1)", "\xc3\xa9");
+            ("substring('caf\xc3\xa9', 4)", "\xc3\xa9");
+            ("substring('na\xc3\xafve caf\xc3\xa9', 3, 4)", "\xc3\xafve ");
+            ("substring('a\xf0\x9d\x84\x9eb', 2, 1)", "\xf0\x9d\x84\x9e");
+            ("substring('\xc3\xa9t\xc3\xa9', 0, 3)", "\xc3\xa9t");
+            ("substring('\xc3\xa9t\xc3\xa9', 2, 1 div 0E0)", "t\xc3\xa9");
+            ("translate('caf\xc3\xa9', '\xc3\xa9', 'e')", "cafe");
+            ("translate('abc', 'b', '\xce\xb2')", "a\xce\xb2c");
+            ("translate('a\xc3\xa9b', 'a\xc3\xa9', '\xc3\xa9')", "\xc3\xa9b");
+            ("translate('\xc3\xa9\xc3\xa8', '\xc3\xa8\xc3\xa9', 'xy')", "yx");
+            ("('\xc3\xa9t\xc3\xa9')[string-length() = 3]", "\xc3\xa9t\xc3\xa9");
+          ]);
     expect "ends-with edges"
       "(ends-with('abc',''), ends-with('',''), ends-with('bc','abc'), \
        ends-with('caf\xc3\xa9','\xc3\xa9'), ends-with('\xc3\xa9t\xc3\xa9','t\xc3\xa9'), \

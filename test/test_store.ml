@@ -435,6 +435,36 @@ let store_scratch =
         no_errors store);
   ]
 
+(* The store's serializer walks the tree through the same markup
+   primitives as the event writer, so a loaded stream serializes to
+   exactly the writer's text — in a plain store and in a scratch
+   overlay alike. *)
+let serialize_tests =
+  [
+    qtest ~count:300 "serialize (load_events evs) = Xml_writer.to_string evs"
+      Test_xml.gen_tree (fun t ->
+        let evs = Test_xml.merge_texts (List.rev (Test_xml.emit_tree [] t)) in
+        let expected = Xqb_xml.Xml_writer.to_string evs in
+        let base = Store.create () in
+        let in_base = Store.serialize base (Store.load_events base evs) in
+        let sc = Store.scratch base in
+        let in_overlay = Store.serialize sc (Store.load_events sc evs) in
+        if in_base = expected && in_overlay = expected then true
+        else
+          QCheck2.Test.fail_reportf "writer: %S@.store: %S@.overlay: %S" expected in_base
+            in_overlay);
+    tc "a lone attribute serializes as name=\"value\"" `Quick (fun () ->
+        let store = Store.create () in
+        let a = Store.make_attribute store (qn "p:k") "a\"<\r\n" in
+        check Alcotest.string "attribute" {|p:k="a&quot;&lt;&#13;&#10;"|}
+          (Store.serialize store a);
+        let buf = Buffer.create 16 in
+        Buffer.add_string buf "OK ";
+        Store.add_xml store buf a;
+        check Alcotest.string "appended" {|OK p:k="a&quot;&lt;&#13;&#10;"|}
+          (Buffer.contents buf));
+  ]
+
 let suite =
   [
     ("store:vec", vec_tests);
@@ -444,4 +474,5 @@ let suite =
     ("store:transaction", store_txn);
     ("store:scratch", store_scratch);
     ("store:random", random_mutations);
+    ("store:serialize", serialize_tests);
   ]
