@@ -170,6 +170,17 @@ let has_pair s a b =
   let rec go i = i + 1 < String.length s && ((s.[i] = a && s.[i + 1] = b) || go (i + 1)) in
   go 0
 
+(* Comment and PI content the serializer could not write back as one
+   node is rejected where it enters the store: by the constructors and
+   by "replace value of node", the two places every route sets it. *)
+let check_comment s =
+  if has_pair s '-' '-' || String.ends_with ~suffix:"-" s then
+    Errors.raise_error "XQDY0072" "comment content %S contains \"--\" or ends in \"-\"" s
+
+let check_pi s =
+  if has_pair s '?' '>' then
+    Errors.raise_error "XQDY0026" "processing-instruction content %S contains \"?>\"" s
+
 let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option)
     (e : C.expr) : Value.t =
   tick ctx;
@@ -387,18 +398,14 @@ let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option
         String.concat " " (List.map (Item.string_value ctx.Context.store) cv)
       in
       Value.of_node (Store.make_text ctx.Context.store s))
-  (* Content the serializer could not write back as one comment or
-     PI is rejected here, where every route constructs them. *)
   | C.Comment_node content ->
     let s = Value.string_value ctx.Context.store (eval ctx env focus content) in
-    if has_pair s '-' '-' || String.ends_with ~suffix:"-" s then
-      Errors.raise_error "XQDY0072" "comment content %S contains \"--\" or ends in \"-\"" s;
+    check_comment s;
     Value.of_node (Store.make_comment ctx.Context.store s)
   | C.Pi_node (ns, content) ->
     let target = Qname.to_string (eval_name ctx env focus ns) in
     let s = Value.string_value ctx.Context.store (eval ctx env focus content) in
-    if has_pair s '?' '>' then
-      Errors.raise_error "XQDY0026" "processing-instruction content %S contains \"?>\"" s;
+    check_pi s;
     Value.of_node (Store.make_pi ctx.Context.store target s)
   | C.Doc_node content ->
     let cv = eval ctx env focus content in
@@ -464,6 +471,10 @@ let rec eval (ctx : Context.t) (env : Context.env) (focus : Context.focus option
       String.concat " "
         (List.map Atomic.to_string (Value.atomize ctx.Context.store v2))
     in
+    (match Store.kind ctx.Context.store node with
+    | Store.Comment -> check_comment s
+    | Store.Pi -> check_pi s
+    | _ -> ());
     emit_request ctx ~loc (Update.Set_value (node, s));
     []
   | C.Rename (e1, e2, loc) ->

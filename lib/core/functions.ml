@@ -242,12 +242,9 @@ let fn_round f =
   let fl = Float.floor f in
   if f -. fl >= 0.5 then fl +. 1. else fl
 
-(* Strings are UTF-8 and F&O counts characters, i.e. code points.
-   Where no byte is >= 0x80 bytes and characters coincide, and
-   string-length, substring and translate index bytes directly. An
-   invalid byte counts as one character. *)
-let is_ascii s = not (String.exists (fun c -> Char.code c >= 0x80) s)
-
+(* Strings are UTF-8 and F&O counts characters, i.e. code points;
+   string-length, substring and translate walk them one character at
+   a time. An invalid byte counts as one character. *)
 let char_len s i = Uchar.utf_decode_length (String.get_utf_8_uchar s i)
 
 (* The byte index [k] characters after byte [i]. *)
@@ -263,53 +260,38 @@ let char_count s =
    floats, so an infinite or NaN bound compares as the standard says
    (NaN selects nothing) instead of going through [int_of_float]. *)
 let substring s first stop =
-  let ascii = is_ascii s in
-  let len = if ascii then String.length s else char_count s in
-  let lo = Float.max 1. first and hi = Float.min (float_of_int (len + 1)) stop in
+  let lo = Float.max 1. first
+  and hi = Float.min (float_of_int (char_count s + 1)) stop in
   if lo < hi then
-    let a = int_of_float lo - 1 and b = int_of_float hi - 1 in
-    let a, b =
-      if ascii then (a, b)
-      else
-        let a' = advance s 0 a in
-        (a', advance s a' (b - a))
-    in
+    let a = advance s 0 (int_of_float lo - 1) in
+    let b = advance s a (int_of_float hi - int_of_float lo) in
     Value.of_string (String.sub s a (b - a))
   else Value.of_string ""
 
-(* fn:translate: each character of [s] found at position [i] of [f]
-   becomes the [i]th character of [t], or is dropped when [t] is
+(* fn:translate: each character of [s] found at position [k] of [f]
+   becomes the [k]th character of [t], or is dropped when [t] is
    shorter; characters not in [f] are copied as they are. *)
 let translate s f t =
   let buf = Buffer.create (String.length s) in
-  if is_ascii s && is_ascii f && is_ascii t then
-    String.iter
-      (fun c ->
-        match String.index_opt f c with
-        | None -> Buffer.add_char buf c
-        | Some i -> if i < String.length t then Buffer.add_char buf t.[i])
-      s
-  else begin
-    (* the character index in [f] of the first occurrence of the
-       [n]-byte character at byte [i] of [s], compared byte for byte *)
-    let rec find i n j k =
-      if j >= String.length f then None
-      else
-        let m = char_len f j in
-        let rec same b = b = n || (s.[i + b] = f.[j + b] && same (b + 1)) in
-        if m = n && same 0 then Some k else find i n (j + m) (k + 1)
-    in
-    let i = ref 0 in
-    while !i < String.length s do
-      let n = char_len s !i in
-      (match find !i n 0 0 with
-      | None -> Buffer.add_substring buf s !i n
-      | Some k ->
-        let a = advance t 0 k in
-        if a < String.length t then Buffer.add_substring buf t a (char_len t a));
-      i := !i + n
-    done
-  end;
+  (* the character index in [f] of the first occurrence of the
+     [n]-byte character at byte [i] of [s], compared byte for byte *)
+  let rec find i n j k =
+    if j >= String.length f then None
+    else
+      let m = char_len f j in
+      let rec same b = b = n || (s.[i + b] = f.[j + b] && same (b + 1)) in
+      if m = n && same 0 then Some k else find i n (j + m) (k + 1)
+  in
+  let i = ref 0 in
+  while !i < String.length s do
+    let n = char_len s !i in
+    (match find !i n 0 0 with
+    | None -> Buffer.add_substring buf s !i n
+    | Some k ->
+      let a = advance t 0 k in
+      if a < String.length t then Buffer.add_substring buf t a (char_len t a));
+    i := !i + n
+  done;
   Value.of_string (Buffer.contents buf)
 
 (* -- dispatch -------------------------------------------------------- *)
@@ -362,8 +344,7 @@ let call (ctx : Context.t) (focus : Context.focus option) name
       | exception Errors.Dynamic_error _ -> Value.of_double Float.nan)
     | _ -> Errors.type_error "fn:number on a sequence")
   | "string-length", _ ->
-    let s = opt_string_or_focus ctx focus args in
-    Value.of_int (if is_ascii s then String.length s else char_count s)
+    Value.of_int (char_count (opt_string_or_focus ctx focus args))
   | "normalize-space", _ ->
     let s = opt_string_or_focus ctx focus args in
     let words =

@@ -2,21 +2,30 @@
 
 (* A CR is a reference in both text and attribute values: a parser
    turns a raw one into LF in text and into a space in a value. *)
-let add_escaped ~in_attr buf s =
-  for i = 0 to String.length s - 1 do
-    match String.unsafe_get s i with
-    | '<' -> Buffer.add_string buf "&lt;"
-    | '>' -> Buffer.add_string buf "&gt;"
-    | '&' -> Buffer.add_string buf "&amp;"
-    | '\r' -> Buffer.add_string buf "&#13;"
-    | '"' when in_attr -> Buffer.add_string buf "&quot;"
-    | '\n' when in_attr -> Buffer.add_string buf "&#10;"
-    | '\t' when in_attr -> Buffer.add_string buf "&#9;"
-    | c -> Buffer.add_char buf c
-  done
+let add_escaped_text buf s =
+  String.iter
+    (fun c ->
+      match c with
+      | '<' -> Buffer.add_string buf "&lt;"
+      | '>' -> Buffer.add_string buf "&gt;"
+      | '&' -> Buffer.add_string buf "&amp;"
+      | '\r' -> Buffer.add_string buf "&#13;"
+      | c -> Buffer.add_char buf c)
+    s
 
-let add_escaped_text buf s = add_escaped ~in_attr:false buf s
-let add_escaped_attr buf s = add_escaped ~in_attr:true buf s
+let add_escaped_attr buf s =
+  String.iter
+    (fun c ->
+      match c with
+      | '<' -> Buffer.add_string buf "&lt;"
+      | '>' -> Buffer.add_string buf "&gt;"
+      | '&' -> Buffer.add_string buf "&amp;"
+      | '"' -> Buffer.add_string buf "&quot;"
+      | '\n' -> Buffer.add_string buf "&#10;"
+      | '\r' -> Buffer.add_string buf "&#13;"
+      | '\t' -> Buffer.add_string buf "&#9;"
+      | c -> Buffer.add_char buf c)
+    s
 
 (* Encode a Unicode code point as UTF-8 into [buf]. Invalid code
    points are replaced by U+FFFD. *)

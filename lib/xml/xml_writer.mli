@@ -17,7 +17,8 @@ val close_start_tag : Buffer.t -> unit
 val add_end_tag : Buffer.t -> Qname.t -> unit
 
 (** Character data, escaped. Comment and PI content is written as is:
-    constructors reject content that would end either early. *)
+    the constructors and "replace value of node" reject content that
+    would end either early. *)
 val add_text : Buffer.t -> string -> unit
 
 val add_comment : Buffer.t -> string -> unit

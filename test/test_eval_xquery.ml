@@ -225,9 +225,13 @@ let comment_pi_ctors =
     expect "a lone hyphen is allowed" "<a>{comment {'x-y'}}</a>" "<a><!--x-y--></a>";
     expect "? and > apart are allowed" "<a>{processing-instruction p {'x?y>'}}</a>"
       "<a><?p x?y>?></a>";
+    expect "replace value of a comment with a lone hyphen"
+      "let $x := <a>{comment {'c'}}</a> return (snap { replace value of node $x/comment() with 'x-y' }, $x)"
+      "<a><!--x-y--></a>";
   ]
   (* content the serializer cannot write back is rejected on both
-     routes: the interpreter and the algebra plan *)
+     routes, the interpreter and the algebra plan, whether a
+     constructor or "replace value of node" supplies it *)
   @ List.concat_map
       (fun (name, src, code) ->
         [
@@ -245,6 +249,15 @@ let comment_pi_ctors =
         ("pi containing ?>", "processing-instruction p {'x?>y'}", "XQDY0026");
         ("pi with a dynamic target containing ?>",
          "<a>{processing-instruction {'t'} {'?>'}}</a>", "XQDY0026");
+        ("replace value of a comment with --",
+         "let $c := comment {'a'} return snap { replace value of node $c with 'x--y' }",
+         "XQDY0072");
+        ("replace value of a comment with a trailing -",
+         "let $x := <a>{comment {'c'}}</a> return snap { replace value of node $x/comment() with 'x-' }",
+         "XQDY0072");
+        ("replace value of a pi with ?>",
+         "let $p := processing-instruction p {'a'} return snap { replace value of node $p with 'x?>y' }",
+         "XQDY0026");
       ]
 
 let suite = suite @ [ ("eval:comment-pi", comment_pi_ctors) ]
